@@ -8,12 +8,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateError, ShapeError, SingularMatrixError
-from .scalars import (MonomialOrdering, ORDERINGS, RationalFunction, as_scalar,
-                      monomial_square_class)
+from .linalg import Congruence, equal, mat_mul, neg, transpose
+from .scalars import ORDERINGS, RationalFunction, as_scalar, monomial_square_class
 from .qforms import DiagonalForm, diagonalize, weakly_represents_one
-from .involutions import (AlgebraWithInvolution, InvolutionSpec,
-                          QuaternionAlgebra, _mat_mul, _mat_transpose, _mat_eq)
-from .fdalgebra import StructureAlgebra, structure_algebra
+from .involutions import AlgebraWithInvolution, InvolutionSpec, QuaternionAlgebra
+from .fdalgebra import structure_algebra
 
 
 @dataclass
@@ -33,14 +32,20 @@ def verify_hermsq(cert):
     return alg.equal(total, cert.target)
 
 
-def _normalize_eps(eps, m):
-    if isinstance(eps, str):
-        eps = tuple(int(c) for c in eps)
-    else:
-        eps = tuple(int(c) for c in eps)
-    if len(eps) != m or any(c not in (0, 1) for c in eps):
+_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
+def parse_selector(eps, m):
+    """A weight selector ("0110" or (0, 1, 1, 0)) as a tuple of m bits."""
+    bits = tuple(_BITS.get(c) for c in eps)
+    if len(bits) != m or None in bits:
         raise CertificateError(f"bad weight selector {eps!r} for {m} weights")
-    return eps
+    return bits
+
+
+def format_selector(eps):
+    """The bitstring form of a weight selector, as JSON keys hold it."""
+    return eps if isinstance(eps, str) else "".join(str(b) for b in eps)
 
 
 @dataclass
@@ -58,15 +63,14 @@ class WeightedCertificate:
 
 def verify_weighted(cert):
     alg = cert.algebra
-    weights = [as_scalar(w) if not isinstance(w, RationalFunction) else w
-               for w in cert.weights]
+    weights = [as_scalar(w) for w in cert.weights]
     for w in weights:
         if w.is_zero():
             raise CertificateError("zero weight")
     m = len(weights)
     total = alg.zero()
     for eps, xs in cert.terms.items():
-        eps = _normalize_eps(eps, m)
+        eps = parse_selector(eps, m)
         coeff = as_scalar(1)
         for bit, w in zip(eps, weights):
             if bit:
@@ -86,12 +90,11 @@ def rewrite_weighted_to_pure(cert, weight_certs):
     sum_k sigma(y_k x)(y_k x).
     """
     alg = cert.algebra
-    weights = [as_scalar(w) if not isinstance(w, RationalFunction) else w
-               for w in cert.weights]
+    weights = [as_scalar(w) for w in cert.weights]
     m = len(weights)
     witnesses = []
     for eps, xs in cert.terms.items():
-        eps = _normalize_eps(eps, m)
+        eps = parse_selector(eps, m)
         current = list(xs)
         for bit, w in zip(eps, weights):
             if not bit:
@@ -174,11 +177,12 @@ def tensor_certificates(c1, c2):
 
 # -- skew-symmetric congruence and the -1 certificate ----------------------
 
-def _standard_skew_block(n):
+def _blocks(n, lower):
+    """Block diagonal matrix of n/2 blocks [[0, 1], [lower, 0]]."""
     b = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
     for t in range(0, n, 2):
         b[t][t + 1] = as_scalar(1)
-        b[t + 1][t] = as_scalar(-1)
+        b[t + 1][t] = as_scalar(lower)
     return b
 
 
@@ -190,46 +194,25 @@ def skew_congruence(s):
     """
     n = len(s)
     m = [[as_scalar(v) for v in row] for row in s]
-    if not _mat_eq(_mat_transpose(m), [[-v for v in row] for row in m]):
+    if not equal(transpose(m), neg(m)):
         raise ShapeError("matrix is not skew-symmetric")
     if n % 2 != 0:
         raise SingularMatrixError("odd-size skew-symmetric matrices are singular")
-    p = [[as_scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        m[i], m[j] = m[j], m[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
-
-    def scale(i, c):
-        for row in m:
-            row[i] = row[i] * c
-        m[i] = [v * c for v in m[i]]
-        for row in p:
-            row[i] = row[i] * c
-
-    def addmul(dst, src, c):
-        for row in m:
-            row[dst] = row[dst] + c * row[src]
-        m[dst] = [v + c * w for v, w in zip(m[dst], m[src])]
-        for row in p:
-            row[dst] = row[dst] + c * row[src]
-
+    red = Congruence(m, as_scalar(0), as_scalar(1))
+    m = red.m
     for t in range(0, n, 2):
         j = next((k for k in range(t + 1, n) if not m[t][k].is_zero()), None)
         if j is None:
             raise SingularMatrixError("skew matrix is singular")
         if j != t + 1:
-            swap(j, t + 1)
-        scale(t + 1, m[t][t + 1].inverse())
+            red.swap(j, t + 1)
+        red.scale(t + 1, m[t][t + 1].inverse())
         for k in range(t + 2, n):
             if not m[t][k].is_zero():
-                addmul(k, t + 1, -m[t][k])
+                red.addmul(k, t + 1, -m[t][k])
             if not m[t + 1][k].is_zero():
-                addmul(k, t, m[t + 1][k])
-    return p
+                red.addmul(k, t, m[t + 1][k])
+    return red.t
 
 
 def symplectic_minus_one(s):
@@ -243,14 +226,11 @@ def symplectic_minus_one(s):
     n = len(s)
     s = [[as_scalar(v) for v in row] for row in s]
     p = skew_congruence(s)
-    b = _standard_skew_block(n)
-    x = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
-    for t in range(0, n, 2):
-        x[t][t + 1] = as_scalar(1)
-        x[t + 1][t] = as_scalar(1)
+    b = _blocks(n, -1)
+    x = _blocks(n, 1)
     zero = as_scalar(0)
-    y = _mat_mul(_mat_mul(p, x, zero), _mat_transpose(p), zero)
-    w = _mat_mul(s, y, zero)
+    y = mat_mul(mat_mul(p, x, zero), transpose(p), zero)
+    w = mat_mul(s, y, zero)
     alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
     cert = HermSqCertificate(alg, alg.scalar(-1), [w],
                              details={"P": p, "B": b, "X": x, "Y": y, "S": s})

@@ -5,23 +5,27 @@ Exit codes: 0 claim confirmed / verification passed / property holds,
 """
 
 import argparse
-import json
 import sys
 
 from .errors import HermsqError
 from .scalars import MonomialOrdering, format_scalar, parse_scalar
 from .qforms import (DiagonalForm, diagonalize, is_isotropic_Q,
                      is_weakly_isotropic_Q, weakly_represents_one)
-from .jsonio import dumps, form_from_json, loads, psatz_cert_from_json
+from .jsonio import (dumps, form_from_json, gram_from_json, loads,
+                     matrices_from_json, psatz_cert_from_json)
 from .ncpoly import (is_central_nonvanishing, is_identity_mod_a, nc_eval,
                      parse_nc, psd_falsify, positivstellensatz_conditions)
 from .scenarios import SCENARIOS, run_scenario
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return loads(fh.read())
+
+
 def _load_form(args):
     if args.json:
-        with open(args.json) as fh:
-            return form_from_json(loads(fh.read()))
+        return form_from_json(_read_json(args.json))
     if not args.entries:
         raise HermsqError("no form given; pass entries or --json FILE")
     return DiagonalForm([parse_scalar(s) for s in args.entries])
@@ -42,21 +46,15 @@ def _add_form_args(p):
 
 
 def _cmd_qf_diag(args):
-    if args.json:
-        with open(args.json) as fh:
-            doc = loads(fh.read())
-        if "matrix" in doc:
-            from .qforms import GramForm
-            gram = GramForm([[parse_scalar(v) for v in row]
-                             for row in doc["matrix"]])
-            result = diagonalize(gram)
-            entries = [format_scalar(e) for e in result.form.entries]
-            transform = [[format_scalar(v) for v in row]
-                         for row in result.transform]
-            _emit(args, {"entries": entries, "transform": transform},
-                  [" ".join(entries)])
-            return 0
-    form = _load_form(args)
+    doc = _read_json(args.json) if args.json else None
+    if isinstance(doc, dict) and "matrix" in doc:
+        result = diagonalize(gram_from_json(doc))
+        entries = [format_scalar(e) for e in result.form.entries]
+        transform = [[format_scalar(v) for v in row] for row in result.transform]
+        _emit(args, {"entries": entries, "transform": transform},
+              [" ".join(entries)])
+        return 0
+    form = _load_form(args) if doc is None else form_from_json(doc)
     _emit(args, {"entries": [format_scalar(e) for e in form.entries]},
           [" ".join(format_scalar(e) for e in form.entries)])
     return 0
@@ -98,7 +96,7 @@ def _cmd_qf_signature(args):
 
 def _cmd_nc_eval(args):
     poly = parse_nc(args.poly)
-    mats = json.loads(args.matrices)
+    mats = matrices_from_json(loads(args.matrices))
     value = nc_eval(poly, mats)
     doc = {"value": [[str(v) for v in row] for row in value]}
     _emit(args, doc, [str([[str(v) for v in row] for row in value])])
@@ -134,8 +132,7 @@ def _cmd_nc_falsify(args):
 
 
 def _cmd_nc_verify_cert(args):
-    with open(args.file) as fh:
-        cert = psatz_cert_from_json(loads(fh.read()))
+    cert = psatz_cert_from_json(_read_json(args.file))
     conditions = positivstellensatz_conditions(cert)
     ok = all(conditions.values())
     _emit(args, {"conditions": conditions, "verified": ok},
@@ -144,8 +141,7 @@ def _cmd_nc_verify_cert(args):
 
 
 def _cmd_scenario(args):
-    result = run_scenario(args.name, n=args.n, seed=args.seed,
-                          trials=args.trials)
+    result = run_scenario(args.name, n=args.n, seed=args.seed)
     lines = [f"{k}: {v}" for k, v in result.items()]
     _emit(args, result, lines)
     return 0 if result["confirmed"] else 1
@@ -216,7 +212,6 @@ def build_parser():
     p.add_argument("name", choices=sorted(SCENARIOS))
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
     p.add_argument("--output", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_scenario)
     return parser
@@ -227,10 +222,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HermsqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (HermsqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

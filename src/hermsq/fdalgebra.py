@@ -108,9 +108,6 @@ class StructureAlgebra:
         labels = [f"{a}(x){b}" for a in self.labels for b in other.labels]
         return StructureAlgebra(dim, unit, None, inv_images, labels, prod_fn=prod)
 
-    def tensor_elem(self, x, y, ydim):
-        return tuple(p * q for p in x for q in y)
-
 
 def _flatten(algebra, x):
     """Coordinates of a matrix-algebra element in the basis() order."""

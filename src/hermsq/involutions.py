@@ -7,11 +7,12 @@ the standard symplectic involution, and Int(S) composed with transpose for a
 nonsingular skew-symmetric S.
 """
 
-from dataclasses import dataclass
-
+from . import linalg
 from .errors import DivisionByZeroError, ShapeError
-from .scalars import MonomialOrdering, ORDERINGS, RationalFunction, as_scalar
-from .qforms import DiagonalForm, GramForm, diagonalize
+# perfbench/tracing.py wraps the product under this name
+from .linalg import mat_mul as _mat_mul
+from .scalars import ORDERINGS, RationalFunction, as_scalar
+from .qforms import GramForm, diagonalize
 
 
 class QuaternionAlgebra:
@@ -118,6 +119,9 @@ class QuatElem:
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def is_scalar(self):
         return all(c.is_zero() for c in self.coords[1:])
 
@@ -200,37 +204,6 @@ class InvolutionSpec:
         return f"InvolutionSpec({self.kind!r})"
 
 
-def _mat_mul(x, y, zero):
-    rows, inner, cols = len(x), len(y), len(y[0])
-    out = [[zero for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            a = x[i][t]
-            if a.is_zero():
-                continue
-            for j in range(cols):
-                b = y[t][j]
-                if not b.is_zero():
-                    out[i][j] = out[i][j] + a * b
-    return out
-
-
-def _mat_add(x, y):
-    return [[p + q for p, q in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def _mat_neg(x):
-    return [[-p for p in row] for row in x]
-
-
-def _mat_transpose(x):
-    return [list(row) for row in zip(*x)]
-
-
-def _mat_eq(x, y):
-    return all(p == q for rx, ry in zip(x, y) for p, q in zip(rx, ry))
-
-
 class AlgebraWithInvolution:
     """(A, sigma): M_n over F = Q(X,Y) or over a quaternion algebra.
 
@@ -268,9 +241,10 @@ class AlgebraWithInvolution:
                 s = sigma.skew
                 if len(s) != n or any(len(r) != n for r in s):
                     raise ShapeError("skew matrix size must match n")
-                if not _mat_eq(_mat_transpose(s), _mat_neg(s)):
+                if not linalg.equal(linalg.transpose(s), linalg.neg(s)):
                     raise ShapeError("Int(S) twist requires S skew-symmetric")
-                self._skew_inv = _invert_matrix(s)
+                s = [[as_scalar(v) for v in row] for row in s]
+                self._skew_inv = linalg.inverse(s, as_scalar(0), as_scalar(1))
         else:
             raise ShapeError(f"unknown involution kind {kind!r}")
 
@@ -296,10 +270,7 @@ class AlgebraWithInvolution:
         return [[self.zero_entry() for _ in range(self.n)] for _ in range(self.n)]
 
     def scalar(self, c):
-        out = self.zero()
-        for i in range(self.n):
-            out[i][i] = self.coerce_entry(c)
-        return out
+        return linalg.identity(self.n, self.zero_entry(), self.coerce_entry(c))
 
     def identity(self):
         return self.scalar(1)
@@ -313,16 +284,10 @@ class AlgebraWithInvolution:
         return _mat_mul(x, y, self.zero_entry())
 
     def add(self, x, y):
-        return _mat_add(x, y)
-
-    def neg(self, x):
-        return _mat_neg(x)
-
-    def sub(self, x, y):
-        return _mat_add(x, _mat_neg(y))
+        return linalg.add(x, y)
 
     def equal(self, x, y):
-        return _mat_eq(x, y)
+        return linalg.equal(x, y)
 
     # -- the involution --------------------------------------------------
 
@@ -331,7 +296,7 @@ class AlgebraWithInvolution:
             raise ShapeError("element size does not match the algebra")
         kind = self.sigma.kind
         if kind == "transpose":
-            return _mat_transpose(x)
+            return linalg.transpose(x)
         if kind == "quat_conjugation":
             return [[x[0][0].conj()]]
         if kind == "int_u_conj":
@@ -340,9 +305,9 @@ class AlgebraWithInvolution:
         if kind in ("adjoint_diag", "adjoint_hermitian"):
             d = self.sigma.q.entries
             if kind == "adjoint_hermitian":
-                xt = _mat_transpose([[v.conj() for v in row] for row in x])
+                xt = linalg.transpose([[v.conj() for v in row] for row in x])
             else:
-                xt = _mat_transpose(x)
+                xt = linalg.transpose(x)
             return [[self.coerce_entry(d[i] * d[j].inverse()) * xt[i][j]
                      for j in range(self.n)] for i in range(self.n)]
         if kind == "symplectic_standard":
@@ -354,7 +319,7 @@ class AlgebraWithInvolution:
             return ([tl[i] + tr[i] for i in range(m)]
                     + [bl[i] + br[i] for i in range(m)])
         # int_skew: S x^t S^-1
-        return self.mul(self.mul(self.sigma.skew, _mat_transpose(x)),
+        return self.mul(self.mul(self.sigma.skew, linalg.transpose(x)),
                         self._skew_inv)
 
     def trd(self, x):
@@ -394,29 +359,6 @@ class AlgebraWithInvolution:
                 gram[r][s] = v
                 gram[s][r] = v
         return GramForm(gram)
-
-
-def _invert_matrix(m):
-    """Exact inverse over the field of RationalFunction entries."""
-    from .errors import SingularMatrixError
-    n = len(m)
-    a = [[as_scalar(v) for v in row] for row in m]
-    inv = [[as_scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        pinv = a[col][col].inverse()
-        a[col] = [v * pinv for v in a[col]]
-        inv[col] = [v * pinv for v in inv[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
 
 
 def apply_involution(algebra, x):

@@ -6,15 +6,35 @@ document is the identity.
 """
 
 import json
+from fractions import Fraction
 
 from .errors import ParseError, ShapeError
 from .scalars import format_scalar, parse_scalar
-from .qforms import DiagonalForm
+from .qforms import DiagonalForm, GramForm
 from .involutions import (AlgebraWithInvolution, InvolutionSpec, QuatElem,
                           QuaternionAlgebra)
-from .certificates import HermSqCertificate, WeightedCertificate
-from .ncpoly import (NCPolynomial, PositivstellensatzCertificate, format_nc,
-                     parse_nc)
+from .certificates import (HermSqCertificate, WeightedCertificate,
+                           format_selector)
+from .ncpoly import PositivstellensatzCertificate, format_nc, parse_nc
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind, what, items=None):
+    """value, checked to have the JSON type kind, and each entry of a list
+    the type items; the error names what the value is."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ShapeError(f"{what} must be {_KINDS[kind]}")
+    for item in value if items else ():
+        _typed(item, items, f"each entry of {what}")
+    return value
+
+
+def _field(doc, key, kind, what, items=None):
+    """doc[key], where doc must be an object holding key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ShapeError(f"{what} must be a JSON object with the key {key!r}")
+    return _typed(doc[key], kind, f"{what} key {key!r}", items)
 
 
 def form_to_json(form):
@@ -22,7 +42,32 @@ def form_to_json(form):
 
 
 def form_from_json(doc):
-    return DiagonalForm([parse_scalar(s) for s in doc["entries"]])
+    return DiagonalForm([parse_scalar(s)
+                         for s in _field(doc, "entries", list, "form", str)])
+
+
+def gram_from_json(doc):
+    """{"matrix": rows of scalar strings} as a GramForm."""
+    rows = _field(doc, "matrix", list, "Gram document")
+    return GramForm([[parse_scalar(v) for v in _typed(row, list, "Gram matrix row", str)]
+                     for row in rows])
+
+
+def _rational(v):
+    if isinstance(v, (int, float, str)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ParseError(f"matrix entry {v!r} is not a rational number", 0)
+
+
+def matrices_from_json(doc):
+    """A list of row-major matrices with rational entries (numbers or
+    strings such as "2/3")."""
+    return [[[_rational(v) for v in _typed(row, list, "matrix row")]
+             for row in _typed(m, list, "each matrix")]
+            for m in _typed(doc, list, "the matrix tuple")]
 
 
 def quat_to_json(x):
@@ -123,14 +168,11 @@ def weighted_cert_to_json(cert):
     alg = cert.algebra
     if not isinstance(alg, AlgebraWithInvolution):
         raise ShapeError("only matrix-algebra certificates have a JSON form")
-    terms = {}
-    for eps, xs in cert.terms.items():
-        key = eps if isinstance(eps, str) else "".join(str(b) for b in eps)
-        terms[key] = [matrix_to_json(alg, x) for x in xs]
     return {"algebra": algebra_to_json(alg),
             "target": _target_to_json(alg, cert.target),
             "weights": [format_scalar(w) for w in cert.weights],
-            "terms": terms}
+            "terms": {format_selector(eps): [matrix_to_json(alg, x) for x in xs]
+                      for eps, xs in cert.terms.items()}}
 
 
 def weighted_cert_from_json(doc):
@@ -147,17 +189,22 @@ def psatz_cert_to_json(cert):
     return {"g": format_nc(cert.g), "h": format_nc(cert.h),
             "n": cert.n, "J": cert.J,
             "weights": [format_nc(a) for a in cert.weights],
-            "terms": {(eps if isinstance(eps, str)
-                       else "".join(str(b) for b in eps)):
-                      [format_nc(p) for p in ps]
+            "terms": {format_selector(eps): [format_nc(p) for p in ps]
                       for eps, ps in cert.terms.items()}}
 
 
 def psatz_cert_from_json(doc):
+    what = "certificate"
+    g = parse_nc(_field(doc, "g", str, what))
+    h = parse_nc(_field(doc, "h", str, what))
+    n = _field(doc, "n", int, what)
+    if n < 1:
+        raise ShapeError(f"certificate key 'n' must be positive, got {n}")
     return PositivstellensatzCertificate(
-        parse_nc(doc["g"]), parse_nc(doc["h"]), doc["n"], doc["J"],
-        [parse_nc(a) for a in doc["weights"]],
-        {key: [parse_nc(p) for p in ps] for key, ps in doc["terms"].items()})
+        g, h, n, _field(doc, "J", str, what),
+        [parse_nc(a) for a in _field(doc, "weights", list, what, str)],
+        {key: [parse_nc(p) for p in _typed(ps, list, f"certificate term {key!r}", str)]
+         for key, ps in _field(doc, "terms", dict, what).items()})
 
 
 def dumps(doc):

@@ -12,9 +12,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError, ParseError, ResourceLimitError, ShapeError
+from .certificates import parse_selector, psd_symmetric_rational
+from .errors import ParseError, ResourceLimitError, ShapeError
+from .linalg import add, equal, identity, mat_mul, transpose
 from .scalars import RationalFunction, as_scalar
-from .involutions import AlgebraWithInvolution, InvolutionSpec, _mat_mul
+from .involutions import AlgebraWithInvolution, InvolutionSpec
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_N = 3
@@ -215,24 +217,10 @@ def nc_star(f):
 
 # -- evaluation -------------------------------------------------------------
 
-def _q_identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _q_mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def _q_transpose(a):
-    return [list(r) for r in zip(*a)]
-
-
 def nc_eval(f, mats):
     """Evaluate on a tuple of rational matrices, star acting as transpose."""
-    if not mats:
-        raise ShapeError("empty matrix tuple")
+    if not mats or not mats[0]:
+        raise ShapeError("empty matrix tuple or empty matrix")
     n = len(mats[0])
     mats = [[[Fraction(v) for v in row] for row in m] for m in mats]
     for m in mats:
@@ -241,18 +229,22 @@ def nc_eval(f, mats):
     needed = f.variables()
     if needed and needed[-1] > len(mats):
         raise ShapeError(f"variable x{needed[-1]} has no matrix in the tuple")
+    return _eval_words(f, mats, transpose, n, Fraction(0), Fraction)
+
+
+def _eval_words(f, mats, star, n, zero, coerce):
+    """Sum over the terms c*w of f of c times the product of w's letters,
+    with x<i> sent to mats[i-1] and x<i>* to star(mats[i-1])."""
     images = {}
-    for i in range(1, len(mats) + 1):
-        images[i] = mats[i - 1]
-        images[-i] = _q_transpose(mats[i - 1])
-    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, m in enumerate(mats, 1):
+        images[i] = m
+        images[-i] = star(m)
+    out = identity(n, zero, zero)
     for w, c in f.terms.items():
-        value = _q_identity(n)
+        value = identity(n, zero, coerce(c))
         for l in w:
-            value = _q_mat_mul(value, images[l])
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += c * value[i][j]
+            value = mat_mul(value, images[l], zero)
+        out = add(out, value)
     return out
 
 
@@ -278,30 +270,13 @@ class GenericMatrixContext:
     def star(self, m):
         return self._alg.involution(m)
 
-    def zero(self):
-        return self._alg.zero()
-
-    def identity(self):
-        return self._alg.identity()
-
 
 def generic_eval(f, ctx):
     """Image of f in the generic matrix algebra of ctx."""
     needed = f.variables()
     if needed and needed[-1] > ctx.count:
         raise ShapeError(f"context provides only {ctx.count} generic matrices")
-    zero = as_scalar(0)
-    images = {}
-    for i in range(1, ctx.count + 1):
-        images[i] = ctx.matrices[i - 1]
-        images[-i] = ctx.star(ctx.matrices[i - 1])
-    out = ctx.zero()
-    for w, c in f.terms.items():
-        value = ctx._alg.scalar(as_scalar(c))
-        for l in w:
-            value = _mat_mul(value, images[l], zero)
-        out = ctx._alg.add(out, value)
-    return out
+    return _eval_words(f, ctx.matrices, ctx.star, ctx.n, as_scalar(0), as_scalar)
 
 
 def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):
@@ -318,14 +293,7 @@ def is_central_nonvanishing(h, n, J="orthogonal", max_degree=None):
     ctx = GenericMatrixContext(n, max(h.variables(), default=0), J)
     value = generic_eval(h, ctx)
     c = value[0][0]
-    if c.is_zero():
-        return False
-    for i in range(n):
-        for j in range(n):
-            expect = c if i == j else as_scalar(0)
-            if value[i][j] != expect:
-                return False
-    return True
+    return bool(c) and equal(value, identity(n, as_scalar(0), c))
 
 
 def psd_falsify(g, n, trials, seed, bound=5):
@@ -335,7 +303,6 @@ def psd_falsify(g, n, trials, seed, bound=5):
     generator random.Random(seed * 1_000_003 + t), so results do not depend
     on evaluation order.  Returns the first counterexample tuple or None.
     """
-    from .certificates import psd_symmetric_rational
     if not g.is_symmetric():
         raise ShapeError("falsification target must be symmetric (g = g*)")
     count = max(g.variables(), default=1)
@@ -344,8 +311,7 @@ def psd_falsify(g, n, trials, seed, bound=5):
         mats = [[[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
                  for _ in range(n)] for _ in range(count)]
         value = nc_eval(g, mats)
-        vt = _q_transpose(value)
-        sym = [[(value[i][j] + vt[i][j]) / 2 for j in range(n)] for i in range(n)]
+        sym = [[(value[i][j] + value[j][i]) / 2 for j in range(n)] for i in range(n)]
         if not psd_symmetric_rational(sym):
             return mats
     return None
@@ -374,10 +340,7 @@ def positivstellensatz_conditions(cert, max_degree=None):
     m = len(cert.weights)
     rhs = NCPolynomial.zero()
     for eps, ps in cert.terms.items():
-        if isinstance(eps, str):
-            eps = tuple(int(c) for c in eps)
-        if len(eps) != m or any(c not in (0, 1) for c in eps):
-            raise CertificateError(f"bad weight selector {eps!r}")
+        eps = parse_selector(eps, m)
         coeff = NCPolynomial.one()
         for bit, a in zip(eps, cert.weights):
             if bit:

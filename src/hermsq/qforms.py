@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import HermsqError, NotMonomialError, SingularMatrixError
+from .linalg import Congruence, equal, mat_mul, transpose
 from .scalars import (
     ORDERINGS,
-    MonomialOrdering,
     RationalFunction,
     as_scalar,
     format_scalar,
@@ -126,82 +126,44 @@ class GramForm:
         return len(self.matrix)
 
 
-def _identity(n):
-    one = as_scalar(1)
-    zero = as_scalar(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 @dataclass
 class Diagonalization:
     form: DiagonalForm
     transform: list  # T with T^t * G * T = diag(form)
 
     def verify(self, gram):
-        n = len(gram)
+        zero = as_scalar(0)
         T = self.transform
-        G = gram.matrix
-        GT = [[sum((G[i][k] * T[k][j] for k in range(n)), as_scalar(0))
-               for j in range(n)] for i in range(n)]
-        M = [[sum((T[k][i] * GT[k][j] for k in range(n)), as_scalar(0))
-              for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                want = self.form.entries[i] if i == j else as_scalar(0)
-                if M[i][j] != want:
-                    return False
-        return True
+        d = self.form.entries
+        want = [[d[i] if i == j else zero for j in range(len(d))] for i in range(len(d))]
+        return equal(mat_mul(transpose(T), mat_mul(gram.matrix, T, zero), zero), want)
 
 
 def diagonalize(gram):
     """Congruence-diagonalize a symmetric nonsingular Gram matrix; returns
     the diagonal entries together with the transformation."""
     n = len(gram)
-    M = [row[:] for row in gram.matrix]
-    T = _identity(n)
-
-    def colop_add(dst, src, factor):
-        # column dst += factor * column src, and the symmetric row op
-        for i in range(n):
-            M[i][dst] = M[i][dst] + factor * M[i][src]
-        for j in range(n):
-            M[dst][j] = M[dst][j] + factor * M[src][j]
-        for i in range(n):
-            T[i][dst] = T[i][dst] + factor * T[i][src]
-
-    def colop_swap(a, b):
-        for i in range(n):
-            M[i][a], M[i][b] = M[i][b], M[i][a]
-        for j in range(n):
-            M[a][j], M[b][j] = M[b][j], M[a][j]
-        for i in range(n):
-            T[i][a], T[i][b] = T[i][b], T[i][a]
-
+    red = Congruence(gram.matrix, as_scalar(0), as_scalar(1))
+    M = red.m
     for p in range(n):
         if M[p][p].is_zero():
             pivot = next((j for j in range(p + 1, n) if not M[j][j].is_zero()), None)
             if pivot is not None:
-                colop_swap(p, pivot)
+                red.swap(p, pivot)
             else:
-                found = None
-                for i in range(p, n):
-                    for j in range(i + 1, n):
-                        if not M[i][j].is_zero():
-                            found = (i, j)
-                            break
-                    if found:
-                        break
+                found = next(((i, j) for i in range(p, n) for j in range(i + 1, n)
+                              if not M[i][j].is_zero()), None)
                 if found is None:
                     raise SingularMatrixError("Gram matrix is singular")
                 i, j = found
-                colop_add(i, j, as_scalar(1))  # makes M[i][i] = 2*M[i][j] != 0
+                red.addmul(i, j, as_scalar(1))  # makes M[i][i] = 2*M[i][j] != 0
                 if i != p:
-                    colop_swap(p, i)
+                    red.swap(p, i)
         piv = M[p][p]
         for j in range(p + 1, n):
             if not M[p][j].is_zero():
-                colop_add(j, p, -(M[p][j] / piv))
-    return Diagonalization(DiagonalForm([M[i][i] for i in range(n)]), T)
+                red.addmul(j, p, -(M[p][j] / piv))
+    return Diagonalization(DiagonalForm([M[i][i] for i in range(n)]), red.t)
 
 
 # ---------------------------------------------------------------------------

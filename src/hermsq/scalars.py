@@ -370,8 +370,9 @@ _COPRIME_PRIME = (1 << 61) - 1
 
 
 def _spec_to_univariate(poly, main, subs, p):
-    """Coefficient list (little-endian, trimmed) of poly with every variable
-    except main specialized mod p, or None if a denominator hits p."""
+    """Coefficient list (little-endian) of poly with every variable except
+    main specialized mod p, or None if a denominator hits p or the leading
+    coefficient in main vanishes, so that the degree in main drops."""
     out = {}
     for mono, coeff in poly.terms.items():
         if coeff.denominator % p == 0:
@@ -384,10 +385,10 @@ def _spec_to_univariate(poly, main, subs, p):
             else:
                 c = c * pow(subs[v], k, p) % p
         out[e] = (out.get(e, 0) + c) % p
-    coeffs = [out.get(i, 0) for i in range(max(out) + 1)] if out else []
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    degree = max(out)
+    if not out[degree]:
+        return None
+    return [out.get(i, 0) for i in range(degree + 1)]
 
 
 def _univ_gcd_degree(a, b, p):
@@ -409,10 +410,11 @@ def _univ_gcd_degree(a, b, p):
 
 def _coprime_by_specialization(f, g, common):
     """True only when f, g are certifiably coprime: for every shared variable
-    the specialized univariate gcd over GF(p) has degree 0 at two independent
-    random points.  Specialization can only raise the gcd degree, so degree 0
-    is a proof of coprimality in that variable (up to ~2^-120 random-point
-    failure, far below any realistic error source)."""
+    the specialized univariate gcd over GF(p) has degree 0 at two random
+    points where f and g keep their degree in that variable.  A common
+    factor of positive degree keeps its degree at such a point, since its
+    leading coefficient divides theirs; so degree 0 proves coprimality in
+    that variable."""
     import random as _random
 
     p = _COPRIME_PRIME
@@ -686,7 +688,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num.terms)
 
     def __repr__(self):
         return f"RF({format_scalar(self)!r})"

@@ -7,12 +7,12 @@ All output values are JSON-ready (strings, numbers, lists, dicts).
 import random
 import time
 
-from .errors import HermsqError
-from .scalars import ORDERINGS, X, Y, as_scalar, format_scalar
-from .qforms import DiagonalForm, diagonalize, weakly_represents_one
+from .errors import HermsqError, ShapeError
+from .linalg import equal, identity
+from .scalars import X, Y, as_scalar, format_scalar
+from .qforms import DiagonalForm, weakly_represents_one
 from .involutions import (AlgebraWithInvolution, InvolutionSpec,
-                          QuaternionAlgebra, sigma_orderings, symbolic_elements,
-                          entry_33_constraint)
+                          QuaternionAlgebra, sigma_orderings, symbolic_elements)
 from .certificates import (counterexample_pipeline, prop41_certificates,
                            psd_symmetric_rational, symplectic_minus_one,
                            tensor_certificates, verify_hermsq)
@@ -83,7 +83,10 @@ def scenario_cor43(options):
 
 
 def scenario_thm47(options):
-    n = options.get("n") or 4
+    n = 4 if options.get("n") is None else options["n"]
+    # odd-size skew matrices are all singular, so the retries would not end
+    if n < 2 or n % 2:
+        raise ShapeError(f"thm4.7 needs an even matrix size n >= 2, got {n}")
     seed = options.get("seed") or 0
     rng = random.Random(seed)
     while True:
@@ -116,9 +119,7 @@ def scenario_ex_psd(options):
     n = options.get("n") or 2
     alg = AlgebraWithInvolution("F", n, InvolutionSpec.transpose())
     gram = alg.trace_form().matrix
-    identity_gram = all(
-        gram[i][j] == as_scalar(1 if i == j else 0)
-        for i in range(n * n) for j in range(n * n))
+    identity_gram = equal(gram, identity(n * n, as_scalar(0), as_scalar(1)))
     orderings = sigma_orderings(alg)
     a = symbolic_elements(alg, 1)[0]
     trace = alg.trd(alg.hermitian_square(a))

@@ -18,9 +18,10 @@ from hermsq.certificates import (HermSqCertificate, WeightedCertificate,
                                  verify_hermsq, verify_weighted)
 from hermsq.errors import HermsqError
 from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
-                                QuaternionAlgebra, _mat_mul, _mat_transpose,
-                                entry_33_constraint, reduced_norm_quat,
-                                reduced_trace, symbolic_elements, trace_form)
+                                QuaternionAlgebra, entry_33_constraint,
+                                reduced_norm_quat, reduced_trace,
+                                symbolic_elements, trace_form)
+from hermsq.linalg import mat_mul as _mat_mul, transpose as _mat_transpose
 from hermsq.ncpoly import (NCPolynomial, PositivstellensatzCertificate,
                            commutator, is_central_nonvanishing,
                            is_identity_mod_a, psd_falsify,

@@ -17,7 +17,8 @@ from hermsq.errors import (CertificateError, HermsqError, ShapeError,
                            SingularMatrixError)
 from hermsq.fdalgebra import structure_algebra
 from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
-                                QuaternionAlgebra, _mat_mul, _mat_transpose)
+                                QuaternionAlgebra)
+from hermsq.linalg import mat_mul as _mat_mul, transpose as _mat_transpose
 from hermsq.qforms import DiagonalForm
 from hermsq.scalars import (MonomialOrdering, X, Y, as_scalar,
                             monomial_square_class, parse_scalar)
@@ -93,6 +94,14 @@ class TestWeightedCertificates:
         alg = thm32_algebra()
         wc = WeightedCertificate(alg, alg.zero(), [X],
                                  {"12": [alg.identity()]})
+        with pytest.raises(CertificateError):
+            verify_weighted(wc)
+
+    @pytest.mark.parametrize("eps", ["x", "0x", (0, 2)])
+    def test_non_binary_selector_rejected(self, eps):
+        alg = thm32_algebra()
+        wc = WeightedCertificate(alg, alg.zero(), [X] * len(eps),
+                                 {eps: [alg.identity()]})
         with pytest.raises(CertificateError):
             verify_weighted(wc)
 

@@ -138,6 +138,45 @@ class TestNcCommands:
         assert code == 1
         assert "congruence: False" in out
 
+    @pytest.mark.parametrize("weights,eps", [([], "0x"), (["1"], "x")])
+    def test_verify_cert_bad_selector_is_error(self, capsys, tmp_path,
+                                               weights, eps):
+        doc = {"g": "x1* x1", "h": "1", "n": 2, "J": "orthogonal",
+               "weights": weights, "terms": {eps: ["x1"]}}
+        path = tmp_path / "cert.json"
+        path.write_text(dumps(doc))
+        code, _, err = run(capsys, "nc", "verify-cert", str(path))
+        assert code == 2
+        assert "selector" in err
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("doc,argv,key", [
+        ({"g": "x1"}, ["nc", "verify-cert"], "'h'"),
+        ({"g": "x1", "h": "1", "n": "2", "J": "orthogonal", "weights": [],
+          "terms": {}}, ["nc", "verify-cert"], "'n'"),
+        ({"g": "x1", "h": "1", "n": 2, "J": "orthogonal", "weights": [],
+          "terms": {"": "x1"}}, ["nc", "verify-cert"], "''"),
+        ([1, 2], ["nc", "verify-cert"], "object"),
+        ({"entries": 5}, ["qf", "isotropy", "--json"], "'entries'"),
+        ({"entries": [1, -1]}, ["qf", "isotropy", "--json"], "'entries'"),
+        ({"matrix": [["1", "0"], 5]}, ["qf", "diag", "--json"], "row"),
+        ({"matrix": "1"}, ["qf", "diag", "--json"], "'matrix'"),
+    ])
+    def test_document_is_input_error(self, capsys, tmp_path, doc, argv, key):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert key in err
+
+    @pytest.mark.parametrize("matrices", ['{"a": 1}', "[[1, 2]]", '[[["1/0"]]]',
+                                          '[[["x"]]]', "[[[true]]]", "[[]]"])
+    def test_eval_matrices_are_input_error(self, capsys, matrices):
+        code, _, _ = run(capsys, "nc", "eval", "--poly", "x1",
+                         "--matrices", matrices)
+        assert code == 2
+
 
 class TestScenarios:
     @pytest.mark.parametrize("name", ["thm3.2", "prop4.1", "lemma3.1",
@@ -154,6 +193,13 @@ class TestScenarios:
         assert code == 0
         assert doc["n"] == 2
         assert doc["seed"] == 5
+
+    @pytest.mark.parametrize("n", ["5", "0", "-2"])
+    def test_thm47_bad_size_is_error(self, capsys, n):
+        code, out, err = run(capsys, "scenario", "thm4.7", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "even" in err
 
     def test_unknown_scenario_is_parse_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -286,7 +286,8 @@ class TestPositivstellensatz:
         cert = self.two_square_cert()
         assert verify_positivstellensatz(cert)
         from hermsq.certificates import psd_symmetric_rational
-        from hermsq.ncpoly import _q_mat_mul, _q_transpose
+        from hermsq.linalg import mat_mul, transpose
+        zero = Fraction(0)
         for _ in range(100):
             mats = [[[Fraction(rng.randint(-5, 5)) for _ in range(2)]
                      for _ in range(2)] for _ in range(2)]
@@ -294,5 +295,5 @@ class TestPositivstellensatz:
             if all(v == 0 for row in h_val for v in row):
                 continue
             g_val = nc_eval(cert.g, mats)
-            conj = _q_mat_mul(_q_mat_mul(_q_transpose(h_val), g_val), h_val)
+            conj = mat_mul(mat_mul(transpose(h_val), g_val, zero), h_val, zero)
             assert psd_symmetric_rational(conj)

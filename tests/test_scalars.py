@@ -105,6 +105,16 @@ class TestGcd:
         g = poly_gcd(-2 * x * x, -4 * x)
         assert g == x
 
+    def test_coprime_shortcut_not_fooled_by_its_own_points(self):
+        # h's leading coefficients in X and in Y vanish at exactly the
+        # points the shortcut draws, so the specialized gcd there is 1
+        p = (1 << 61) - 1
+        rng = random.Random(0xC0FFEE)
+        r = [rng.randrange(1, p) for _ in range(4)]
+        x, y = Polynomial.variable("X"), Polynomial.variable("Y")
+        h = (y - r[0]) * (y - r[1]) * (x - r[2]) * (x - r[3]) * x * y + 1
+        assert RationalFunction(h * (x + 2), h * (y + 3)) == RationalFunction(x + 2, y + 3)
+
     def test_gcd_divides_both_random(self):
         rng = random.Random(5)
         for _ in range(60):
