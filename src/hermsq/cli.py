@@ -85,6 +85,35 @@ def _cmd_qf_weak_rep_one(args):
     return 0 if rep.represents else 1
 
 
+# argparse cannot carry the ordering "--" as a value: it strips "--" even
+# from "--ordering=--" (Python 3.11 and earlier) and reads a detached "--" or
+# "-+" as an option.  So main() hands the value over behind this marker,
+# which the option's type takes off again.
+_VALUE_MARK = "\x00"
+
+
+def _quote_ordering(argv):
+    """argv with each --ordering value (attached or detached, before the
+    end-of-options marker) rewritten as --ordering=<mark><value>."""
+    out = []
+    rest = iter(argv)
+    for tok in rest:
+        if tok == "--":
+            out.append(tok)
+            out.extend(rest)
+            break
+        if tok == "--ordering":
+            tok = "--ordering=" + next(rest, "")
+        if tok.startswith("--ordering="):
+            tok = "--ordering=" + _VALUE_MARK + tok[len("--ordering="):]
+        out.append(tok)
+    return out
+
+
+def _ordering_value(text):
+    return text[len(_VALUE_MARK):] if text.startswith(_VALUE_MARK) else text
+
+
 def _cmd_qf_signature(args):
     form = _load_form(args)
     ordering = MonomialOrdering.parse(args.ordering)
@@ -172,7 +201,7 @@ def build_parser():
     p.set_defaults(func=_cmd_qf_weak_rep_one)
     p = qfsub.add_parser("signature", help="signature at a monomial ordering")
     _add_form_args(p)
-    p.add_argument("--ordering", required=True,
+    p.add_argument("--ordering", required=True, type=_ordering_value,
                    choices=("++", "+-", "-+", "--"))
     p.set_defaults(func=_cmd_qf_signature)
 
@@ -219,7 +248,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_quote_ordering(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (HermsqError, OSError) as exc:

@@ -229,43 +229,68 @@ def nc_eval(f, mats):
     needed = f.variables()
     if needed and needed[-1] > len(mats):
         raise ShapeError(f"variable x{needed[-1]} has no matrix in the tuple")
-    return _eval_words(f, mats, transpose, n, Fraction(0), Fraction)
-
-
-def _eval_words(f, mats, star, n, zero, coerce):
-    """Sum over the terms c*w of f of c times the product of w's letters,
-    with x<i> sent to mats[i-1] and x<i>* to star(mats[i-1])."""
     images = {}
-    for i, m in enumerate(mats, 1):
-        images[i] = m
-        images[-i] = star(m)
-    out = identity(n, zero, zero)
+    for i in needed:
+        images[i] = mats[i - 1]
+        images[-i] = transpose(mats[i - 1])
+    return _eval_words(f, images, n, Fraction(0), Fraction)
+
+
+def _eval_words(f, images, n, zero, coerce):
+    """Image of f with each letter l sent to images[l], in Horner form over
+    the trie of f's words.  The node of a word u has the value
+    V(u) = c_u*I + sum over letters l of images[l] * V(u l), with c_u the
+    coefficient of u in f (0 if u is not a term), so V(empty word) is the
+    image of f, and every prefix shared by several words costs one product."""
+    coeffs = [None]
+    children = [{}]
     for w, c in f.terms.items():
-        value = identity(n, zero, coerce(c))
+        node = 0
         for l in w:
-            value = mat_mul(value, images[l], zero)
-        out = add(out, value)
-    return out
+            child = children[node].get(l)
+            if child is None:
+                child = len(coeffs)
+                children[node][l] = child
+                coeffs.append(None)
+                children.append({})
+            node = child
+        coeffs[node] = c
+    # a child is created after its parent, so the reverse creation order
+    # finishes every child before its parent needs it
+    values = [None] * len(coeffs)
+    for node in reversed(range(len(coeffs))):
+        c = coeffs[node]
+        value = None if c is None else identity(n, zero, coerce(c))
+        for l, child in children[node].items():
+            term = mat_mul(images[l], values[child], zero)
+            values[child] = None
+            value = term if value is None else add(value, term)
+        values[node] = value
+    return values[0] if values[0] is not None else identity(n, zero, zero)
 
 
 class GenericMatrixContext:
-    """Generic matrices Y_l = [z<i>_<j>_<l>] with the type-J involution."""
+    """Generic matrices Y_l = [z<i>_<j>_<l>] with the type-J involution.
 
-    def __init__(self, n, count, J="orthogonal"):
+    `variables` is a count c, for Y_1 .. Y_c, or the indices l to build Y_l
+    for; the matrices are keyed by index."""
+
+    def __init__(self, n, variables, J="orthogonal"):
         if J not in ("orthogonal", "symplectic"):
             raise ShapeError("involution type must be orthogonal or symplectic")
         if J == "symplectic" and n % 2 != 0:
             raise ShapeError("symplectic type needs even matrix size")
+        if isinstance(variables, int):
+            variables = range(1, variables + 1)
         self.n = n
-        self.count = count
         self.J = J
         spec = (InvolutionSpec.transpose() if J == "orthogonal"
                 else InvolutionSpec.symplectic_standard())
         self._alg = AlgebraWithInvolution("F", n, spec)
-        self.matrices = [
-            [[RationalFunction.variable(f"z{i}_{j}_{l}") for j in range(1, n + 1)]
-             for i in range(1, n + 1)]
-            for l in range(1, count + 1)]
+        self.matrices = {
+            l: [[RationalFunction.variable(f"z{i}_{j}_{l}") for j in range(1, n + 1)]
+                for i in range(1, n + 1)]
+            for l in variables}
 
     def star(self, m):
         return self._alg.involution(m)
@@ -273,25 +298,26 @@ class GenericMatrixContext:
 
 def generic_eval(f, ctx):
     """Image of f in the generic matrix algebra of ctx."""
-    needed = f.variables()
-    if needed and needed[-1] > ctx.count:
-        raise ShapeError(f"context provides only {ctx.count} generic matrices")
-    return _eval_words(f, ctx.matrices, ctx.star, ctx.n, as_scalar(0), as_scalar)
+    images = {}
+    for i in f.variables():
+        if i not in ctx.matrices:
+            raise ShapeError(f"context has no generic matrix for x{i}")
+        images[i] = ctx.matrices[i]
+        images[-i] = ctx.star(ctx.matrices[i])
+    return _eval_words(f, images, ctx.n, as_scalar(0), as_scalar)
 
 
 def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):
     """Exact membership of f in the *-identity ideal for degree-n algebras."""
     _check_limits(f.degree(), n, max_degree)
-    ctx = GenericMatrixContext(n, max(f.variables(), default=0), J)
-    value = generic_eval(f, ctx)
+    value = generic_eval(f, GenericMatrixContext(n, f.variables(), J))
     return all(v.is_zero() for row in value for v in row)
 
 
 def is_central_nonvanishing(h, n, J="orthogonal", max_degree=None):
     """True iff the generic-matrix image of h is a nonzero scalar matrix."""
     _check_limits(h.degree(), n, max_degree)
-    ctx = GenericMatrixContext(n, max(h.variables(), default=0), J)
-    value = generic_eval(h, ctx)
+    value = generic_eval(h, GenericMatrixContext(n, h.variables(), J))
     c = value[0][0]
     return bool(c) and equal(value, identity(n, as_scalar(0), c))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroError, HermsqError, NotMonomialError, ParseError
@@ -20,6 +21,8 @@ from .errors import DivisionByZeroError, HermsqError, NotMonomialError, ParseErr
 _ZVAR_RE = re.compile(r"z(\d+)_(\d+)_(\d+)$")
 
 
+# every monomial product sorts by this key; one entry per variable name seen
+@lru_cache(maxsize=None)
 def _var_key(name):
     if name == "X":
         return (0, 0, 0, 0)
@@ -194,6 +197,8 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial()
+        if len(self.terms) == 1 and len(other.terms) > 1:
+            self, other = other, self
         if len(other.terms) == 1:
             (m2, c2), = other.terms.items()
             return Polynomial({_mono_mul(m, m2): c * c2 for m, c in self.terms.items()})
@@ -274,6 +279,8 @@ class Polynomial:
         _, lead = self.leading()
         if lead < 0:
             cont = -cont
+        if cont == 1:
+            return cont, self
         prim = Polynomial({m: c / cont for m, c in self.terms.items()})
         return cont, prim
 
@@ -518,6 +525,11 @@ def _poly_gcd_content(const_part, coeffs):
 # rational functions
 # ---------------------------------------------------------------------------
 
+# the denominator 1: sums and products of two such fractions need no gcd
+_ONE_TERMS = {(): Fraction(1)}
+_POLY_ONE = Polynomial(_ONE_TERMS)
+
+
 class RationalFunction:
     """Element of Q(X, Y, z...) as a canonical num/den pair."""
 
@@ -540,7 +552,7 @@ class RationalFunction:
                 num = poly_divexact(num, g)
                 den = poly_divexact(den, g)
         c, prim = den.content_and_primitive()
-        self.num = Polynomial({m: co / c for m, co in num.terms.items()})
+        self.num = num if c == 1 else Polynomial({m: co / c for m, co in num.terms.items()})
         self.den = prim
 
     # -- constructors -------------------------------------------------
@@ -592,14 +604,24 @@ class RationalFunction:
             out.den = Polynomial.one()
             return out
         c, prim = den.content_and_primitive()
-        out.num = Polynomial({m: co / c for m, co in num.terms.items()})
+        out.num = num if c == 1 else Polynomial({m: co / c for m, co in num.terms.items()})
         out.den = prim
+        return out
+
+    @classmethod
+    def _polynomial(cls, num):
+        """Build num/1 directly; what RationalFunction(num) builds."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = _POLY_ONE
         return out
 
     def __add__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+            return RationalFunction._polynomial(self.num + other.num)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         if self.den.is_constant() or other.den.is_constant():
@@ -643,6 +665,8 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+            return RationalFunction._polynomial(self.num * other.num)
         if self.den.is_constant() and other.den.is_constant():
             return RationalFunction(self.num * other.num,
                                     self.den * other.den)

@@ -116,7 +116,9 @@ def scenario_lemma31(options):
 
 
 def scenario_ex_psd(options):
-    n = options.get("n") or 2
+    n = 2 if options.get("n") is None else options["n"]
+    if n < 1:
+        raise ShapeError(f"ex-psd needs a matrix size n >= 1, got {n}")
     alg = AlgebraWithInvolution("F", n, InvolutionSpec.transpose())
     gram = alg.trace_form().matrix
     identity_gram = equal(gram, identity(n * n, as_scalar(0), as_scalar(1)))

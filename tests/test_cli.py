@@ -59,6 +59,37 @@ class TestQfCommands:
         assert code == 0
         assert doc == {"ordering": "+-", "signature": -1}
 
+    @pytest.mark.parametrize("argv", [["--ordering=--"], ["--ordering", "--"]])
+    def test_signature_ordering_minus_minus(self, capsys, argv):
+        # argparse strips "--" from an option value and takes a detached
+        # "--" for the end-of-options marker; both spellings must reach
+        # the ordering X < 0, Y < 0, at which <X, Y> is negative definite
+        code, out, _ = run(capsys, "qf", "signature", *argv, "--output", "json",
+                           "--", "X", "Y")
+        assert code == 0
+        assert json.loads(out) == {"ordering": "--", "signature": -2}
+
+    @pytest.mark.parametrize("argv", [
+        ["--ordering", "-+"], ["--ordering=++"], ["--ordering", "+-"]])
+    def test_signature_ordering_spellings(self, capsys, argv):
+        code, doc, _ = run_json(capsys, "qf", "signature", "X", *argv)
+        assert code == 0
+        assert doc["ordering"] == argv[-1][-2:]
+
+    @pytest.mark.parametrize("argv", [
+        ["--ordering=+x"], ["--ordering", "---"], ["--ordering="], ["--ordering"]])
+    def test_signature_bad_ordering_is_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["qf", "signature", "X", *argv])
+        assert exc.value.code == 2
+
+    def test_ordering_is_not_taken_after_end_of_options(self, capsys):
+        # after "--", "--ordering=--" is an entry, and not a scalar
+        code, _, err = run(capsys, "qf", "signature", "--ordering", "++",
+                           "--", "--ordering=--")
+        assert code == 2
+        assert "error" in err
+
     def test_form_json_file(self, capsys, tmp_path):
         path = tmp_path / "form.json"
         path.write_text(dumps({"entries": ["X", "Y", "X*Y"]}))
@@ -200,6 +231,23 @@ class TestScenarios:
         assert code == 2
         assert out == ""
         assert "even" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_ex_psd_bad_size_is_error(self, capsys, monkeypatch, n):
+        # rejected before the algebra is built; n = 0 used to run n = 2
+        def build(*args, **kwargs):
+            raise AssertionError("algebra built for a bad size")
+        monkeypatch.setattr("hermsq.scenarios.AlgebraWithInvolution", build)
+        code, out, err = run(capsys, "scenario", "ex-psd", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "n >= 1" in err
+
+    def test_ex_psd_sizes(self, capsys):
+        for n in ("1", "3"):
+            code, doc, _ = run_json(capsys, "scenario", "ex-psd", "--n", n)
+            assert code == 0
+            assert doc["n"] == int(n)
 
     def test_unknown_scenario_is_parse_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -9,6 +9,7 @@ import pytest
 
 from hermsq.errors import (CertificateError, ParseError, ResourceLimitError,
                            ShapeError)
+from hermsq.scalars import RationalFunction, as_scalar
 from hermsq.ncpoly import (GenericMatrixContext, NCPolynomial,
                            PositivstellensatzCertificate, commutator,
                            format_nc, generic_eval, is_central_nonvanishing,
@@ -135,6 +136,108 @@ class TestEval:
                      for _ in range(2)] for _ in range(3)]
             value = nc_eval(hall, mats)
             assert all(v == 0 for row in value for v in row)
+
+
+def naive_eval(f, images, n, zero, one):
+    """Reference evaluator: each word multiplied out on its own, with
+    schoolbook products, then scaled and summed."""
+    out = [[zero] * n for _ in range(n)]
+    for w, c in f.terms.items():
+        value = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        for l in w:
+            m = images[l]
+            value = [[sum((value[i][t] * m[t][j] for t in range(n)), zero)
+                      for j in range(n)] for i in range(n)]
+        out = [[out[i][j] + value[i][j] * c for j in range(n)] for i in range(n)]
+    return out
+
+
+def trie_nc(rng, nvars, nwords, maxlen):
+    """Words that share prefixes: each one extends a prefix of an earlier
+    word (possibly the empty word) by letters that may repeat."""
+    words = [()]
+    terms = {(): Fraction(rng.randint(-3, 3), rng.randint(1, 3))}
+    while len(terms) < nwords:
+        base = rng.choice(words)
+        word = base[:rng.randint(0, len(base))] + tuple(
+            rng.choice((1, -1)) * rng.randint(1, nvars)
+            for _ in range(rng.randint(0, maxlen)))
+        word = word[:maxlen]
+        words.append(word)
+        terms[word] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                               rng.choice((1, 1, 2, 5)))
+    return NCPolynomial(terms)
+
+
+class TestHornerEvaluation:
+    """The trie (Horner) evaluator against the word-by-word reference."""
+
+    SPECIAL = [
+        NCPolynomial.zero(),
+        NCPolynomial.const(Fraction(-7, 3)),
+        x(1) * x(1) * x(1),
+        x(1) + 2 * x(1) * x(2) - x(1) * x(2) * xs(1) + Fraction(1, 2),
+        x(1) * xs(1) * x(1) * xs(1) + x(1) * xs(1) + x(1),
+        commutator(commutator(x(1), x(2)) ** 2, x(3)),
+    ]
+
+    def cases(self, seed, count, nvars):
+        rng = random.Random(seed)
+        return self.SPECIAL + [trie_nc(rng, nvars, rng.randint(1, 8), 4)
+                               for _ in range(count)]
+
+    @pytest.mark.parametrize("J, n", [("orthogonal", 2), ("orthogonal", 3),
+                                      ("symplectic", 2)])
+    def test_generic_matches_naive(self, J, n):
+        ctx = GenericMatrixContext(n, 3, J)
+        images = {}
+        for i, m in ctx.matrices.items():
+            images[i] = m
+            images[-i] = ctx.star(m)
+        zero, one = as_scalar(0), as_scalar(1)
+        for f in self.cases(211 + n, 6 if n == 3 else 15, 3):
+            assert generic_eval(f, ctx) == naive_eval(f, images, n, zero, one)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rational_matches_naive(self, n):
+        rng = random.Random(223 + n)
+        for f in self.cases(227 + n, 40, 3):
+            mats = [[[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                      for _ in range(n)] for _ in range(n)] for _ in range(3)]
+            images = {}
+            for i, m in enumerate(mats, 1):
+                images[i] = m
+                images[-i] = [list(r) for r in zip(*m)]
+            want = naive_eval(f, images, n, Fraction(0), Fraction(1))
+            assert nc_eval(f, mats) == want
+
+    def test_context_by_indices(self):
+        ctx = GenericMatrixContext(2, [2, 5])
+        assert sorted(ctx.matrices) == [2, 5]
+        assert ctx.matrices[5][0][1] == RationalFunction.variable("z1_2_5")
+        assert generic_eval(x(2) * x(5), ctx) == generic_eval(
+            x(2) * x(5), GenericMatrixContext(2, 5))
+        with pytest.raises(ShapeError):
+            generic_eval(x(1), ctx)
+
+    def test_only_used_letters_get_generic_matrices(self, monkeypatch):
+        # a high variable index used to build one generic matrix for every
+        # index below it (10^8 here) before any check
+        made = []
+        variable = RationalFunction.variable
+
+        def counted(name, exp=1):
+            made.append(name)
+            if len(made) > 100:
+                raise AssertionError("generic matrices built for unused letters")
+            return variable(name, exp)
+
+        monkeypatch.setattr(RationalFunction, "variable", staticmethod(counted))
+        big = x(10 ** 8)
+        assert not is_identity_mod_a(big, 2)
+        assert not is_central_nonvanishing(big, 2)
+        assert is_identity_mod_a(commutator(big, big * big), 2)
+        assert all(name.endswith("_100000000") for name in made)
 
 
 class TestIdentities:

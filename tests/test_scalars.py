@@ -189,6 +189,62 @@ class TestRationalFunction:
             as_scalar("X")
 
 
+def exact_terms(p):
+    """The term map of p, in order, with the coefficients' types."""
+    return [(m, type(c), c) for m, c in p.terms.items()]
+
+
+class TestDenominatorOneFastPaths:
+    """Sums and products of two num/1 fractions skip the gcd work; the
+    result must be exactly what the general constructor builds."""
+
+    def fractions(self, seed, rational):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(40):
+            p = random_poly(rng, nvars=4, nterms=4, maxdeg=2)
+            if rational:
+                p = p * Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7))
+            out.append(p)
+        return out + [Polynomial.const(Fraction(3, 4)), Polynomial()]
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_same_terms_as_constructor(self, rational):
+        polys = self.fractions(31 + rational, rational)
+        one = Polynomial.one()
+        for p, q in zip(polys, polys[1:] + polys[:1]):
+            a, b = RationalFunction(p), RationalFunction(q)
+            for got, want in ((a + b, RationalFunction(p + q, one)),
+                              (a * b, RationalFunction(p * q, one * one)),
+                              (a - b, RationalFunction(p - q, one))):
+                assert exact_terms(got.num) == exact_terms(want.num)
+                assert exact_terms(got.den) == exact_terms(want.den)
+
+    def test_constructor_content_one(self):
+        # content 1 skips the division; the result is unchanged
+        p = parse_scalar("3*X^2 - 2*X*Y + 5").num
+        d = parse_scalar("X + 2*Y").num
+        f = RationalFunction(p, d)
+        assert f.den.terms == d.terms and f.num.terms == p.terms
+        c, prim = d.content_and_primitive()
+        assert c == 1 and exact_terms(prim) == exact_terms(d)
+        c, prim = (-d).content_and_primitive()
+        assert c == -1 and exact_terms(prim) == exact_terms(d)
+        g = RationalFunction(p, Polynomial.const(Fraction(-2, 3)))
+        assert g.den.terms == {(): Fraction(1)}
+        assert g.num.terms == {m: c * Fraction(-3, 2) for m, c in p.terms.items()}
+
+    def test_mixed_denominators(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            p, q, d = (random_poly(rng, nterms=3, maxdeg=2) for _ in range(3))
+            if d.is_zero() or d.is_constant():
+                continue
+            a, b = RationalFunction(p), RationalFunction(q, d)
+            assert a + b == RationalFunction(p * d + q, d)
+            assert a * b == RationalFunction(p * q, d)
+
+
 class TestOrderingsAndSign:
     def test_parse_and_registry(self):
         assert MonomialOrdering.parse("+-") is MonomialOrdering(1, -1)
