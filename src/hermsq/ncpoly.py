@@ -229,10 +229,15 @@ def nc_eval(f, mats):
     needed = f.variables()
     if needed and needed[-1] > len(mats):
         raise ShapeError(f"variable x{needed[-1]} has no matrix in the tuple")
+    return _eval_at(f, needed, [mats[i - 1] for i in needed], n)
+
+
+def _eval_at(f, letters, mats, n):
+    """f at the Fraction matrices mats of its letters, star as transpose."""
     images = {}
-    for i in needed:
-        images[i] = mats[i - 1]
-        images[-i] = transpose(mats[i - 1])
+    for i, m in zip(letters, mats):
+        images[i] = m
+        images[-i] = transpose(m)
     return _eval_words(f, images, n, Fraction(0), Fraction)
 
 
@@ -326,17 +331,23 @@ def psd_falsify(g, n, trials, seed, bound=5):
     """Search random rational tuples for a non-PSD value of g.
 
     Entries are integers uniform in [-bound, bound]; trial t uses its own
-    generator random.Random(seed * 1_000_003 + t), so results do not depend
-    on evaluation order.  Returns the first counterexample tuple or None.
+    generator random.Random(seed * 1_000_003 + t) and draws one matrix per
+    letter of g, in increasing index order, so results depend neither on
+    evaluation order nor on the indices of the letters.  Returns the first
+    counterexample, the matrices of g's letters in increasing index order,
+    or None.
     """
     if not g.is_symmetric():
         raise ShapeError("falsification target must be symmetric (g = g*)")
-    count = max(g.variables(), default=1)
+    if n < 1:
+        raise ShapeError("empty matrix tuple or empty matrix")
+    # a constant g still gets one matrix, so the counterexample fixes n
+    letters = g.variables() or [1]
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
         mats = [[[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
-                 for _ in range(n)] for _ in range(count)]
-        value = nc_eval(g, mats)
+                 for _ in range(n)] for _ in letters]
+        value = _eval_at(g, letters, mats, n)
         sym = [[(value[i][j] + value[j][i]) / 2 for j in range(n)] for i in range(n)]
         if not psd_symmetric_rational(sym):
             return mats

@@ -20,6 +20,7 @@ from .scalars import (
     RationalFunction,
     as_scalar,
     format_scalar,
+    monomial_parts,
     monomial_square_class,
     sign_at,
     squarefree_part,
@@ -343,15 +344,11 @@ def _monomial_data(entry):
     e = as_scalar(entry)
     if e.is_zero() or not e.is_monomial():
         raise NotMonomialError("form entry is not a monomial scalar")
-    (mn, cn), = e.num.terms.items()
-    (md, cd), = e.den.terms.items()
-    exps = dict(mn)
-    for v, k in md:
-        exps[v] = exps.get(v, 0) - k
+    c, exps = monomial_parts(e)
     bad = set(exps) - {"X", "Y"}
     if bad:
         raise NotMonomialError(f"monomial involves variables {sorted(bad)}")
-    return cn / cd, exps.get("X", 0), exps.get("Y", 0)
+    return c, exps.get("X", 0), exps.get("Y", 0)
 
 
 def springer_residues(form, var):

@@ -2,26 +2,37 @@
 rational functions in the commuting variables X, Y and the generic-matrix
 indeterminates z<i>_<j>_<l>.
 
-A monomial is stored as a tuple of (variable, exponent) pairs sorted by the
-fixed variable order X < Y < z-variables; the zero polynomial is the empty
-term map.  Rational functions keep gcd-reduced num/den with a primitive
-integer denominator whose leading coefficient (graded-lex) is positive, so
-equal fractions have identical representations.
+Inside a monomial each variable is stored as its order key `_var_key(name)`:
+a monomial is a tuple of (key, exponent) pairs sorted by key, so that
+X < Y < z-variables, the z-variables ordered by (l, i, j).  A product of
+monomials is then a dict merge and a plain sort, and the graded-lex order
+compares (degree, monomial reversed).  Only this module knows the format:
+variable names appear at the boundary alone (`Polynomial.variable`,
+`Polynomial.monomial`, `variables`, `degree_in`, `evaluate`, `leading`,
+`monomial_parts`, `sign_at`, parsing and formatting).  The zero polynomial
+is the empty term map, and coefficients are Fractions, except inside
+`poly_gcd`, which runs on the primitive integer parts of its inputs with
+int coefficients and returns to Fractions once on exit.  Rational
+functions keep gcd-reduced num/den with a primitive integer denominator
+whose leading coefficient (graded-lex) is positive, so equal fractions
+have identical representations.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import comb, gcd as _int_gcd
 
-from .errors import DivisionByZeroError, HermsqError, NotMonomialError, ParseError
+from .errors import (DivisionByZeroError, HermsqError, NotMonomialError, ParseError,
+                     ResourceLimitError)
 
 _ZVAR_RE = re.compile(r"z(\d+)_(\d+)_(\d+)$")
 
 
-# every monomial product sorts by this key; one entry per variable name seen
+# the order key of a variable, which monomials store in place of its name
 @lru_cache(maxsize=None)
 def _var_key(name):
     if name == "X":
@@ -35,11 +46,27 @@ def _var_key(name):
     return (2, l, i, j)
 
 
+@lru_cache(maxsize=None)
+def _var_name(key):
+    if key[0] == 0:
+        return "X"
+    if key[0] == 1:
+        return "Y"
+    _, l, i, j = key
+    return f"z{i}_{j}_{l}"
+
+
+_X_KEY = _var_key("X")
+_Y_KEY = _var_key("Y")
+
+
 def _mono_key(mono):
     # graded lex with X < Y < z-vars: total degree first, then exponents
     # compared from the largest variable downward
-    return (sum(e for _, e in mono),
-            tuple(sorted(((_var_key(v), e) for v, e in mono), reverse=True)))
+    degree = 0
+    for _, e in mono:
+        degree += e
+    return (degree, mono[::-1])
 
 
 def _mono_mul(m1, m2):
@@ -50,7 +77,7 @@ def _mono_mul(m1, m2):
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
+    return tuple(sorted(d.items()))
 
 
 def _mono_div(m1, m2):
@@ -64,7 +91,8 @@ def _mono_div(m1, m2):
             d.pop(v, None)
         else:
             d[v] = r
-    return tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
+    # only entries of m1 were lowered or removed, so the order holds
+    return tuple(d.items())
 
 
 def _mono_common(m1, m2):
@@ -74,7 +102,19 @@ def _mono_common(m1, m2):
         e2 = d2.get(v, 0)
         if e2:
             out.append((v, min(e, e2)))
-    return tuple(sorted(out, key=lambda p: _var_key(p[0])))
+    return tuple(out)
+
+
+def _keys(p):
+    return {v for mono in p.terms for v, _ in mono}
+
+
+def _quo(a, b):
+    """a / b, kept an int when a and b are ints and b divides a."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 class Polynomial:
@@ -102,17 +142,18 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name, exp=1):
-        _var_key(name)  # validate
+        key = _var_key(name)  # validates
         if exp == 0:
             return cls.one()
-        return cls({((name, exp),): Fraction(1)})
+        return cls({((key, exp),): Fraction(1)})
 
     @classmethod
     def monomial(cls, mono, coeff):
+        """coeff times the monomial given as (variable name, exponent) pairs."""
         coeff = Fraction(coeff)
         if not coeff:
             return cls()
-        return cls({tuple(mono): coeff})
+        return cls({tuple(sorted((_var_key(v), e) for v, e in mono)): coeff})
 
     # -- structure ----------------------------------------------------
 
@@ -131,11 +172,7 @@ class Polynomial:
         return len(self.terms) == 1
 
     def variables(self):
-        out = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        return {_var_name(v) for v in _keys(self)}
 
     def degree(self):
         if not self.terms:
@@ -143,16 +180,13 @@ class Polynomial:
         return max(sum(e for _, e in m) for m in self.terms)
 
     def degree_in(self, var):
-        if not self.terms:
-            return -1
-        return max((dict(m).get(var, 0) for m in self.terms), default=0)
+        return _degree_in(self, _var_key(var))
 
     def leading(self):
-        """(monomial, coeff) maximal in the graded-lex order."""
-        if not self.terms:
-            raise HermsqError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_mono_key)
-        return mono, self.terms[mono]
+        """(monomial, coeff) maximal in the graded-lex order; the monomial
+        as (variable name, exponent) pairs."""
+        mono, coeff = _leading(self)
+        return tuple((_var_name(v), e) for v, e in mono), coeff
 
     # -- arithmetic ---------------------------------------------------
 
@@ -223,14 +257,18 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise HermsqError("polynomial powers must be nonnegative integers")
-        result = Polynomial.one()
+        if n == 0:
+            return Polynomial.one()
+        # no multiplication by one, so int coefficients stay ints
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         other = _as_poly(other)
@@ -259,30 +297,20 @@ class Polynomial:
         for mono, coeff in self.terms.items():
             val = coeff
             for v, e in mono:
-                if v not in values:
-                    raise HermsqError(f"no value supplied for variable {v}")
-                val *= Fraction(values[v]) ** e
+                name = _var_name(v)
+                if name not in values:
+                    raise HermsqError(f"no value supplied for variable {name}")
+                val *= Fraction(values[name]) ** e
             total += val
         return total
 
     def content_and_primitive(self):
         """Return (c, p) with self = c*p, p primitive over Z with positive
         graded-lex leading coefficient.  Zero returns (0, 0)."""
-        if not self.terms:
-            return Fraction(0), Polynomial()
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        cont = Fraction(num, den)
-        _, lead = self.leading()
-        if lead < 0:
-            cont = -cont
+        cont, prim = _integer_parts(self)
         if cont == 1:
             return cont, self
-        prim = Polynomial({m: c / cont for m, c in self.terms.items()})
-        return cont, prim
+        return cont, _to_fractions(prim)
 
 
 def _as_poly(x):
@@ -293,45 +321,95 @@ def _as_poly(x):
     return NotImplemented
 
 
+def _leading(p):
+    """(monomial, coeff) of p maximal in the graded-lex order."""
+    if not p.terms:
+        raise HermsqError("zero polynomial has no leading term")
+    mono = max(p.terms, key=_mono_key)
+    return mono, p.terms[mono]
+
+
+def _degree_in(p, var):
+    if not p.terms:
+        return -1
+    return max(dict(m).get(var, 0) for m in p.terms)
+
+
+def _integer_parts(f):
+    """(c, p) with f = c*p, c a Fraction and p primitive over Z with int
+    coefficients and positive graded-lex leading coefficient; (0, f) for
+    f = 0."""
+    if not f.terms:
+        return Fraction(0), f
+    num, den = 0, 1
+    for c in f.terms.values():
+        num = _int_gcd(num, c.numerator)
+        d = c.denominator
+        if d != 1:
+            den = den * d // _int_gcd(den, d)
+    if _leading(f)[1] < 0:
+        num = -num
+    prim = {m: c.numerator // num * (den // c.denominator) for m, c in f.terms.items()}
+    return Fraction(num, den), Polynomial(prim)
+
+
+def _to_fractions(p):
+    return Polynomial({m: Fraction(c) for m, c in p.terms.items()})
+
+
 # ---------------------------------------------------------------------------
-# gcd machinery: content extraction + primitive PRS in the top variable
+# gcd machinery: content extraction + primitive PRS in the top variable,
+# on polynomials with int coefficients
 # ---------------------------------------------------------------------------
 
+_INT_ONE = Polynomial({(): 1})
+
+
 def _as_univar(f, var):
+    """f as {exponent of var: coefficient free of var}; var is the largest
+    key of f, so it is the last pair of every monomial that has it."""
     out = {}
     for mono, coeff in f.terms.items():
-        d = dict(mono)
-        e = d.pop(var, 0)
-        rest = tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
-        out.setdefault(e, {})[rest] = coeff
+        if mono and mono[-1][0] == var:
+            out.setdefault(mono[-1][1], {})[mono[:-1]] = coeff
+        else:
+            out.setdefault(0, {})[mono] = coeff
     return {e: Polynomial(t) for e, t in out.items()}
 
 
 def _from_univar(coeffs, var):
-    total = Polynomial()
+    out = {}
     for e, p in coeffs.items():
-        total = total + p * Polynomial.variable(var, e) if e else total + p
-    return total
+        top = ((var, e),) if e else ()
+        for m, c in p.terms.items():
+            out[m + top] = c
+    return Polynomial(out)
+
+
+def _lead_in(p, var):
+    u = _as_univar(p, var)
+    return u[max(u)]
 
 
 def poly_divexact(f, g):
-    """Exact division f/g; raises if g does not divide f."""
+    """Exact division f/g; raises if g does not divide f.  Int coefficients
+    stay ints where the quotient's coefficients are integers."""
     if g.is_zero():
         raise DivisionByZeroError("polynomial division by zero")
     if g.is_constant():
-        c = g.constant()
-        return Polynomial({m: co / c for m, co in f.terms.items()})
+        c = g.terms[()]
+        return Polynomial({m: _quo(co, c) for m, co in f.terms.items()})
     q = {}
     rem = f
-    gm, gc = g.leading()
+    gm, gc = _leading(g)
     while rem.terms:
-        rm, rc = rem.leading()
+        rm, rc = _leading(rem)
         m = _mono_div(rm, gm)
         if m is None:
             raise HermsqError("inexact polynomial division")
-        c = rc / gc
+        c = _quo(rc, gc)
         q[m] = c
-        rem = rem - Polynomial({m: c}) * g
+        rem = rem + Polynomial({m: -c}) * g
     return Polynomial(q)
 
 
@@ -363,28 +441,26 @@ def _pseudo_rem(f, g, var):
     return _from_univar(rem, var)
 
 
-def _monomial_gcd_fast(mono_poly, other):
+def _monomial_gcd(mono_poly, other):
     common = None
     mono = next(iter(mono_poly.terms))
     for m in other.terms:
         common = _mono_common(mono, m) if common is None else _mono_common(common, m)
         if not common:
             break
-    return Polynomial({tuple(common or ()): Fraction(1)})
+    return Polynomial({common or (): 1})
 
 
 _COPRIME_PRIME = (1 << 61) - 1
 
 
 def _spec_to_univariate(poly, main, subs, p):
-    """Coefficient list (little-endian) of poly with every variable except
-    main specialized mod p, or None if a denominator hits p or the leading
+    """Coefficient list (little-endian) of the int polynomial poly with
+    every variable except main specialized mod p, or None if the leading
     coefficient in main vanishes, so that the degree in main drops."""
     out = {}
     for mono, coeff in poly.terms.items():
-        if coeff.denominator % p == 0:
-            return None
-        c = coeff.numerator % p * pow(coeff.denominator, -1, p) % p
+        c = coeff % p
         e = 0
         for v, k in mono:
             if v == main:
@@ -415,109 +491,98 @@ def _univ_gcd_degree(a, b, p):
     return len(a) - 1
 
 
-def _coprime_by_specialization(f, g, common):
-    """True only when f, g are certifiably coprime: for every shared variable
-    the specialized univariate gcd over GF(p) has degree 0 at two random
-    points where f and g keep their degree in that variable.  A common
-    factor of positive degree keeps its degree at such a point, since its
-    leading coefficient divides theirs; so degree 0 proves coprimality in
-    that variable."""
-    import random as _random
-
+def _coprime_by_specialization(f, g, common, allvars):
+    """True only when the int polynomials f, g are certifiably coprime: for
+    every shared variable the specialized univariate gcd over GF(p) has
+    degree 0 at a random point where f and g keep their degree in that
+    variable.  A common factor of positive degree keeps its degree at such
+    a point, since its leading coefficient divides theirs (over Z, by
+    Gauss's lemma); so degree 0 proves coprimality in that variable, and a
+    common factor free of every shared variable is a constant."""
     p = _COPRIME_PRIME
-    rng = _random.Random(0xC0FFEE)
-    allvars = f.variables() | g.variables()
-    for main in sorted(common, key=_var_key):
-        certified = 0
-        for _ in range(2):
-            subs = {v: rng.randrange(1, p) for v in allvars if v != main}
-            a = _spec_to_univariate(f, main, subs, p)
-            b = _spec_to_univariate(g, main, subs, p)
-            if not a or not b:
-                return False
-            if _univ_gcd_degree(a, b, p) == 0:
-                certified += 1
-        if certified < 2:
+    rng = random.Random(0xC0FFEE)
+    allvars = sorted(allvars)
+    for main in sorted(common):
+        subs = {v: rng.randrange(1, p) for v in allvars if v != main}
+        a = _spec_to_univariate(f, main, subs, p)
+        b = a and _spec_to_univariate(g, main, subs, p)
+        if not b or _univ_gcd_degree(a, b, p) != 0:
             return False
     return True
 
 
 def poly_gcd(f, g):
     """Primitive gcd over Z with positive leading coefficient (1 for coprime
-    inputs and for nonzero constants)."""
-    if f.is_zero():
-        return g.content_and_primitive()[1] if g.terms else Polynomial()
-    if g.is_zero():
-        return f.content_and_primitive()[1]
+    inputs and for nonzero constants), with Fraction coefficients."""
+    return _to_fractions(_gcd(_integer_parts(f)[1], _integer_parts(g)[1]))
+
+
+def _gcd(f, g):
+    """poly_gcd of two polynomials with int coefficients, with int
+    coefficients."""
+    if not f.terms:
+        return _integer_parts(g)[1]
+    if not g.terms:
+        return _integer_parts(f)[1]
     if f.is_constant() or g.is_constant():
-        return Polynomial.one()
-    if f.is_monomial():
-        return _monomial_gcd_fast(f, g)
-    if g.is_monomial():
-        return _monomial_gcd_fast(g, f)
-    common = f.variables() & g.variables()
-    if not common:
-        return Polynomial.one()
-    if _coprime_by_specialization(f, g, common):
-        return Polynomial.one()
-    var = max(f.variables() | g.variables(), key=_var_key)
+        return _INT_ONE
+    if len(f.terms) == 1:
+        return _monomial_gcd(f, g)
+    if len(g.terms) == 1:
+        return _monomial_gcd(g, f)
+    fvars, gvars = _keys(f), _keys(g)
+    common = fvars & gvars
+    if not common or _coprime_by_specialization(f, g, common, fvars | gvars):
+        return _INT_ONE
+    var = max(fvars | gvars)
     fu = _as_univar(f, var)
     gu = _as_univar(g, var)
     if len(fu) == 1 and 0 in fu:
         # f does not involve the top variable, so gcd(f, g) = gcd(f, cont(g))
-        return _poly_gcd_content(f, list(gu.values()))
+        return _gcd_content(f, gu.values())
     if len(gu) == 1 and 0 in gu:
-        return _poly_gcd_content(g, list(fu.values()))
+        return _gcd_content(g, fu.values())
 
-    def cont_pp(u):
+    def content_parts(u):
         c = Polynomial()
         for p in u.values():
-            c = poly_gcd(c, p)
-        pp = {e: poly_divexact(p, c) for e, p in u.items()}
-        return c, pp
+            c = _gcd(c, p)
+        return c, {e: poly_divexact(p, c) for e, p in u.items()}
 
     def primitive_in(p):
-        u = _as_univar(p, var)
-        cu = Polynomial()
-        for q in u.values():
-            cu = poly_gcd(cu, q)
-        return _from_univar({e: poly_divexact(q, cu) for e, q in u.items()}, var)
+        return _from_univar(content_parts(_as_univar(p, var))[1], var)
 
-    def lead_in(p):
-        u = _as_univar(p, var)
-        return u[max(u)]
-
-    cf, pf = cont_pp(fu)
-    cg, pg = cont_pp(gu)
-    c = poly_gcd(cf, cg)
+    cf, pf = content_parts(fu)
+    cg, pg = content_parts(gu)
+    c = _gcd(cf, cg)
     a = _from_univar(pf, var)
     b = _from_univar(pg, var)
     if max(pf) < max(pg):
         a, b = b, a
     # subresultant PRS: divide each pseudo-remainder by the predicted factor
     # g*h^d instead of computing contents at every step
-    g = Polynomial.one()
-    h = Polynomial.one()
+    g = h = _INT_ONE
     while True:
-        d = a.degree_in(var) - b.degree_in(var)
+        d = _degree_in(a, var) - _degree_in(b, var)
         r = _pseudo_rem(a, b, var)
         if r.is_zero():
-            return (c * primitive_in(b)).content_and_primitive()[1]
-        if r.degree_in(var) == 0:
+            return _integer_parts(c * primitive_in(b))[1]
+        if _degree_in(r, var) == 0:
             # remainder free of var: the primitive parts are coprime
             return c
-        a, b = b, poly_divexact(r, g * h ** d)
-        g = lead_in(a)
-        if d > 0:
+        a, b = b, poly_divexact(r, g * h ** d if d else g)
+        g = _lead_in(a, var)
+        if d == 1:
+            h = g
+        elif d > 1:
             h = poly_divexact(g ** d, h ** (d - 1))
 
 
-def _poly_gcd_content(const_part, coeffs):
-    h = const_part
+def _gcd_content(h, coeffs):
     for p in coeffs:
-        h = poly_gcd(h, p)
+        h = _gcd(h, p)
         if h.is_constant():
-            return Polynomial.one()
+            return _INT_ONE
     return h
 
 
@@ -808,7 +873,7 @@ def _poly_sign_at(p, ordering):
     best = None
     for mono, coeff in p.terms.items():
         d = dict(mono)
-        key = (d.get("Y", 0), d.get("X", 0))
+        key = (d.get(_Y_KEY, 0), d.get(_X_KEY, 0))
         if best is None or key < best[0]:
             best = (key, coeff)
     (y_deg, x_deg), coeff = best
@@ -850,18 +915,25 @@ def squarefree_part(n):
     return sign * out * n
 
 
-def monomial_square_class(f):
-    """Square class (d, a, b) of a monomial scalar c*X^i*Y^j: signed
-    squarefree d of c and the parities of i and j."""
+def monomial_parts(f):
+    """(c, exponents) with f = c * prod of v^e over the map exponents
+    {variable name: e}, exponents of the denominator negative, for a
+    nonzero monomial scalar f; NotMonomialError for any other f."""
     f = as_scalar(f)
     if f.is_zero() or not f.is_monomial():
         raise NotMonomialError("not a monomial scalar")
     (mn, cn), = f.num.terms.items()
     (md, cd), = f.den.terms.items()
-    c = cn / cd
-    exps = dict(mn)
-    for v, e in md:
-        exps[v] = exps.get(v, 0) - e
+    # num and den are coprime, so no variable is in both
+    exps = {_var_name(v): e for v, e in mn}
+    exps.update((_var_name(v), -e) for v, e in md)
+    return cn / cd, exps
+
+
+def monomial_square_class(f):
+    """Square class (d, a, b) of a monomial scalar c*X^i*Y^j: signed
+    squarefree d of c and the parities of i and j."""
+    c, exps = monomial_parts(f)
     bad = set(exps) - {"X", "Y"}
     if bad:
         raise NotMonomialError(f"monomial involves non-(X,Y) variables {sorted(bad)}")
@@ -872,6 +944,14 @@ def monomial_square_class(f):
 # ---------------------------------------------------------------------------
 # text grammar
 # ---------------------------------------------------------------------------
+
+# caps on a power in the grammar, checked before it is computed: the
+# exponent, the degree of the result (exponent times the base's degree),
+# and a bound on its number of terms, since a base in many variables
+# outgrows any degree cap.  (X + Y + 1)^64 takes about 2.5 s.
+MAX_EXPONENT = 1000
+MAX_POWER_DEGREE = 64
+MAX_POWER_TERMS = 5000
 
 _TOKEN_RE = re.compile(r"\s*(\d+|z\d+_\d+_\d+|X|Y|\*\*|[-+*/^()])")
 
@@ -890,6 +970,26 @@ def _tokenize(text):
         out.append((tok, m.start(1)))
         pos = m.end()
     return out
+
+
+def _check_power(base, e, pos):
+    if e > MAX_EXPONENT:
+        raise ResourceLimitError(
+            f"exponent {e} exceeds the cap {MAX_EXPONENT} (at position {pos})")
+    degree = e * max(base.num.degree(), base.den.degree())
+    if degree > MAX_POWER_DEGREE:
+        raise ResourceLimitError(
+            f"power of degree {degree} exceeds the cap {MAX_POWER_DEGREE} "
+            f"(at position {pos})")
+    v = len(_keys(base.num) | _keys(base.den))
+    t = max(len(base.num.terms), len(base.den.terms))
+    # p^e has at most C(e + t - 1, t - 1) terms for p with t terms, and
+    # there are C(D + v, v) monomials of degree <= D in v variables
+    terms = min(comb(e + t - 1, t - 1), comb(degree + v, v)) if v else 1
+    if terms > MAX_POWER_TERMS:
+        raise ResourceLimitError(
+            f"power of up to {terms} terms exceeds the cap {MAX_POWER_TERMS} "
+            f"(at position {pos})")
 
 
 class _Parser:
@@ -960,6 +1060,7 @@ class _Parser:
             if not tok.isdigit():
                 raise ParseError(f"expected integer exponent, got {tok!r}", pos)
             e = int(tok)
+            _check_power(base, e, pos)
             base = base ** (-e if neg else e)
         return base
 
@@ -986,6 +1087,7 @@ def parse_scalar(text):
 def _format_mono(mono, coeff):
     parts = []
     for v, e in mono:
+        v = _var_name(v)
         parts.append(v if e == 1 else f"{v}^{e}")
     body = "*".join(parts)
     if not body:

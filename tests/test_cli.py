@@ -1,9 +1,14 @@
 """Tests for the command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hermsq
 from hermsq.cli import main
 from hermsq.jsonio import dumps
 
@@ -12,6 +17,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=60):
+    src = str(Path(hermsq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "hermsq.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def run_json(capsys, *argv):
@@ -58,6 +71,20 @@ class TestQfCommands:
                                 "--ordering", "+-")
         assert code == 0
         assert doc == {"ordering": "+-", "signature": -1}
+
+    @pytest.mark.parametrize("power, message", [
+        ("(X+Y+1)^100000", "exponent 100000 exceeds the cap"),
+        ("(X+Y+z1_1_1+z1_2_1+z2_1_1+z2_2_1+1)^10", "power of up to 8008 terms exceeds the cap"),
+    ])
+    def test_power_over_cap_is_input_error(self, power, message):
+        # in a child process with a timeout: without the caps these run
+        # for minutes
+        done = run_process("qf", "signature", "--ordering", "++", "--", power)
+        assert done.returncode == 2 and done.stdout == ""
+        assert message in done.stderr and "Traceback" not in done.stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["qf", "signature", "--", power])   # no --ordering
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [["--ordering=--"], ["--ordering", "--"]])
     def test_signature_ordering_minus_minus(self, capsys, argv):

@@ -314,6 +314,21 @@ class TestFalsify:
         b = psd_falsify(x(1) + xs(1), 2, 10, 3)
         assert a == b
 
+    def test_draws_only_the_letters_used(self):
+        # one matrix for the one letter, whatever its index: x2000 gets
+        # what x1 gets, not 2000 matrices
+        near = psd_falsify(x(1) + xs(1), 2, 10, 0)
+        assert near is not None and len(near) == 1
+        assert psd_falsify(x(2000) + xs(2000), 2, 10, 0) == near
+
+    def test_sparse_letters(self):
+        from hermsq.certificates import psd_symmetric_rational
+        g = x(1) + xs(1) + xs(3) * x(3)
+        found = psd_falsify(g, 2, 10, 0)
+        assert found is not None and len(found) == 2
+        # x2 does not occur in g, so any matrix can stand in for it
+        assert not psd_symmetric_rational(nc_eval(g, [found[0], found[0], found[1]]))
+
 
 class TestPositivstellensatz:
     def trivial_cert(self):

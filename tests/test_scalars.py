@@ -2,19 +2,21 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from hermsq.errors import (DivisionByZeroError, HermsqError, NotMonomialError,
-                           ParseError)
+                           ParseError, ResourceLimitError)
 from hermsq.scalars import (MonomialOrdering, ORDERINGS, Polynomial,
                             RationalFunction, X, Y, as_scalar, format_scalar,
                             monomial_square_class, parse_scalar, poly_divexact,
                             poly_gcd, sign_at, squarefree_part)
+from hermsq import scalars
 
 
-def random_poly(rng, nvars=2, nterms=3, maxdeg=3, maxc=6):
-    names = ["X", "Y", "z1_1_1", "z1_2_1"][:nvars]
+def random_poly(rng, nvars=2, nterms=3, maxdeg=3, maxc=6, names=None):
+    names = names or ["X", "Y", "z1_1_1", "z1_2_1"][:nvars]
     p = Polynomial()
     for _ in range(rng.randint(0, nterms)):
         mono = []
@@ -134,6 +136,72 @@ class TestGcd:
                 poly_divexact(g, d)
             if not h.is_zero():
                 poly_divexact(d, h.content_and_primitive()[1])
+
+
+# z10_1_1 sorts after z2_1_1 in the variable order but before it as text,
+# and z1_1_2 (matrix 2) after z9_9_1 (matrix 1)
+KEY_ORDER_NAMES = ["X", "Y", "z2_1_1", "z10_1_1", "z9_9_1", "z1_1_2"]
+
+
+def primitive(p):
+    return p.content_and_primitive()[1]
+
+
+class TestIntegerGcdKernel:
+    """Seeded properties of the integer gcd over X, Y and z-variables."""
+
+    def triples(self, seed, count=40):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            f, g, h = (random_poly(rng, nterms=3, maxdeg=2, names=rng.sample(KEY_ORDER_NAMES, 3))
+                       for _ in range(3))
+            if f.is_zero() or g.is_zero() or h.is_zero():
+                continue
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            out.append((f * c, g, h))
+        return out
+
+    def test_common_factor_comes_out(self):
+        for f, g, h in self.triples(101):
+            assert poly_gcd(f * h, g * h) == primitive(h * poly_gcd(f, g))
+
+    def test_gcd_integer_primitive_positive(self):
+        for f, g, h in self.triples(102):
+            for d in (poly_gcd(f * h, g * h), poly_gcd(f, g), poly_gcd(f * h, h)):
+                assert all(type(c) is Fraction and c.denominator == 1
+                           for c in d.terms.values())
+                num = 0
+                for c in d.terms.values():
+                    num = gcd(num, c.numerator)
+                assert num == 1
+                assert d.leading()[1] > 0
+
+    def test_rational_function_cancels_common_factor(self):
+        for f, g, h in self.triples(103):
+            assert RationalFunction(f * h, g * h) == RationalFunction(f, g)
+
+    def test_parse_format_roundtrip_key_order(self):
+        rng = random.Random(104)
+        done = 0
+        while done < 60:
+            n, d = (random_poly(rng, nterms=3, maxdeg=2, names=rng.sample(KEY_ORDER_NAMES, 4))
+                    for _ in range(2))
+            if d.is_zero():
+                continue
+            done += 1
+            r = RationalFunction(n, d)
+            assert parse_scalar(format_scalar(r)) == r
+
+    def test_variables_sort_by_order_key(self):
+        r = parse_scalar("z10_1_1*z2_1_1 + z1_1_2*z9_9_1")
+        assert format_scalar(r) == "z9_9_1*z1_1_2 + z2_1_1*z10_1_1"
+        mono, _ = (parse_scalar("z10_1_1 + z2_1_1 + z9_9_1").num).leading()
+        assert mono == (("z10_1_1", 1),)
+        p = Polynomial.monomial((("z10_1_1", 1), ("z2_1_1", 2)), 3)
+        assert p == parse_scalar("3*z2_1_1^2*z10_1_1").num
+        assert p.variables() == {"z10_1_1", "z2_1_1"}
+        assert p.degree_in("z2_1_1") == 2 and p.degree_in("X") == 0
 
 
 class TestRationalFunction:
@@ -357,3 +425,21 @@ class TestGrammar:
             parse_scalar("1/0")
         with pytest.raises(ParseError):
             parse_scalar("X Y")
+
+    def test_power_caps(self):
+        # over a cap: inputs the grammar would have computed at once, so
+        # that only the check tells them apart
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_scalar("X^100000")
+        assert f"exponent 100000 exceeds the cap {scalars.MAX_EXPONENT}" in str(exc.value)
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_scalar(f"(X+1)^{scalars.MAX_POWER_DEGREE + 1}")
+        assert f"degree {scalars.MAX_POWER_DEGREE + 1} exceeds" in str(exc.value)
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_scalar("(1/X^2)^-33")
+        assert f"degree 66 exceeds the cap {scalars.MAX_POWER_DEGREE}" in str(exc.value)
+        # at the caps
+        assert parse_scalar(f"X^{scalars.MAX_POWER_DEGREE}") == X ** scalars.MAX_POWER_DEGREE
+        assert parse_scalar(f"2^{scalars.MAX_EXPONENT}") == as_scalar(2 ** scalars.MAX_EXPONENT)
+        assert parse_scalar("(X+Y+1)^0") == RationalFunction.one()
+        assert parse_scalar("(X+1)^-3") == ((X + 1) ** 3).inverse()
