@@ -123,7 +123,7 @@ def prop41_certificates(quat, sigma):
         pieces = [(as_scalar(1), quat.one()), (-quat.a, quat.i()),
                   (-quat.b, quat.j()), (quat.a * quat.b, quat.k())]
     elif sigma.kind == "int_u_conj":
-        u = sigma.u
+        u = sigma.param
         s = _anticommuting_pure(quat, u)
         su = s * u
         pieces = [(as_scalar(1), quat.one()), (u.nrd(), u),
@@ -243,17 +243,12 @@ def symplectic_minus_one(s):
 
 @dataclass
 class TotalPositivityWitness:
-    """a = Trd(sigma(b)b) for the recorded b, or a hermitian-square certificate."""
+    """a = Trd(sigma(b)b) for the recorded b."""
     algebra: object
     target: object
-    witness: object = None
-    certificate: object = None
+    witness: object
 
     def verify(self):
-        if self.certificate is not None:
-            return (verify_hermsq(self.certificate)
-                    and self.algebra.equal(self.certificate.target,
-                                           self.algebra.scalar(self.target)))
         got = self.algebra.trd(self.algebra.hermitian_square(self.witness))
         return got == self.target
 

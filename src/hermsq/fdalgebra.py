@@ -1,10 +1,11 @@
 """Finite-dimensional algebras with involution given by structure constants.
 
 This is the common carrier for tensor products of algebras with involution:
-a basis, a multiplication table, and the involution as a linear map on
-coordinates.  Elements are coordinate tuples over Q(X,Y).  Tensor products
-of two such algebras are again of this shape, with the involution acting
-factorwise, which is all the formal tensor-certificate composition needs.
+a basis, the products of basis elements (each computed on first use and
+cached), and the involution as a linear map on coordinates.  Elements are
+coordinate tuples over Q(X,Y).  Tensor products of two such algebras are
+again of this shape, with the involution acting factorwise, which is all
+the formal tensor-certificate composition needs.
 """
 
 from .errors import ShapeError
@@ -12,23 +13,17 @@ from .scalars import as_scalar
 
 
 class StructureAlgebra:
-    def __init__(self, dim, unit, table, inv_images, labels=None, prod_fn=None):
+    def __init__(self, dim, unit, inv_images, prod_fn):
         self.dim = dim
         self.unit = tuple(unit)
-        self.table = table
         self.prod_fn = prod_fn
         self._prod_cache = {}
         self.inv_images = [tuple(v) for v in inv_images]
-        self.labels = labels or [f"e{t}" for t in range(dim)]
 
     def _prod(self, i, j):
-        if self.table is not None:
-            return self.table[i][j]
-        key = (i, j)
-        value = self._prod_cache.get(key)
+        value = self._prod_cache.get((i, j))
         if value is None:
-            value = self.prod_fn(i, j)
-            self._prod_cache[key] = value
+            value = self._prod_cache[i, j] = self.prod_fn(i, j)
         return value
 
     def elem(self, coords):
@@ -48,13 +43,6 @@ class StructureAlgebra:
 
     def add(self, x, y):
         return tuple(p + q for p, q in zip(x, y))
-
-    def neg(self, x):
-        return tuple(-p for p in x)
-
-    def scale(self, c, x):
-        c = as_scalar(c)
-        return tuple(c * p for p in x)
 
     def mul(self, x, y):
         out = [as_scalar(0)] * self.dim
@@ -105,8 +93,7 @@ class StructureAlgebra:
 
         inv_images = [flat(self.inv_images[i], other.inv_images[j])
                       for i in range(self.dim) for j in range(other.dim)]
-        labels = [f"{a}(x){b}" for a in self.labels for b in other.labels]
-        return StructureAlgebra(dim, unit, None, inv_images, labels, prod_fn=prod)
+        return StructureAlgebra(dim, unit, inv_images, prod)
 
 
 def _flatten(algebra, x):
@@ -131,10 +118,11 @@ def structure_algebra(algebra):
     if isinstance(algebra, StructureAlgebra):
         return algebra, lambda x: x
     basis = algebra.basis()
-    dim = len(basis)
     unit = _flatten(algebra, algebra.identity())
-    table = [[_flatten(algebra, algebra.mul(basis[i], basis[j]))
-              for j in range(dim)] for i in range(dim)]
     inv_images = [_flatten(algebra, algebra.involution(e)) for e in basis]
-    sa = StructureAlgebra(dim, unit, table, inv_images)
+
+    def prod(i, j):
+        return _flatten(algebra, algebra.mul(basis[i], basis[j]))
+
+    sa = StructureAlgebra(len(basis), unit, inv_images, prod)
     return sa, lambda x: _flatten(algebra, x)

@@ -155,14 +155,26 @@ def reduced_norm_quat(x, algebra=None):
     return x.nrd()
 
 
+# kind -> (the base it needs, the type of its parameter: None, a diagonal
+# "form", a "quaternion" or a "skew" matrix); AlgebraWithInvolution checks
+# against this table and jsonio reads and writes parameters by their type
+_INVOLUTION_KINDS = {
+    "transpose": ("F", None),
+    "adjoint_diag": ("F", "form"),
+    "symplectic_standard": ("F", None),
+    "int_skew": ("F", "skew"),
+    "quat_conjugation": ("quaternion", None),
+    "int_u_conj": ("quaternion", "quaternion"),
+    "adjoint_hermitian": ("quaternion", "form"),
+}
+
+
 class InvolutionSpec:
     """Description of an involution; build via the classmethod constructors."""
 
-    def __init__(self, kind, q=None, u=None, skew=None):
+    def __init__(self, kind, param=None):
         self.kind = kind
-        self.q = q
-        self.u = u
-        self.skew = skew
+        self.param = param
 
     @classmethod
     def transpose(cls):
@@ -170,10 +182,9 @@ class InvolutionSpec:
 
     @classmethod
     def adjoint_diag(cls, q):
-        for c in q.entries:
-            if c.is_zero():
-                raise ShapeError("adjoint form must be nonsingular")
-        return cls("adjoint_diag", q=q)
+        if any(c.is_zero() for c in q.entries):
+            raise ShapeError("adjoint form must be nonsingular")
+        return cls("adjoint_diag", q)
 
     @classmethod
     def quat_conjugation(cls):
@@ -183,14 +194,13 @@ class InvolutionSpec:
     def int_u_conj(cls, u):
         if not u.is_pure() or u.is_zero():
             raise ShapeError("Int(u) twist requires a nonzero pure quaternion")
-        return cls("int_u_conj", u=u)
+        return cls("int_u_conj", u)
 
     @classmethod
     def adjoint_hermitian(cls, h):
-        for c in h.entries:
-            if c.is_zero():
-                raise ShapeError("hermitian form must be nonsingular")
-        return cls("adjoint_hermitian", q=h)
+        if any(c.is_zero() for c in h.entries):
+            raise ShapeError("hermitian form must be nonsingular")
+        return cls("adjoint_hermitian", h)
 
     @classmethod
     def symplectic_standard(cls):
@@ -198,7 +208,7 @@ class InvolutionSpec:
 
     @classmethod
     def int_skew(cls, s):
-        return cls("int_skew", skew=s)
+        return cls("int_skew", s)
 
     def __repr__(self):
         return f"InvolutionSpec({self.kind!r})"
@@ -215,38 +225,35 @@ class AlgebraWithInvolution:
         self.base = base
         self.n = n
         self.sigma = sigma
-        quat = isinstance(base, QuaternionAlgebra)
-        kind = sigma.kind
-        if kind in ("quat_conjugation", "int_u_conj"):
-            if not quat or n != 1:
-                raise ShapeError(f"{kind} requires a 1x1 quaternion algebra")
-            if kind == "int_u_conj" and sigma.u.algebra != base:
-                raise ShapeError("twisting element lies in a different algebra")
-        elif kind == "adjoint_hermitian":
-            if not quat:
-                raise ShapeError("adjoint_hermitian requires a quaternion base")
-            if len(sigma.q.entries) != n:
-                raise ShapeError("hermitian form dimension must match n")
-        elif kind == "adjoint_diag":
-            if quat:
-                raise ShapeError("use adjoint_hermitian over a quaternion base")
-            if len(sigma.q.entries) != n:
-                raise ShapeError("adjoint form dimension must match n")
-        elif kind in ("transpose", "symplectic_standard", "int_skew"):
-            if quat:
-                raise ShapeError(f"{kind} is only supported over base F")
-            if kind == "symplectic_standard" and n % 2 != 0:
-                raise ShapeError("symplectic involution needs even n")
-            if kind == "int_skew":
-                s = sigma.skew
-                if len(s) != n or any(len(r) != n for r in s):
-                    raise ShapeError("skew matrix size must match n")
-                if not linalg.equal(linalg.transpose(s), linalg.neg(s)):
-                    raise ShapeError("Int(S) twist requires S skew-symmetric")
-                s = [[as_scalar(v) for v in row] for row in s]
-                self._skew_inv = linalg.inverse(s, as_scalar(0), as_scalar(1))
-        else:
+        kind, param = sigma.kind, sigma.param
+        if kind not in _INVOLUTION_KINDS:
             raise ShapeError(f"unknown involution kind {kind!r}")
+        need, ptype = _INVOLUTION_KINDS[kind]
+        if self._is_quat() != (need == "quaternion"):
+            raise ShapeError(f"{kind} is only supported over base {need}")
+        if kind in ("quat_conjugation", "int_u_conj") and n != 1:
+            raise ShapeError(f"{kind} requires a 1x1 quaternion algebra")
+        if kind == "symplectic_standard" and n % 2 != 0:
+            raise ShapeError("symplectic involution needs even n")
+        # what each parameter implies, derived once: the central factors
+        # d_i d_j^-1 of an adjoint involution, u^-1, S^-1
+        if ptype == "form":
+            d = param.entries
+            if len(d) != n:
+                raise ShapeError(f"{kind} form dimension must match n")
+            self._factors = [[self.coerce_entry(d[i] * d[j].inverse())
+                              for j in range(n)] for i in range(n)]
+        elif ptype == "quaternion":
+            if param.algebra != base:
+                raise ShapeError("twisting element lies in a different algebra")
+            self._u_inv = param.inverse()
+        elif ptype == "skew":
+            if len(param) != n or any(len(r) != n for r in param):
+                raise ShapeError("skew matrix size must match n")
+            if not linalg.equal(linalg.transpose(param), linalg.neg(param)):
+                raise ShapeError("Int(S) twist requires S skew-symmetric")
+            s = [[as_scalar(v) for v in row] for row in param]
+            self._skew_inv = linalg.inverse(s, as_scalar(0), as_scalar(1))
 
     # -- element plumbing ------------------------------------------------
 
@@ -300,16 +307,13 @@ class AlgebraWithInvolution:
         if kind == "quat_conjugation":
             return [[x[0][0].conj()]]
         if kind == "int_u_conj":
-            u = self.sigma.u
-            return [[u * x[0][0].conj() * u.inverse()]]
+            return [[self.sigma.param * x[0][0].conj() * self._u_inv]]
         if kind in ("adjoint_diag", "adjoint_hermitian"):
-            d = self.sigma.q.entries
             if kind == "adjoint_hermitian":
-                xt = linalg.transpose([[v.conj() for v in row] for row in x])
-            else:
-                xt = linalg.transpose(x)
-            return [[self.coerce_entry(d[i] * d[j].inverse()) * xt[i][j]
-                     for j in range(self.n)] for i in range(self.n)]
+                x = [[v.conj() for v in row] for row in x]
+            f = self._factors
+            return [[f[i][j] * x[j][i] for j in range(self.n)]
+                    for i in range(self.n)]
         if kind == "symplectic_standard":
             m = self.n // 2
             tl = [[x[m + j][m + i] for j in range(m)] for i in range(m)]
@@ -319,7 +323,7 @@ class AlgebraWithInvolution:
             return ([tl[i] + tr[i] for i in range(m)]
                     + [bl[i] + br[i] for i in range(m)])
         # int_skew: S x^t S^-1
-        return self.mul(self.mul(self.sigma.skew, linalg.transpose(x)),
+        return self.mul(self.mul(self.sigma.param, linalg.transpose(x)),
                         self._skew_inv)
 
     def trd(self, x):
@@ -346,16 +350,19 @@ class AlgebraWithInvolution:
         return out
 
     def trace_form(self):
-        """Gram matrix of (x, y) -> (Trd(sigma(x)y) + Trd(sigma(y)x)) / 2."""
+        """Gram matrix of the involution trace form T(x, y) = Trd(sigma(x)y).
+
+        Every supported involution is of the first kind, so Trd o sigma = Trd
+        and Trd(sigma(y)x) = Trd(sigma(sigma(y)x)) = Trd(sigma(x)y): T is
+        symmetric, equal to its symmetrisation entry by entry, and one
+        product per pair of basis elements gives it."""
         basis = self.basis()
         sigmas = [self.involution(e) for e in basis]
         dim = len(basis)
-        half = as_scalar(1) / as_scalar(2)
         gram = [[None] * dim for _ in range(dim)]
         for r in range(dim):
             for s in range(r + 1):
-                v = half * (self.trd(self.mul(sigmas[r], basis[s]))
-                            + self.trd(self.mul(sigmas[s], basis[r])))
+                v = self.trd(self.mul(sigmas[r], basis[s]))
                 gram[r][s] = v
                 gram[s][r] = v
         return GramForm(gram)

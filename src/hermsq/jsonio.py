@@ -11,8 +11,8 @@ from fractions import Fraction
 from .errors import ParseError, ShapeError
 from .scalars import format_scalar, parse_scalar
 from .qforms import DiagonalForm, GramForm
-from .involutions import (AlgebraWithInvolution, InvolutionSpec, QuatElem,
-                          QuaternionAlgebra)
+from .involutions import (_INVOLUTION_KINDS, AlgebraWithInvolution,
+                          InvolutionSpec, QuatElem, QuaternionAlgebra)
 from .certificates import (HermSqCertificate, WeightedCertificate,
                            format_selector)
 from .ncpoly import PositivstellensatzCertificate, format_nc, parse_nc
@@ -48,9 +48,8 @@ def form_from_json(doc):
 
 def gram_from_json(doc):
     """{"matrix": rows of scalar strings} as a GramForm."""
-    rows = _field(doc, "matrix", list, "Gram document")
-    return GramForm([[parse_scalar(v) for v in _typed(row, list, "Gram matrix row", str)]
-                     for row in rows])
+    return GramForm(_scalar_rows(_field(doc, "matrix", list, "Gram document"),
+                                 "Gram matrix row"))
 
 
 def _rational(v):
@@ -80,6 +79,22 @@ def quat_from_json(algebra, doc):
     return QuatElem(algebra, tuple(parse_scalar(s) for s in doc))
 
 
+def _scalar_rows(rows, what):
+    """A list of lists of scalar strings, parsed; what names one row."""
+    return [[parse_scalar(v) for v in _typed(row, list, what, str)] for row in rows]
+
+
+# involution parameter type -> (JSON key, type of the key's list items,
+# writer, reader(value, base))
+_INVOLUTION_PARAMS = {
+    "form": ("q", str, lambda q: [format_scalar(e) for e in q.entries],
+             lambda v, base: DiagonalForm([parse_scalar(s) for s in v])),
+    "quaternion": ("u", str, quat_to_json, lambda v, base: quat_from_json(base, v)),
+    "skew": ("s", list, lambda s: [[format_scalar(v) for v in row] for row in s],
+             lambda v, base: _scalar_rows(v, "skew matrix row")),
+}
+
+
 def algebra_to_json(algebra):
     if isinstance(algebra.base, QuaternionAlgebra):
         base = {"quaternion": {"a": format_scalar(algebra.base.a),
@@ -88,46 +103,30 @@ def algebra_to_json(algebra):
         base = "F"
     sigma = algebra.sigma
     inv = {"kind": sigma.kind}
-    if sigma.kind in ("adjoint_diag", "adjoint_hermitian"):
-        inv["q"] = [format_scalar(e) for e in sigma.q.entries]
-    elif sigma.kind == "int_u_conj":
-        inv["u"] = quat_to_json(sigma.u)
-    elif sigma.kind == "int_skew":
-        inv["s"] = [[format_scalar(v) for v in row] for row in sigma.skew]
+    ptype = _INVOLUTION_KINDS[sigma.kind][1]
+    if ptype is not None:
+        key, _, write, _ = _INVOLUTION_PARAMS[ptype]
+        inv[key] = write(sigma.param)
     return {"base": base, "n": algebra.n, "involution": inv}
 
 
 def algebra_from_json(doc):
-    base = doc["base"]
-    if base == "F":
-        base_alg = "F"
-    else:
-        q = base["quaternion"]
-        base_alg = QuaternionAlgebra(parse_scalar(q["a"]), parse_scalar(q["b"]))
-    inv = doc["involution"]
-    kind = inv["kind"]
-    if kind == "transpose":
-        sigma = InvolutionSpec.transpose()
-    elif kind == "adjoint_diag":
-        sigma = InvolutionSpec.adjoint_diag(
-            DiagonalForm([parse_scalar(s) for s in inv["q"]]))
-    elif kind == "adjoint_hermitian":
-        sigma = InvolutionSpec.adjoint_hermitian(
-            DiagonalForm([parse_scalar(s) for s in inv["q"]]))
-    elif kind == "quat_conjugation":
-        sigma = InvolutionSpec.quat_conjugation()
-    elif kind == "int_u_conj":
-        if base_alg == "F":
-            raise ShapeError("int_u_conj requires a quaternion base")
-        sigma = InvolutionSpec.int_u_conj(quat_from_json(base_alg, inv["u"]))
-    elif kind == "symplectic_standard":
-        sigma = InvolutionSpec.symplectic_standard()
-    elif kind == "int_skew":
-        sigma = InvolutionSpec.int_skew(
-            [[parse_scalar(v) for v in row] for row in inv["s"]])
-    else:
+    base = doc.get("base") if isinstance(doc, dict) else None
+    if base != "F":
+        q = _field(_field(doc, "base", dict, "algebra"), "quaternion", dict, "algebra base")
+        base = QuaternionAlgebra(*(parse_scalar(_field(q, k, str, "quaternion base"))
+                                   for k in "ab"))
+    n = _field(doc, "n", int, "algebra")
+    inv = _field(doc, "involution", dict, "algebra")
+    kind = _field(inv, "kind", str, "involution")
+    if kind not in _INVOLUTION_KINDS:
         raise ShapeError(f"unknown involution kind {kind!r}")
-    return AlgebraWithInvolution(base_alg, doc["n"], sigma)
+    ptype = _INVOLUTION_KINDS[kind][1]
+    args = ()
+    if ptype is not None:
+        key, items, _, read = _INVOLUTION_PARAMS[ptype]
+        args = (read(_field(inv, key, list, "involution", items), base),)
+    return AlgebraWithInvolution(base, n, getattr(InvolutionSpec, kind)(*args))
 
 
 def matrix_to_json(algebra, m):
@@ -144,16 +143,12 @@ def matrix_from_json(algebra, doc):
     return algebra.elem(rows)
 
 
-def _target_to_json(algebra, target):
-    return matrix_to_json(algebra, target)
-
-
 def hermsq_cert_to_json(cert):
     alg = cert.algebra
     if not isinstance(alg, AlgebraWithInvolution):
         raise ShapeError("only matrix-algebra certificates have a JSON form")
     return {"algebra": algebra_to_json(alg),
-            "target": _target_to_json(alg, cert.target),
+            "target": matrix_to_json(alg, cert.target),
             "witnesses": [matrix_to_json(alg, w) for w in cert.witnesses]}
 
 
@@ -169,7 +164,7 @@ def weighted_cert_to_json(cert):
     if not isinstance(alg, AlgebraWithInvolution):
         raise ShapeError("only matrix-algebra certificates have a JSON form")
     return {"algebra": algebra_to_json(alg),
-            "target": _target_to_json(alg, cert.target),
+            "target": matrix_to_json(alg, cert.target),
             "weights": [format_scalar(w) for w in cert.weights],
             "terms": {format_selector(eps): [matrix_to_json(alg, x) for x in xs]
                       for eps, xs in cert.terms.items()}}

@@ -185,8 +185,6 @@ def parse_nc(text):
         if tok in "+-":
             if pending:
                 flush()
-            elif coeff is not None or word:
-                raise ParseError("misplaced sign", at)
             if tok == "-":
                 sign = -sign
         elif tok[0] == "x":
@@ -199,9 +197,13 @@ def parse_nc(text):
         else:
             if coeff is not None or word:
                 raise ParseError("coefficient must lead its term", at)
-            coeff = Fraction(tok)
+            try:
+                coeff = Fraction(tok)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", at) from None
             pending = True
-    if coeff is None and not pending and (sign != 1 or word):
+    # every other token sets pending, so only a sign can end without a term
+    if tokens and tokens[-1][0] in "+-":
         raise ParseError("dangling sign", len(text))
     flush()
     return result
@@ -281,6 +283,8 @@ class GenericMatrixContext:
     for; the matrices are keyed by index."""
 
     def __init__(self, n, variables, J="orthogonal"):
+        if n < 1:
+            raise ShapeError(f"matrix size must be positive, got {n}")
         if J not in ("orthogonal", "symplectic"):
             raise ShapeError("involution type must be orthogonal or symplectic")
         if J == "symplectic" and n % 2 != 0:
@@ -339,8 +343,9 @@ def psd_falsify(g, n, trials, seed, bound=5):
     """
     if not g.is_symmetric():
         raise ShapeError("falsification target must be symmetric (g = g*)")
-    if n < 1:
-        raise ShapeError("empty matrix tuple or empty matrix")
+    if n < 1 or trials < 0 or bound < 0:
+        raise ShapeError("matrix size must be positive, trial count and entry "
+                         f"bound nonnegative; got {n}, {trials}, {bound}")
     # a constant g still gets one matrix, so the counterexample fixes n
     letters = g.variables() or [1]
     for t in range(trials):

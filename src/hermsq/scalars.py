@@ -972,24 +972,38 @@ def _tokenize(text):
     return out
 
 
+def _check_size(what, degree, terms, polys, pos):
+    """Degree and term caps; the term bound counts the variables of polys."""
+    if degree > MAX_POWER_DEGREE:
+        raise ResourceLimitError(
+            f"{what} of degree {degree} exceeds the cap {MAX_POWER_DEGREE} "
+            f"(at position {pos})")
+    if terms > MAX_POWER_TERMS:
+        # there are C(D + v, v) monomials of degree <= D in v variables
+        v = len(set().union(*map(_keys, polys)))
+        terms = min(terms, comb(degree + v, v)) if v else 1
+        if terms > MAX_POWER_TERMS:
+            raise ResourceLimitError(
+                f"{what} of up to {terms} terms exceeds the cap {MAX_POWER_TERMS} "
+                f"(at position {pos})")
+
+
 def _check_power(base, e, pos):
     if e > MAX_EXPONENT:
         raise ResourceLimitError(
             f"exponent {e} exceeds the cap {MAX_EXPONENT} (at position {pos})")
-    degree = e * max(base.num.degree(), base.den.degree())
-    if degree > MAX_POWER_DEGREE:
-        raise ResourceLimitError(
-            f"power of degree {degree} exceeds the cap {MAX_POWER_DEGREE} "
-            f"(at position {pos})")
-    v = len(_keys(base.num) | _keys(base.den))
     t = max(len(base.num.terms), len(base.den.terms))
-    # p^e has at most C(e + t - 1, t - 1) terms for p with t terms, and
-    # there are C(D + v, v) monomials of degree <= D in v variables
-    terms = min(comb(e + t - 1, t - 1), comb(degree + v, v)) if v else 1
-    if terms > MAX_POWER_TERMS:
-        raise ResourceLimitError(
-            f"power of up to {terms} terms exceeds the cap {MAX_POWER_TERMS} "
-            f"(at position {pos})")
+    # p^e has at most C(e + t - 1, t - 1) terms for p with t terms
+    _check_size("power", e * max(base.num.degree(), base.den.degree()),
+                comb(e + t - 1, t - 1), (base.num, base.den), pos)
+
+
+def _check_product(a, b, op, pos):
+    """The caps, on the numerator and denominator products of a op b."""
+    bn, bd = (b.num, b.den) if op == "*" else (b.den, b.num)
+    _check_size("product", max(a.num.degree() + bn.degree(), a.den.degree() + bd.degree()),
+                max(len(a.num.terms) * len(bn.terms), len(a.den.terms) * len(bd.terms)),
+                (a.num, a.den, b.num, b.den), pos)
 
 
 class _Parser:
@@ -1038,14 +1052,12 @@ class _Parser:
     def term(self):
         val = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.next()[0]
+            op, pos = self.next()
             rhs = self.factor()
-            if op == "*":
-                val = val * rhs
-            else:
-                if rhs.is_zero():
-                    raise ParseError("division by zero", self.toks[self.i - 1][1])
-                val = val / rhs
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero", self.toks[self.i - 1][1])
+            _check_product(val, rhs, op, pos)
+            val = val * rhs if op == "*" else val / rhs
         return val
 
     def factor(self):

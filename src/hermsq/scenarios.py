@@ -20,17 +20,13 @@ from .ncpoly import (NCPolynomial, commutator, is_central_nonvanishing,
                      is_identity_mod_a)
 
 
-def _ordering_key(p):
-    return repr(p).split("(")[1].rstrip(")")
-
-
 def _pipeline_report(name, report):
     return {
         "scenario": name,
         "element": format_scalar(report.element),
         "positivity_witness_verified": report.positivity_witness.verify(),
-        "signatures": {_ordering_key(p): s for p, s in report.signatures.items()},
-        "sigma_orderings": [_ordering_key(p) for p in report.sigma_orderings],
+        "signatures": {str(p): s for p, s in report.signatures.items()},
+        "sigma_orderings": [str(p) for p in report.sigma_orderings],
         "entry_form": [format_scalar(e) for e in report.entry_form.entries],
         "weakly_represents_one": report.weak_rep.represents,
         "confirmed": report.verdict,
@@ -134,7 +130,7 @@ def scenario_ex_psd(options):
                  and trace == sum_squares and psd_example)
     return {"scenario": "ex-psd", "n": n,
             "identity_gram": identity_gram,
-            "sigma_orderings": [_ordering_key(p) for p in orderings],
+            "sigma_orderings": [str(p) for p in orderings],
             "trace_is_sum_of_entry_squares": trace == sum_squares,
             "psd_example": psd_example,
             "confirmed": confirmed}

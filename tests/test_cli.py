@@ -75,6 +75,10 @@ class TestQfCommands:
     @pytest.mark.parametrize("power, message", [
         ("(X+Y+1)^100000", "exponent 100000 exceeds the cap"),
         ("(X+Y+z1_1_1+z1_2_1+z2_1_1+z2_2_1+1)^10", "power of up to 8008 terms exceeds the cap"),
+        ("(X+Y+1)^64*(X+Y+1)^64", "product of degree 128 exceeds the cap"),
+        ("(" + "+".join(f"z{i}_1_1" for i in range(1, 72)) + ")*("
+         + "+".join(f"z{i}_2_1" for i in range(1, 72)) + ")",
+         "product of up to 5041 terms exceeds the cap"),
     ])
     def test_power_over_cap_is_input_error(self, power, message):
         # in a child process with a timeout: without the caps these run
@@ -181,6 +185,21 @@ class TestNcCommands:
                            "--poly", "x1 x1 x1 x1 x1 x1 x1", "--n", "2")
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["identity", "--poly", "x1", "--n", "0"],
+        ["identity", "--poly", "x1", "--n", "-1"],
+        ["central", "--poly", "1", "--n", "0"],
+        ["identity", "--poly", "1/0 x1", "--n", "1"],
+        ["identity", "--poly", "+", "--n", "2"],
+        ["identity", "--poly", "x1 - -", "--n", "2"],
+        ["falsify", "--poly", "x1* x1", "--n", "2", "--bound", "-1"],
+        ["falsify", "--poly", "x1* x1", "--n", "2", "--trials", "-5"],
+    ])
+    def test_malformed_input_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, "nc", *argv)
+        assert code == 2 and out == ""
+        assert "error" in err and "Traceback" not in err
 
     def test_verify_cert(self, capsys, tmp_path):
         doc = {"g": "x1* x1", "h": "1", "n": 2, "J": "orthogonal",

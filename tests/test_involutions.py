@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from hermsq.errors import HermsqError, ShapeError
+from hermsq import linalg
+from hermsq.errors import HermsqError, ShapeError, SingularMatrixError
 from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
                                 QuatElem, QuaternionAlgebra, apply_involution,
                                 entry_33_constraint, hermitian_square,
@@ -161,6 +162,7 @@ class TestInvolutions:
                 y = random_element(rng, alg)
                 sx = alg.involution(x)
                 assert alg.equal(alg.involution(sx), x)
+                assert alg.trd(sx) == alg.trd(x)
                 assert alg.equal(alg.involution(alg.mul(x, y)),
                                  alg.mul(alg.involution(y), sx))
                 c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -260,6 +262,60 @@ class TestTraceForm:
             t = reduced_trace(alg, hermitian_square(alg, x))
             for p in orderings:
                 assert sign_at(t, p) >= 0
+
+
+def random_skew(rng, n):
+    """A seeded nonsingular skew-symmetric n x n matrix over F (n even)."""
+    while True:
+        s = [[as_scalar(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = as_scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                if rng.random() < 0.5:
+                    v = v + X
+                s[i][j], s[j][i] = v, -v
+        try:
+            linalg.inverse(s, as_scalar(0), as_scalar(1))
+        except SingularMatrixError:
+            continue
+        return s
+
+
+def all_kind_algebras():
+    rng = random.Random(83)
+    h = QuaternionAlgebra(-1, X)
+    out = [AlgebraWithInvolution("F", 3, InvolutionSpec.transpose()),
+           AlgebraWithInvolution("F", 4, InvolutionSpec.adjoint_diag(
+               DiagonalForm([X, Y, X * Y, 1 + X]))),
+           AlgebraWithInvolution(h, 1, InvolutionSpec.quat_conjugation()),
+           AlgebraWithInvolution(h, 1, InvolutionSpec.int_u_conj(h.elem(0, 1, 2, Y))),
+           AlgebraWithInvolution(h, 2, InvolutionSpec.adjoint_hermitian(
+               DiagonalForm([X, 1 - Y])))]
+    for n in (2, 4):
+        out.append(AlgebraWithInvolution("F", n, InvolutionSpec.symplectic_standard()))
+        out.append(AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(random_skew(rng, n))))
+    return out
+
+
+class TestTraceFormAllKinds:
+    @pytest.mark.parametrize("alg", all_kind_algebras(),
+                             ids=lambda a: f"{a.sigma.kind}-n{a.n}")
+    def test_matches_symmetrised_definition(self, alg):
+        # the Gram is Trd(sigma(x)y) from one product; it must equal the
+        # symmetrised form (Trd(sigma(x)y) + Trd(sigma(y)x)) / 2 exactly
+        basis = alg.basis()
+        sigmas = [alg.involution(e) for e in basis]
+        half = as_scalar(Fraction(1, 2))
+        gram = trace_form(alg).matrix
+        assert len(gram) == len(basis)
+        for r, er in enumerate(basis):
+            for s, es in enumerate(basis):
+                want = half * (alg.trd(alg.mul(sigmas[r], es))
+                               + alg.trd(alg.mul(sigmas[s], er)))
+                got = gram[r][s]
+                assert got == want
+                assert got.num.terms == want.num.terms
+                assert got.den.terms == want.den.terms
 
 
 class TestEntry33:

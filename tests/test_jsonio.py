@@ -62,6 +62,8 @@ class TestAlgebras:
             AlgebraWithInvolution(h, 1, InvolutionSpec.int_u_conj(h.i())),
             AlgebraWithInvolution(h, 3, InvolutionSpec.adjoint_hermitian(
                 DiagonalForm([X, Y, X * Y]))),
+            AlgebraWithInvolution("F", 2, InvolutionSpec.int_skew(
+                [[as_scalar(0), X + 1], [-X - 1, as_scalar(0)]])),
         ]
 
     def test_roundtrips(self):
@@ -85,6 +87,21 @@ class TestAlgebras:
             algebra_from_json({"base": "F", "n": 1,
                                "involution": {"kind": "int_u_conj",
                                               "u": ["0", "1", "0", "0"]}})
+
+    @pytest.mark.parametrize("doc", [
+        {"base": "F"},
+        {"base": 5, "n": 2, "involution": {"kind": "transpose"}},
+        {"base": "F", "n": "x", "involution": {"kind": "transpose"}},
+        {"base": "F", "n": 2, "involution": {"kind": "adjoint_diag"}},
+        {"base": "F", "n": 2, "involution": {"kind": "adjoint_diag", "q": ["X", 1]}},
+        {"base": {"quaternion": {"a": "-1"}}, "n": 1,
+         "involution": {"kind": "quat_conjugation"}},
+        {"base": "F", "n": 2, "involution": {"kind": "int_skew", "s": ["0", "1"]}},
+        [1, 2],
+    ])
+    def test_malformed_documents(self, doc):
+        with pytest.raises((ShapeError, ParseError)):
+            algebra_from_json(doc)
 
 
 class TestMatrices:

@@ -95,6 +95,13 @@ class TestGrammar:
             parse_nc("x1 2")
         with pytest.raises(ParseError):
             parse_nc("x0")
+        # a sign with no term after it, and a zero denominator
+        for text in ("x1 +", "x1 -", "x1 - -", "+", "--", "1/0 x1"):
+            with pytest.raises(ParseError):
+                parse_nc(text)
+        # repeated signs before a term still parse
+        assert parse_nc("x1 + + x2") == parse_nc("x1 + x2")
+        assert parse_nc("- - x1") == parse_nc("x1")
 
 
 class TestEval:

@@ -443,3 +443,17 @@ class TestGrammar:
         assert parse_scalar(f"2^{scalars.MAX_EXPONENT}") == as_scalar(2 ** scalars.MAX_EXPONENT)
         assert parse_scalar("(X+Y+1)^0") == RationalFunction.one()
         assert parse_scalar("(X+1)^-3") == ((X + 1) ** 3).inverse()
+        # products and quotients share the caps, checked before each is formed
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_scalar("(X+Y+1)^40*(X+Y+1)^40")
+        assert f"product of degree 80 exceeds the cap {scalars.MAX_POWER_DEGREE}" in str(exc.value)
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_scalar("1/(X+1)^40/(X+1)^40")
+        assert "product of degree 80 exceeds" in str(exc.value)
+        sums = ["+".join(f"z{i}_{j}_1" for i in range(1, 72)) for j in (1, 2)]
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_scalar(f"({sums[0]})*({sums[1]})")
+        assert f"product of up to 5041 terms exceeds the cap {scalars.MAX_POWER_TERMS}" in str(exc.value)
+        # under the caps
+        assert parse_scalar("(X+Y+1)^20*(X+Y+1)^20") == (X + Y + 1) ** 40
+        assert parse_scalar("X^32*X^32/X^64") == RationalFunction.one()
