@@ -311,9 +311,9 @@ def counterexample_pipeline(alpha, beta, base="F"):
 
 def _as_fraction(v):
     if isinstance(v, RationalFunction):
-        if not (v.num.is_constant() and v.den.is_constant()):
+        if not v.is_constant():
             raise ShapeError("expected a rational constant")
-        return Fraction(v.num.constant()) / Fraction(v.den.constant())
+        return v.as_fraction()
     return Fraction(v)
 
 

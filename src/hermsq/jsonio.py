@@ -74,7 +74,7 @@ def quat_to_json(x):
 
 
 def quat_from_json(algebra, doc):
-    if len(doc) != 4:
+    if len(_typed(doc, list, "quaternion coordinate list", str)) != 4:
         raise ParseError("quaternion coordinate list must have 4 entries", 0)
     return QuatElem(algebra, tuple(parse_scalar(s) for s in doc))
 
@@ -136,10 +136,11 @@ def matrix_to_json(algebra, m):
 
 
 def matrix_from_json(algebra, doc):
+    rows = _typed(doc, list, "matrix", list)
     if isinstance(algebra.base, QuaternionAlgebra):
-        rows = [[quat_from_json(algebra.base, v) for v in row] for row in doc]
+        rows = [[quat_from_json(algebra.base, v) for v in row] for row in rows]
     else:
-        rows = [[parse_scalar(v) for v in row] for row in doc]
+        rows = _scalar_rows(rows, "matrix row")
     return algebra.elem(rows)
 
 
@@ -153,10 +154,12 @@ def hermsq_cert_to_json(cert):
 
 
 def hermsq_cert_from_json(doc):
-    alg = algebra_from_json(doc["algebra"])
+    what = "certificate"
+    alg = algebra_from_json(_field(doc, "algebra", dict, what))
     return HermSqCertificate(alg,
-                             matrix_from_json(alg, doc["target"]),
-                             [matrix_from_json(alg, w) for w in doc["witnesses"]])
+                             matrix_from_json(alg, _field(doc, "target", list, what)),
+                             [matrix_from_json(alg, w)
+                              for w in _field(doc, "witnesses", list, what)])
 
 
 def weighted_cert_to_json(cert):
@@ -171,13 +174,14 @@ def weighted_cert_to_json(cert):
 
 
 def weighted_cert_from_json(doc):
-    alg = algebra_from_json(doc["algebra"])
+    what = "certificate"
+    alg = algebra_from_json(_field(doc, "algebra", dict, what))
     return WeightedCertificate(
         alg,
-        matrix_from_json(alg, doc["target"]),
-        [parse_scalar(w) for w in doc["weights"]],
-        {key: [matrix_from_json(alg, x) for x in xs]
-         for key, xs in doc["terms"].items()})
+        matrix_from_json(alg, _field(doc, "target", list, what)),
+        [parse_scalar(w) for w in _field(doc, "weights", list, what, str)],
+        {key: [matrix_from_json(alg, x) for x in _typed(xs, list, f"certificate term {key!r}")]
+         for key, xs in _field(doc, "terms", dict, what).items()})
 
 
 def psatz_cert_to_json(cert):

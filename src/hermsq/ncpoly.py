@@ -11,6 +11,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .certificates import parse_selector, psd_symmetric_rational
 from .errors import ParseError, ResourceLimitError, ShapeError
@@ -20,6 +21,10 @@ from .involutions import AlgebraWithInvolution, InvolutionSpec
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_N = 3
+# caps of psd_falsify: 1000 trials on x1* x1 + x2* x2 take 4 to 6 s at
+# n = 8 and about 48 s at n = 16 on a 2-vCPU VM
+MAX_FALSIFY_N = 8
+MAX_FALSIFY_TRIALS = 1000
 
 
 def _max_degree():
@@ -319,6 +324,9 @@ def generic_eval(f, ctx):
 def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):
     """Exact membership of f in the *-identity ideal for degree-n algebras."""
     _check_limits(f.degree(), n, max_degree)
+    # d*f, d the lcm of f's coefficient denominators, vanishes (or is a
+    # nonzero scalar) exactly when f does, and keeps the entries integral
+    f = f * lcm(*(c.denominator for c in f.terms.values()))
     value = generic_eval(f, GenericMatrixContext(n, f.variables(), J))
     return all(v.is_zero() for row in value for v in row)
 
@@ -326,6 +334,7 @@ def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):
 def is_central_nonvanishing(h, n, J="orthogonal", max_degree=None):
     """True iff the generic-matrix image of h is a nonzero scalar matrix."""
     _check_limits(h.degree(), n, max_degree)
+    h = h * lcm(*(c.denominator for c in h.terms.values()))  # as in is_identity_mod_a
     value = generic_eval(h, GenericMatrixContext(n, h.variables(), J))
     c = value[0][0]
     return bool(c) and equal(value, identity(n, as_scalar(0), c))
@@ -346,6 +355,10 @@ def psd_falsify(g, n, trials, seed, bound=5):
     if n < 1 or trials < 0 or bound < 0:
         raise ShapeError("matrix size must be positive, trial count and entry "
                          f"bound nonnegative; got {n}, {trials}, {bound}")
+    if n > MAX_FALSIFY_N or trials > MAX_FALSIFY_TRIALS:
+        raise ResourceLimitError(
+            f"falsification at matrix size {n} with {trials} trials exceeds the caps "
+            f"{MAX_FALSIFY_N} and {MAX_FALSIFY_TRIALS}")
     # a constant g still gets one matrix, so the counterexample fixes n
     letters = g.variables() or [1]
     for t in range(trials):

@@ -10,12 +10,13 @@ compares (degree, monomial reversed).  Only this module knows the format:
 variable names appear at the boundary alone (`Polynomial.variable`,
 `Polynomial.monomial`, `variables`, `degree_in`, `evaluate`, `leading`,
 `monomial_parts`, `sign_at`, parsing and formatting).  The zero polynomial
-is the empty term map, and coefficients are Fractions, except inside
-`poly_gcd`, which runs on the primitive integer parts of its inputs with
-int coefficients and returns to Fractions once on exit.  Rational
-functions keep gcd-reduced num/den with a primitive integer denominator
-whose leading coefficient (graded-lex) is positive, so equal fractions
-have identical representations.
+is the empty term map.  Coefficients are ints wherever the arithmetic stays
+in Z; Fractions enter only with rational values given to a polynomial, and
+leave as the values of `evaluate`, `as_fraction` and `monomial_parts`.  A
+rational function is a coprime pair of int polynomials num/den, den with a
+positive graded-lex leading coefficient and integer content 1 over num and
+den together, so equal fractions have identical representations (p/q is p
+over q, zero is 0 over 1).
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ def _keys(p):
     return {v for mono in p.terms for v, _ in mono}
 
 
+def _scaled(p, k):
+    """p times k, for p = 0 or k != 0."""
+    return p if k == 1 else Polynomial({m: c * k for m, c in p.terms.items()})
+
+
 def _quo(a, b):
     """a / b, kept an int when a and b are ints and b divides a."""
     if a.__class__ is int and b.__class__ is int:
@@ -118,7 +124,7 @@ def _quo(a, b):
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial over Q."""
 
     __slots__ = ("terms",)
 
@@ -133,8 +139,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
-        return cls({(): c} if c else None)
+        return cls.monomial((), c)
 
     @classmethod
     def one(cls):
@@ -145,7 +150,7 @@ class Polynomial:
         key = _var_key(name)  # validates
         if exp == 0:
             return cls.one()
-        return cls({((key, exp),): Fraction(1)})
+        return cls({((key, exp),): 1})
 
     @classmethod
     def monomial(cls, mono, coeff):
@@ -153,6 +158,8 @@ class Polynomial:
         coeff = Fraction(coeff)
         if not coeff:
             return cls()
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         return cls({tuple(sorted((_var_key(v), e) for v, e in mono)): coeff})
 
     # -- structure ----------------------------------------------------
@@ -166,7 +173,7 @@ class Polynomial:
     def constant(self):
         if not self.is_constant():
             raise HermsqError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -235,6 +242,8 @@ class Polynomial:
             self, other = other, self
         if len(other.terms) == 1:
             (m2, c2), = other.terms.items()
+            if not m2:
+                return _scaled(self, c2)
             return Polynomial({_mono_mul(m, m2): c * c2 for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
@@ -257,18 +266,15 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise HermsqError("polynomial powers must be nonnegative integers")
-        if n == 0:
-            return Polynomial.one()
-        # no multiplication by one, so int coefficients stay ints
-        result = None
+        result = Polynomial.one()
         base = self
-        while True:
+        while n:
             if n & 1:
-                result = base if result is None else result * base
+                result = result * base
             n >>= 1
-            if not n:
-                return result
-            base = base * base
+            if n:
+                base = base * base
+        return result
 
     def __eq__(self, other):
         other = _as_poly(other)
@@ -305,12 +311,23 @@ class Polynomial:
         return total
 
     def content_and_primitive(self):
-        """Return (c, p) with self = c*p, p primitive over Z with positive
-        graded-lex leading coefficient.  Zero returns (0, 0)."""
-        cont, prim = _integer_parts(self)
-        if cont == 1:
-            return cont, self
-        return cont, _to_fractions(prim)
+        """Return (c, p) with self = c*p, c a Fraction and p primitive over Z
+        with int coefficients and positive graded-lex leading coefficient.
+        Zero returns (0, 0)."""
+        if not self.terms:
+            return Fraction(0), self
+        num, den = 0, 1
+        for c in self.terms.values():
+            num = _int_gcd(num, c.numerator)
+            d = c.denominator
+            if d != 1:
+                den = den * d // _int_gcd(den, d)
+        if _leading(self)[1] < 0:
+            num = -num
+        if num == 1 and den == 1 and all(c.__class__ is int for c in self.terms.values()):
+            return Fraction(1), self
+        prim = {m: c.numerator // num * (den // c.denominator) for m, c in self.terms.items()}
+        return Fraction(num, den), Polynomial(prim)
 
 
 def _as_poly(x):
@@ -333,28 +350,6 @@ def _degree_in(p, var):
     if not p.terms:
         return -1
     return max(dict(m).get(var, 0) for m in p.terms)
-
-
-def _integer_parts(f):
-    """(c, p) with f = c*p, c a Fraction and p primitive over Z with int
-    coefficients and positive graded-lex leading coefficient; (0, f) for
-    f = 0."""
-    if not f.terms:
-        return Fraction(0), f
-    num, den = 0, 1
-    for c in f.terms.values():
-        num = _int_gcd(num, c.numerator)
-        d = c.denominator
-        if d != 1:
-            den = den * d // _int_gcd(den, d)
-    if _leading(f)[1] < 0:
-        num = -num
-    prim = {m: c.numerator // num * (den // c.denominator) for m, c in f.terms.items()}
-    return Fraction(num, den), Polynomial(prim)
-
-
-def _to_fractions(p):
-    return Polynomial({m: Fraction(c) for m, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +508,17 @@ def _coprime_by_specialization(f, g, common, allvars):
 
 def poly_gcd(f, g):
     """Primitive gcd over Z with positive leading coefficient (1 for coprime
-    inputs and for nonzero constants), with Fraction coefficients."""
-    return _to_fractions(_gcd(_integer_parts(f)[1], _integer_parts(g)[1]))
+    inputs and for nonzero constants), with int coefficients."""
+    return _gcd(f.content_and_primitive()[1], g.content_and_primitive()[1])
 
 
 def _gcd(f, g):
     """poly_gcd of two polynomials with int coefficients, with int
     coefficients."""
     if not f.terms:
-        return _integer_parts(g)[1]
+        return g.content_and_primitive()[1]
     if not g.terms:
-        return _integer_parts(f)[1]
+        return f.content_and_primitive()[1]
     if f.is_constant() or g.is_constant():
         return _INT_ONE
     if len(f.terms) == 1:
@@ -566,7 +561,7 @@ def _gcd(f, g):
         d = _degree_in(a, var) - _degree_in(b, var)
         r = _pseudo_rem(a, b, var)
         if r.is_zero():
-            return _integer_parts(c * primitive_in(b))[1]
+            return (c * primitive_in(b)).content_and_primitive()[1]
         if _degree_in(r, var) == 0:
             # remainder free of var: the primitive parts are coprime
             return c
@@ -590,11 +585,6 @@ def _gcd_content(h, coeffs):
 # rational functions
 # ---------------------------------------------------------------------------
 
-# the denominator 1: sums and products of two such fractions need no gcd
-_ONE_TERMS = {(): Fraction(1)}
-_POLY_ONE = Polynomial(_ONE_TERMS)
-
-
 class RationalFunction:
     """Element of Q(X, Y, z...) as a canonical num/den pair."""
 
@@ -602,35 +592,35 @@ class RationalFunction:
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
-        den = Polynomial.one() if den is None else _as_poly(den)
+        den = _INT_ONE if den is None else _as_poly(den)
         if num is NotImplemented or den is NotImplemented:
             raise HermsqError("cannot build rational function from given operands")
         if den.is_zero():
             raise DivisionByZeroError("zero denominator")
-        if num.is_zero():
-            self.num = Polynomial()
-            self.den = Polynomial.one()
-            return
+        cn, num = num.content_and_primitive()
+        cd, den = den.content_and_primitive()
         if not den.is_constant():
-            g = poly_gcd(num, den)
+            g = _gcd(num, den)
             if not g.is_constant():
                 num = poly_divexact(num, g)
                 den = poly_divexact(den, g)
-        c, prim = den.content_and_primitive()
-        self.num = num if c == 1 else Polynomial({m: co / c for m, co in num.terms.items()})
-        self.den = prim
+        # num and den are primitive and coprime, so the joint content of
+        # c's numerator times num and c's denominator times den is 1
+        c = cn / cd
+        self.num = _scaled(num, c.numerator)
+        self.den = _scaled(den, c.denominator)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_const(cls, c):
-        return cls(Polynomial.const(c))
+        c = Fraction(c)
+        return cls._reduced(Polynomial.const(c.numerator), _scaled(_INT_ONE, c.denominator))
 
     @classmethod
     def variable(cls, name, exp=1):
-        if exp >= 0:
-            return cls(Polynomial.variable(name, exp))
-        return cls(Polynomial.one(), Polynomial.variable(name, -exp))
+        v = Polynomial.variable(name, abs(exp))
+        return cls._reduced(v, _INT_ONE) if exp >= 0 else cls._reduced(_INT_ONE, v)
 
     @classmethod
     def zero(cls):
@@ -649,7 +639,7 @@ class RationalFunction:
         return self.num.is_constant() and self.den.is_constant()
 
     def as_fraction(self):
-        return self.num.constant() / self.den.constant()
+        return Fraction(self.num.constant(), self.den.constant())
 
     def is_monomial(self):
         return self.num.is_monomial() and self.den.is_monomial()
@@ -661,61 +651,43 @@ class RationalFunction:
 
     @classmethod
     def _reduced(cls, num, den):
-        """Build from an already gcd-reduced num/den pair, normalizing only
-        the denominator content."""
+        """Build from coprime int polynomials num/den, den with a positive
+        leading coefficient, removing only the integer content they share."""
         out = object.__new__(cls)
-        if num.is_zero():
-            out.num = Polynomial()
-            out.den = Polynomial.one()
+        if not num.terms:
+            out.num, out.den = num, _INT_ONE
             return out
-        c, prim = den.content_and_primitive()
-        out.num = num if c == 1 else Polynomial({m: co / c for m, co in num.terms.items()})
-        out.den = prim
-        return out
-
-    @classmethod
-    def _polynomial(cls, num):
-        """Build num/1 directly; what RationalFunction(num) builds."""
-        out = object.__new__(cls)
-        out.num = num
-        out.den = _POLY_ONE
+        c = _int_gcd(*den.terms.values(), *num.terms.values())
+        if c != 1:
+            num = Polynomial({m: v // c for m, v in num.terms.items()})
+            den = Polynomial({m: v // c for m, v in den.terms.items()})
+        out.num, out.den = num, den
         return out
 
     def __add__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
-            return RationalFunction._polynomial(self.num + other.num)
+        a, b = (self, other) if self.den.is_constant() else (other, self)
+        if a.den.is_constant():
+            # a's den is a unit and b's den is coprime to b's num, so only
+            # integer content can cancel
+            q = a.den.terms[()]
+            return RationalFunction._reduced(a.num * b.den + _scaled(b.num, q),
+                                             _scaled(b.den, q))
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        if self.den.is_constant() or other.den.is_constant():
-            return RationalFunction(
-                self.num * other.den + other.num * self.den,
-                self.den * other.den)
+            return RationalFunction._reduced(*_cross_cancel(self.num + other.num, self.den))
         # Henrici addition: cancel through g = gcd of the denominators, so
         # the remaining gcd runs against g instead of the full product
         g = poly_gcd(self.den, other.den)
-        if g.is_constant():
-            num = self.num * other.den + other.num * self.den
-            return RationalFunction._reduced(num, self.den * other.den)
-        d1 = poly_divexact(self.den, g)
-        d2 = poly_divexact(other.den, g)
-        num = self.num * d2 + other.num * d1
-        lcm = d1 * other.den
-        h = poly_gcd(num, g)
-        if h.is_constant():
-            return RationalFunction._reduced(num, lcm)
-        return RationalFunction._reduced(poly_divexact(num, h),
-                                         poly_divexact(lcm, h))
+        d1, d2 = poly_divexact(self.den, g), poly_divexact(other.den, g)
+        num, g = _cross_cancel(self.num * d2 + other.num * d1, g)
+        return RationalFunction._reduced(num, d1 * d2 * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = _as_rf(other)
@@ -730,11 +702,8 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
-            return RationalFunction._polynomial(self.num * other.num)
         if self.den.is_constant() and other.den.is_constant():
-            return RationalFunction(self.num * other.num,
-                                    self.den * other.den)
+            return RationalFunction._reduced(self.num * other.num, self.den * other.den)
         # cross-cancel so the product of two reduced fractions stays reduced
         n1, d2 = _cross_cancel(self.num, other.den)
         n2, d1 = _cross_cancel(other.num, self.den)
@@ -745,7 +714,9 @@ class RationalFunction:
     def inverse(self):
         if self.is_zero():
             raise DivisionByZeroError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        # the swapped pair is canonical up to the sign of its den
+        sign = -1 if _leading(self.num)[1] < 0 else 1
+        return RationalFunction._reduced(_scaled(self.den, sign), _scaled(self.num, sign))
 
     def __truediv__(self, other):
         other = _as_rf(other)
@@ -761,7 +732,8 @@ class RationalFunction:
             raise HermsqError("powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
+        # powers of a coprime pair are coprime, and their contents too
+        return RationalFunction._reduced(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         other = _as_rf(other)
@@ -793,7 +765,7 @@ class RationalFunction:
 
 
 def _cross_cancel(num, den):
-    if num.is_zero() or num.is_constant() or den.is_constant():
+    if num.is_constant() or den.is_constant():
         return num, den
     g = poly_gcd(num, den)
     if g.is_constant():
@@ -927,7 +899,7 @@ def monomial_parts(f):
     # num and den are coprime, so no variable is in both
     exps = {_var_name(v): e for v, e in mn}
     exps.update((_var_name(v), -e) for v, e in md)
-    return cn / cd, exps
+    return Fraction(cn, cd), exps
 
 
 def monomial_square_class(f):
@@ -1126,9 +1098,12 @@ def format_polynomial(p):
 def format_scalar(f):
     """Canonical text form; parse(format(f)) == f."""
     f = as_scalar(f)
-    if f.den == Polynomial.one():
-        return format_polynomial(f.num)
-    return f"({format_polynomial(f.num)})/({format_polynomial(f.den)})"
+    # the text keeps the den primitive, its integer content inside the num
+    c, den = f.den.content_and_primitive()
+    num = f.num if c == 1 else Polynomial({m: v / c for m, v in f.num.terms.items()})
+    if den.is_constant():
+        return format_polynomial(num)
+    return f"({format_polynomial(num)})/({format_polynomial(den)})"
 
 
 X = RationalFunction.variable("X")

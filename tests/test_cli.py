@@ -201,6 +201,19 @@ class TestNcCommands:
         assert code == 2 and out == ""
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, sizes", [
+        (["--n", "9"], ("9", "8")),
+        (["--n", "2", "--trials", "1001"], ("1001", "1000")),
+    ])
+    def test_falsify_over_cap_is_input_error(self, capsys, monkeypatch, argv, sizes):
+        def evaluate(*args, **kwargs):
+            raise AssertionError("evaluated over the cap")
+        monkeypatch.setattr("hermsq.ncpoly._eval_at", evaluate)
+        code, out, err = run(capsys, "nc", "falsify", "--poly", "x1* x1 + x2* x2", *argv)
+        assert code == 2 and out == ""
+        assert "cap" in err and all(size in err for size in sizes)
+        assert "Traceback" not in err
+
     def test_verify_cert(self, capsys, tmp_path):
         doc = {"g": "x1* x1", "h": "1", "n": 2, "J": "orthogonal",
                "weights": [], "terms": {"": ["x1"]}}
@@ -288,6 +301,21 @@ class TestScenarios:
         assert code == 2
         assert out == ""
         assert "n >= 1" in err
+
+    @pytest.mark.parametrize("name, n, cap, builder", [
+        ("thm4.7", "26", "24", "symplectic_minus_one"),
+        ("ex-psd", "11", "10", "AlgebraWithInvolution"),
+    ])
+    def test_size_over_cap_is_input_error(self, capsys, monkeypatch, name, n, cap, builder):
+        # rejected before any work starts
+        def build(*args, **kwargs):
+            raise AssertionError("work started for a size over the cap")
+        monkeypatch.setattr(f"hermsq.scenarios.{builder}", build)
+        code, out, err = run(capsys, "scenario", name, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert f"size {n} exceeds the cap {cap}" in err
+        assert "Traceback" not in err
 
     def test_ex_psd_sizes(self, capsys):
         for n in ("1", "3"):

@@ -149,6 +149,42 @@ class TestCertificates:
         assert verify_positivstellensatz(back)
         assert psatz_cert_to_json(back) == doc
 
+    SHARED_FAULTS = [("target", None), ("target", 5), ("target", ["X"]),
+                     ("target", [[5, "0", "0"]] * 3), ("algebra", None), ("algebra", 5)]
+
+    @pytest.mark.parametrize("kind, key, value", [
+        *(("hermsq", k, v) for k, v in SHARED_FAULTS),
+        *(("weighted", k, v) for k, v in SHARED_FAULTS),
+        ("hermsq", "witnesses", "x"), ("hermsq", "witnesses", [5]), ("hermsq", "witnesses", None),
+        ("weighted", "weights", [1]), ("weighted", "terms", {"1": 5}), ("weighted", "terms", None),
+    ])
+    def test_malformed_certificates(self, kind, key, value):
+        # a missing key (None) or a value of the wrong type is a ShapeError
+        # or ParseError, never a KeyError or TypeError
+        alg = thm32_algebra()
+        if kind == "hermsq":
+            b = alg.unit(0, 1, X)
+            doc = hermsq_cert_to_json(HermSqCertificate(alg, alg.mul(alg.involution(b), b), [b]))
+            read = hermsq_cert_from_json
+        else:
+            doc = weighted_cert_to_json(WeightedCertificate(alg, alg.scalar(X * Y), [X * Y],
+                                                            {"1": [alg.identity()]}))
+            read = weighted_cert_from_json
+        doc[key] = value
+        if value is None:
+            del doc[key]
+        with pytest.raises((ShapeError, ParseError)):
+            read(doc)
+        with pytest.raises(ShapeError):
+            read([doc])
+
+    def test_malformed_quaternion_matrix(self):
+        h = QuaternionAlgebra(-1, -1)
+        alg = AlgebraWithInvolution(h, 1, InvolutionSpec.quat_conjugation())
+        for doc in ([["1"]], [[["1", "0", "0", 0]]], [5], 5):
+            with pytest.raises((ShapeError, ParseError)):
+                matrix_from_json(alg, doc)
+
     def test_structure_algebra_cert_has_no_json(self):
         from hermsq.certificates import prop41_certificates, tensor_certificates
         quat = QuaternionAlgebra(-1, -1)

@@ -274,6 +274,27 @@ class TestIdentities:
         assert not is_central_nonvanishing(NCPolynomial.zero(), 2)
         assert not is_central_nonvanishing(commutator(x(1), x(2)) ** 2, 3)
 
+    def test_rational_coefficients_match_integer_multiples(self):
+        # the checks expand f times the lcm of its coefficient denominators;
+        # f and any nonzero integer multiple of f must get the same answers
+        rng = random.Random(61)
+        known = [commutator(commutator(x(1), x(2)) ** 2, x(3)),  # identity at n = 2
+                 commutator(x(1), x(2)) ** 2,                     # central at n = 2
+                 commutator(x(1) + xs(1), x(2))]                  # symplectic identity
+        seen = set()
+        for k in range(18):
+            f = NCPolynomial({w: Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                              for w in random_nc(rng, nterms=3).terms})
+            if k % 2:
+                f = known[k % 3] * Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            m = rng.randint(2, 30)
+            for J in ("orthogonal", "symplectic"):
+                for check in (is_identity_mod_a, is_central_nonvanishing):
+                    answer = check(f, 2, J)
+                    assert check(f * m, 2, J) is answer
+                    seen.add((check.__name__, answer))
+        assert len(seen) == 4
+
     def test_resource_limits(self):
         deep = x(1) ** 7
         with pytest.raises(ResourceLimitError):

@@ -72,7 +72,8 @@ class TestPolynomial:
             assert (a - a).is_zero()
 
     def test_evaluate(self):
-        p = parse_scalar("X^2*Y - 3*X + 1/2").num
+        x, y = Polynomial.variable("X"), Polynomial.variable("Y")
+        p = x ** 2 * y - 3 * x + Fraction(1, 2)
         val = p.evaluate({"X": 2, "Y": Fraction(1, 4)})
         assert val == Fraction(4, 4) - 6 + Fraction(1, 2)
 
@@ -169,8 +170,7 @@ class TestIntegerGcdKernel:
     def test_gcd_integer_primitive_positive(self):
         for f, g, h in self.triples(102):
             for d in (poly_gcd(f * h, g * h), poly_gcd(f, g), poly_gcd(f * h, h)):
-                assert all(type(c) is Fraction and c.denominator == 1
-                           for c in d.terms.values())
+                assert all(type(c) is int for c in d.terms.values())
                 num = 0
                 for c in d.terms.values():
                     num = gcd(num, c.numerator)
@@ -216,7 +216,8 @@ class TestRationalFunction:
         a = parse_scalar("(2*X)/(4*Y)")
         b = parse_scalar("X/(2*Y)")
         assert a == b
-        assert a.den == parse_scalar("Y").num
+        assert a.num == parse_scalar("X").num
+        assert a.den == parse_scalar("2*Y").num
         assert hash(a) == hash(b)
 
     def test_zero_denominator(self):
@@ -299,8 +300,8 @@ class TestDenominatorOneFastPaths:
         c, prim = (-d).content_and_primitive()
         assert c == -1 and exact_terms(prim) == exact_terms(d)
         g = RationalFunction(p, Polynomial.const(Fraction(-2, 3)))
-        assert g.den.terms == {(): Fraction(1)}
-        assert g.num.terms == {m: c * Fraction(-3, 2) for m, c in p.terms.items()}
+        assert g.den.terms == {(): 2}
+        assert g.num.terms == {m: c * -3 for m, c in p.terms.items()}
 
     def test_mixed_denominators(self):
         rng = random.Random(37)
@@ -311,6 +312,74 @@ class TestDenominatorOneFastPaths:
             a, b = RationalFunction(p), RationalFunction(q, d)
             assert a + b == RationalFunction(p * d + q, d)
             assert a * b == RationalFunction(p * q, d)
+
+
+def rational_poly(rng, names=("X", "Y", "z1_1_1")):
+    """A random polynomial with Fraction coefficients, and its text."""
+    p, parts = Polynomial(), []
+    for _ in range(rng.randint(1, 3)):
+        c = Fraction(rng.randint(-6, 6) or 1, rng.choice((1, 2, 3, 4, 6, 9)))
+        mono = tuple((v, rng.randint(1, 2)) for v in names if rng.random() < 0.5)
+        p = p + Polynomial.monomial(mono, c)
+        parts.append("*".join([f"({c})"] + [f"{v}^{e}" for v, e in mono]))
+    return p, " + ".join(parts)
+
+
+def assert_canonical(r):
+    """Int coefficients, a den with positive leading coefficient, joint
+    integer content 1, num and den coprime, zero as 0/1."""
+    coeffs = [*r.num.terms.values(), *r.den.terms.values()]
+    assert all(type(c) is int for c in coeffs)
+    assert r.den.leading()[1] > 0
+    assert gcd(*coeffs) == 1
+    if r.is_zero():
+        assert r.den.terms == {(): 1}
+    else:
+        assert poly_gcd(r.num, r.den).is_constant()
+
+
+class TestCanonicalForm:
+    """Every way of building a value gives the same num and den terms."""
+
+    def test_paths_agree_random(self):
+        rng = random.Random(71)
+        for _ in range(120):
+            (n, n_text), (d, d_text), (e, _) = (rational_poly(rng) for _ in range(3))
+            if n.is_zero() or d.is_zero() or e.is_zero() or (d + 1).is_zero():
+                continue
+            c = RationalFunction(e, d + 1)
+            want = RationalFunction(n, d)
+            got = [parse_scalar(f"({n_text})/({d_text})"),
+                   RationalFunction(n) / RationalFunction(d),
+                   RationalFunction(n) * RationalFunction(d).inverse(),
+                   (want + c) - c,
+                   (want * c) / c,
+                   (want ** 3) * want ** -2,
+                   (want.inverse() ** 2).inverse() / want]
+            for r in [want, *got]:
+                assert_canonical(r)
+                assert r.num.terms == want.num.terms
+                assert r.den.terms == want.den.terms
+
+    def test_constants_agree(self):
+        rng = random.Random(72)
+        for _ in range(60):
+            p, q = rng.randint(-50, 50), rng.randint(1, 40)
+            want = RationalFunction.from_const(Fraction(p, q))
+            got = [parse_scalar(f"{p}/{q}"),
+                   RationalFunction(Polynomial.const(p), Polynomial.const(q)),
+                   RationalFunction(Polynomial.const(Fraction(p, q))),
+                   as_scalar(p) / as_scalar(q),
+                   as_scalar(Fraction(p, 2 * q)) + as_scalar(Fraction(p, 2 * q)),
+                   as_scalar(Fraction(p, q)) * as_scalar(Fraction(7, 3)) / 7 * 3]
+            for r in [want, *got]:
+                assert_canonical(r)
+                assert r.num.terms == want.num.terms
+                assert r.den.terms == want.den.terms
+            assert want.num.terms == ({(): p // gcd(p, q)} if p else {})
+            assert want.den.terms == {(): q // gcd(p, q)}
+            assert want.as_fraction() == Fraction(p, q)
+            assert type(want.as_fraction()) is Fraction
 
 
 class TestOrderingsAndSign:
