@@ -16,7 +16,7 @@ from math import lcm
 from .certificates import parse_selector, psd_symmetric_rational
 from .errors import ParseError, ResourceLimitError, ShapeError
 from .linalg import add, equal, identity, mat_mul, transpose
-from .scalars import RationalFunction, as_scalar
+from .scalars import Polynomial
 from .involutions import AlgebraWithInvolution, InvolutionSpec
 
 DEFAULT_MAX_DEGREE = 6
@@ -33,12 +33,13 @@ def _max_degree():
 
 
 def _check_limits(degree, n, max_degree=None):
-    overridden = max_degree is not None or bool(os.environ.get("HERMSQ_MAX_DEGREE"))
+    """The degree cap, which HERMSQ_MAX_DEGREE and max_degree override, and
+    the matrix-size cap, which nothing overrides."""
     cap = max_degree if max_degree is not None else _max_degree()
     if degree > cap:
         raise ResourceLimitError(
             f"degree {degree} exceeds the cap {cap} (set HERMSQ_MAX_DEGREE to raise it)")
-    if n > DEFAULT_MAX_N and not overridden:
+    if n > DEFAULT_MAX_N:
         raise ResourceLimitError(f"matrix size {n} exceeds the cap {DEFAULT_MAX_N}")
 
 
@@ -285,7 +286,9 @@ class GenericMatrixContext:
     """Generic matrices Y_l = [z<i>_<j>_<l>] with the type-J involution.
 
     `variables` is a count c, for Y_1 .. Y_c, or the indices l to build Y_l
-    for; the matrices are keyed by index."""
+    for; the matrices are keyed by index.  Entries are `Polynomial`
+    variables: the ring of generic matrices lies in M_n(Z[z]).  They
+    compare equal to the matching `RationalFunction` values."""
 
     def __init__(self, n, variables, J="orthogonal"):
         if n < 1:
@@ -302,7 +305,7 @@ class GenericMatrixContext:
                 else InvolutionSpec.symplectic_standard())
         self._alg = AlgebraWithInvolution("F", n, spec)
         self.matrices = {
-            l: [[RationalFunction.variable(f"z{i}_{j}_{l}") for j in range(1, n + 1)]
+            l: [[Polynomial.variable(f"z{i}_{j}_{l}") for j in range(1, n + 1)]
                 for i in range(1, n + 1)]
             for l in variables}
 
@@ -311,14 +314,18 @@ class GenericMatrixContext:
 
 
 def generic_eval(f, ctx):
-    """Image of f in the generic matrix algebra of ctx."""
+    """Image of f in the generic matrix algebra of ctx, with `Polynomial`
+    entries: over Z[z] when f's coefficients are integers, over Q[z]
+    otherwise.  Nothing is divided, so no entry becomes a
+    `RationalFunction`; entries still compare equal to `RationalFunction`
+    values."""
     images = {}
     for i in f.variables():
         if i not in ctx.matrices:
             raise ShapeError(f"context has no generic matrix for x{i}")
         images[i] = ctx.matrices[i]
         images[-i] = ctx.star(ctx.matrices[i])
-    return _eval_words(f, images, ctx.n, as_scalar(0), as_scalar)
+    return _eval_words(f, images, ctx.n, Polynomial(), Polynomial.const)
 
 
 def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):
@@ -337,7 +344,7 @@ def is_central_nonvanishing(h, n, J="orthogonal", max_degree=None):
     h = h * lcm(*(c.denominator for c in h.terms.values()))  # as in is_identity_mod_a
     value = generic_eval(h, GenericMatrixContext(n, h.variables(), J))
     c = value[0][0]
-    return bool(c) and equal(value, identity(n, as_scalar(0), c))
+    return bool(c) and equal(value, identity(n, Polynomial(), c))
 
 
 def psd_falsify(g, n, trials, seed, bound=5):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .errors import HermsqError, NotMonomialError, SingularMatrixError
 from .linalg import Congruence, equal, mat_mul, transpose
@@ -19,11 +19,11 @@ from .scalars import (
     ORDERINGS,
     RationalFunction,
     as_scalar,
+    factor_integer,
     format_scalar,
     monomial_parts,
     monomial_square_class,
     sign_at,
-    squarefree_part,
 )
 
 
@@ -171,21 +171,6 @@ def diagonalize(gram):
 # number theory over Q
 # ---------------------------------------------------------------------------
 
-def _prime_factors(n):
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _legendre(a, p):
     a %= p
     if a == 0:
@@ -253,6 +238,12 @@ def four_squares(n):
         raise HermsqError("four squares needs a nonnegative integer")
     if n == 0:
         return (0, 0, 0, 0)
+    # four_squares(4m) is twice four_squares(m), and the search below is
+    # slow on 4^k(8m + 7), so the factors of 4 go first
+    scale = 1
+    while n % 4 == 0:
+        n //= 4
+        scale *= 2
     r = isqrt(n)
     for a in range(r, -1, -1):
         n1 = n - a * a
@@ -264,7 +255,7 @@ def four_squares(n):
                 n3 = n2 - c * c
                 d = isqrt(n3)
                 if d * d == n3:
-                    return (a, b, c, d)
+                    return (scale * a, scale * b, scale * c, scale * d)
     raise HermsqError("unreachable: Lagrange four-square theorem")
 
 
@@ -282,7 +273,12 @@ def is_isotropic_Q(form):
     coeffs = [Fraction(c) for c in (form.fractions() if isinstance(form, DiagonalForm) else form)]
     if any(c == 0 for c in coeffs):
         raise HermsqError("form entries must be nonzero")
-    cs = [squarefree_part(c.numerator * c.denominator) for c in coeffs]
+    # the signed squarefree part of each coefficient and its primes
+    cs, primes = [], set()
+    for c in coeffs:
+        odd = [p for p, e in factor_integer(c.numerator * c.denominator).items() if e % 2]
+        primes.update(odd)
+        cs.append(prod(odd) if c > 0 else -prod(odd))
     k = len(cs)
     if k <= 1:
         return False
@@ -293,16 +289,20 @@ def is_isotropic_Q(form):
         return indefinite
     if not indefinite:
         return False
-    places = {2} | set().union(*(_prime_factors(c) for c in cs))
+    places = {2} | primes
     if k == 3:
         a, b, c = cs
         for p in places:
             if hilbert_symbol(-a * c, -b * c, p) != 1:
                 return False
         return True
-    # k == 4: anisotropic over Q_p iff the discriminant is a p-adic square
-    # and the Hasse invariant equals -(-1,-1)_p
-    d = squarefree_part(cs[0] * cs[1] * cs[2] * cs[3])
+    # k == 4: anisotropic over Q_p iff the discriminant d is a p-adic square
+    # and the Hasse invariant equals -(-1,-1)_p; d is the squarefree part of
+    # the product of the cs, and that of squarefree a, b is ab / gcd(a, b)^2
+    d = 1
+    for c in cs:
+        g = gcd(d, c)
+        d = d // g * (c // g)
     for p in places:
         hasse = 1
         for i in range(4):

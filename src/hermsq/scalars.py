@@ -25,7 +25,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd as _int_gcd
+from math import comb, gcd as _int_gcd, isqrt, prod
 
 from .errors import (DivisionByZeroError, HermsqError, NotMonomialError, ParseError,
                      ResourceLimitError)
@@ -282,10 +282,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
@@ -381,11 +377,6 @@ def _from_univar(coeffs, var):
     return Polynomial(out)
 
 
-def _lead_in(p, var):
-    u = _as_univar(p, var)
-    return u[max(u)]
-
-
 def poly_divexact(f, g):
     """Exact division f/g; raises if g does not divide f.  Int coefficients
     stay ints where the quotient's coefficients are integers."""
@@ -408,11 +399,9 @@ def poly_divexact(f, g):
     return Polynomial(q)
 
 
-def _pseudo_rem(f, g, var):
-    """Pseudo-remainder of f by g viewed as univariate in var, normalized so
-    that lc(g)^(deg f - deg g + 1) * f = q*g + rem exactly."""
-    fu = _as_univar(f, var)
-    gu = _as_univar(g, var)
+def _pseudo_rem(fu, gu):
+    """Pseudo-remainder of f by g, both as {exponent of var: coefficient},
+    normalized so that lc(g)^(deg f - deg g + 1) * f = q*g + rem exactly."""
     dg = max(gu)
     lg = gu[dg]
     rem = dict(fu)
@@ -433,7 +422,7 @@ def _pseudo_rem(f, g, var):
     if rem and scale > 0:
         factor = lg ** scale
         rem = {e: p * factor for e, p in rem.items()}
-    return _from_univar(rem, var)
+    return rem
 
 
 def _monomial_gcd(mono_poly, other):
@@ -537,40 +526,38 @@ def _gcd(f, g):
         return _gcd_content(f, gu.values())
     if len(gu) == 1 and 0 in gu:
         return _gcd_content(g, fu.values())
-
-    def content_parts(u):
-        c = Polynomial()
-        for p in u.values():
-            c = _gcd(c, p)
-        return c, {e: poly_divexact(p, c) for e, p in u.items()}
-
-    def primitive_in(p):
-        return _from_univar(content_parts(_as_univar(p, var))[1], var)
-
-    cf, pf = content_parts(fu)
-    cg, pg = content_parts(gu)
+    cf, a = _content_parts(fu)
+    cg, b = _content_parts(gu)
     c = _gcd(cf, cg)
-    a = _from_univar(pf, var)
-    b = _from_univar(pg, var)
-    if max(pf) < max(pg):
+    if max(a) < max(b):
         a, b = b, a
-    # subresultant PRS: divide each pseudo-remainder by the predicted factor
-    # g*h^d instead of computing contents at every step
+    # subresultant PRS on the univariate forms: divide each pseudo-remainder
+    # by the predicted factor g*h^d instead of computing contents at every step
     g = h = _INT_ONE
     while True:
-        d = _degree_in(a, var) - _degree_in(b, var)
-        r = _pseudo_rem(a, b, var)
-        if r.is_zero():
-            return (c * primitive_in(b)).content_and_primitive()[1]
-        if _degree_in(r, var) == 0:
+        d = max(a) - max(b)
+        r = _pseudo_rem(a, b)
+        if not r:
+            return (c * _from_univar(_content_parts(b)[1], var)).content_and_primitive()[1]
+        if max(r) == 0:
             # remainder free of var: the primitive parts are coprime
             return c
-        a, b = b, poly_divexact(r, g * h ** d if d else g)
-        g = _lead_in(a, var)
+        q = g * h ** d if d else g
+        a, b = b, {e: poly_divexact(p, q) for e, p in r.items()}
+        g = a[max(a)]
         if d == 1:
             h = g
         elif d > 1:
             h = poly_divexact(g ** d, h ** (d - 1))
+
+
+def _content_parts(u):
+    """(content, primitive part) of {exponent: coefficient}, the part in the
+    same form."""
+    c = Polynomial()
+    for p in u.values():
+        c = _gcd(c, p)
+    return c, {e: poly_divexact(p, c) for e, p in u.items()}
 
 
 def _gcd_content(h, coeffs):
@@ -741,10 +728,6 @@ class RationalFunction:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.num, self.den))
 
@@ -867,24 +850,44 @@ def sign_at(f, ordering):
     return sn * _poly_sign_at(f.den, ordering)
 
 
-def squarefree_part(n):
-    """Signed squarefree part of a nonzero integer."""
+# the last trial divisor of factor_integer, so factoring takes at most about
+# 0.9 s on a 2-vCPU VM; every integer below MAX_TRIAL_DIVISOR^2 = 10^14
+# still factors completely
+MAX_TRIAL_DIVISOR = 10 ** 7
+
+
+def factor_integer(n):
+    """{prime: exponent} of |n| for a nonzero int n, by trial division up to
+    MAX_TRIAL_DIVISOR.  A cofactor with no divisor up to that bound is prime
+    when it is below (MAX_TRIAL_DIVISOR + 1)^2; a larger one raises
+    ResourceLimitError."""
     if n == 0:
-        raise HermsqError("squarefree part of zero")
-    sign = -1 if n < 0 else 1
+        raise HermsqError("factorization of zero")
     n = abs(n)
-    out = 1
+    out = {}
     d = 2
-    while d * d <= n:
+    limit = min(isqrt(n), MAX_TRIAL_DIVISOR)
+    while d <= limit:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
-            if e % 2:
-                out *= d
+            out[d] = e
+            limit = min(isqrt(n), MAX_TRIAL_DIVISOR)
         d += 1 if d == 2 else 2
-    return sign * out * n
+    if d * d <= n:
+        raise ResourceLimitError(
+            f"factoring {n}: no divisor up to the trial-division bound "
+            f"{MAX_TRIAL_DIVISOR}, and the cofactor is too large to be certified prime")
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def squarefree_part(n):
+    """Signed squarefree part of a nonzero integer."""
+    return (-1 if n < 0 else 1) * prod(p for p, e in factor_integer(n).items() if e % 2)
 
 
 def monomial_parts(f):

@@ -23,6 +23,8 @@ from .ncpoly import (NCPolynomial, commutator, is_central_nonvanishing,
 # caps on the matrix size n, checked before any work: on a 2-vCPU VM
 # thm4.7 takes 1.6 s at n = 24 and 4.8 s at n = 32, ex-psd 0.8 s at n = 10
 MAX_N = {"thm4.7": 24, "ex-psd": 10}
+# the options each scenario reads; every other scenario reads none
+OPTIONS = {"thm4.7": ("n", "seed"), "ex-psd": ("n",)}
 
 
 def _pipeline_report(name, report):
@@ -168,6 +170,10 @@ SCENARIOS = {
 def run_scenario(name, **options):
     if name not in SCENARIOS:
         raise HermsqError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
+    unread = sorted(k for k, v in options.items()
+                    if v is not None and k not in OPTIONS.get(name, ()))
+    if unread:
+        raise ShapeError(f"scenario {name} takes no option {', '.join(unread)}")
     n = options.get("n")
     if n is not None and n > MAX_N.get(name, n):
         raise ResourceLimitError(f"{name} matrix size {n} exceeds the cap {MAX_N[name]}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,24 @@ class TestQfCommands:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "qf", "diag", "--json", "/no/such/file")
         assert code == 2
+
+    def test_large_prime_is_resource_limit(self):
+        # a 30-digit prime: trial division up to sqrt(p) would take about 10^8 s
+        start = time.perf_counter()
+        proc = run_process("qf", "isotropy", "--", "1", "1", "-100000000000000000000000000319")
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "trial-division bound" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_weak_rep_one_multiple_of_power_of_four(self):
+        # 7340032 = 7 * 4^10, a slow case for the four-squares search
+        start = time.perf_counter()
+        proc = run_process("qf", "weak-rep-one", "--", "7340032", "X", "Y")
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 0
+        assert "weakly represents 1: True" in proc.stdout
 
     def test_missing_form_is_input_error(self, capsys):
         code, _, err = run(capsys, "qf", "isotropy")
@@ -315,6 +334,23 @@ class TestScenarios:
         assert code == 2
         assert out == ""
         assert f"size {n} exceeds the cap {cap}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, option", [
+        ("lemma3.1", ["--n", "7"]),
+        ("thm3.2", ["--seed", "3"]),
+        ("ex-psd", ["--seed", "3"]),
+        ("hall-identity", ["--n", "2", "--seed", "1"]),
+    ])
+    def test_unread_option_is_input_error(self, capsys, monkeypatch, name, option):
+        # rejected before any work starts
+        def work(options):
+            raise AssertionError("scenario ran with an option it does not read")
+        monkeypatch.setitem(hermsq.scenarios.SCENARIOS, name, work)
+        code, out, err = run(capsys, "scenario", name, *option)
+        assert code == 2
+        assert out == ""
+        assert "takes no option" in err
         assert "Traceback" not in err
 
     def test_ex_psd_sizes(self, capsys):

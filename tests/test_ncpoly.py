@@ -9,7 +9,7 @@ import pytest
 
 from hermsq.errors import (CertificateError, ParseError, ResourceLimitError,
                            ShapeError)
-from hermsq.scalars import RationalFunction, as_scalar
+from hermsq.scalars import Polynomial, RationalFunction, as_scalar
 from hermsq.ncpoly import (GenericMatrixContext, NCPolynomial,
                            PositivstellensatzCertificate, commutator,
                            format_nc, generic_eval, is_central_nonvanishing,
@@ -218,6 +218,18 @@ class TestHornerEvaluation:
             want = naive_eval(f, images, n, Fraction(0), Fraction(1))
             assert nc_eval(f, mats) == want
 
+    @pytest.mark.parametrize("J", ["orthogonal", "symplectic"])
+    def test_generic_entries_are_integer_polynomials(self, J):
+        # generic matrices live in M_n(Z[z]): no entry is a RationalFunction
+        ctx = GenericMatrixContext(2, 2, J)
+        assert ctx.matrices[2][1][0] == Polynomial.variable("z2_1_2")
+        assert all(type(v) is Polynomial for m in ctx.matrices.values()
+                   for row in m for v in row)
+        f = 3 * x(1) * xs(2) - x(2) * x(1) + 5
+        value = generic_eval(f, ctx)
+        assert all(type(v) is Polynomial for row in value for v in row)
+        assert all(type(c) is int for row in value for v in row for c in v.terms.values())
+
     def test_context_by_indices(self):
         ctx = GenericMatrixContext(2, [2, 5])
         assert sorted(ctx.matrices) == [2, 5]
@@ -302,14 +314,16 @@ class TestIdentities:
         assert not is_identity_mod_a(deep, 2, max_degree=8)
         with pytest.raises(ResourceLimitError):
             is_identity_mod_a(x(1), 4)
-        assert not is_identity_mod_a(x(1), 4, max_degree=6)
+        with pytest.raises(ResourceLimitError):
+            is_identity_mod_a(x(1), 4, max_degree=6)
 
     def test_env_override(self):
         old = os.environ.get("HERMSQ_MAX_DEGREE")
         os.environ["HERMSQ_MAX_DEGREE"] = "8"
         try:
             assert not is_identity_mod_a(x(1) ** 7, 2)
-            assert not is_identity_mod_a(x(1), 4)
+            with pytest.raises(ResourceLimitError):
+                is_identity_mod_a(x(1), 4)
         finally:
             if old is None:
                 del os.environ["HERMSQ_MAX_DEGREE"]

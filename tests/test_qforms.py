@@ -2,12 +2,14 @@
 representation of 1."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from hermsq.errors import (HermsqError, NotMonomialError, ShapeError,
-                           SingularMatrixError)
+from hermsq import scalars
+from hermsq.errors import (HermsqError, NotMonomialError, ResourceLimitError,
+                           ShapeError, SingularMatrixError)
 from hermsq.qforms import (DiagonalForm, GramForm, WeakRepresentation,
                            diagonalize, four_squares, hilbert_symbol,
                            is_isotropic_Q, is_weakly_isotropic_Q,
@@ -212,6 +214,14 @@ class TestFourSquares:
         with pytest.raises(HermsqError):
             four_squares(-1)
 
+    def test_large_powers_of_four(self):
+        # the search is slow on 4^k(8m + 7) unless the factors of 4 go first
+        n = 7 * 4 ** 20
+        start = time.perf_counter()
+        sq = four_squares(n)
+        assert time.perf_counter() - start < 0.1
+        assert sum(s * s for s in sq) == n
+
 
 class TestIsotropy:
     def test_examples(self):
@@ -223,6 +233,22 @@ class TestIsotropy:
         assert not is_isotropic_Q([1])
         assert not is_isotropic_Q([2, 3])
         assert is_isotropic_Q(form("1", "-4"))
+
+    def test_quaternary_discriminant(self):
+        # <1, 1, 1, -7> is anisotropic over Q_2, and so is every nonzero
+        # multiple of it; the discriminant's primes cancel in pairs
+        assert not is_isotropic_Q([1, 1, 1, -7])
+        assert not is_isotropic_Q([3, 3, 3, -21])
+        assert not is_isotropic_Q([5, 20, Fraction(5, 9), -35])
+        assert is_isotropic_Q([1, 1, 1, -1])
+        assert is_isotropic_Q([3, 3, 3, -3])
+        assert is_isotropic_Q([2, 3, 5, -30])
+
+    def test_large_prime_coefficient_is_resource_limit(self, monkeypatch):
+        monkeypatch.setattr(scalars, "MAX_TRIAL_DIVISOR", 1000)
+        assert not is_isotropic_Q([1, 1, -999983])
+        with pytest.raises(ResourceLimitError, match="trial-division bound 1000"):
+            is_isotropic_Q([1, 1, -1002017])
 
     def test_definite_never_isotropic(self):
         rng = random.Random(31)

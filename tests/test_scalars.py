@@ -10,8 +10,8 @@ from hermsq.errors import (DivisionByZeroError, HermsqError, NotMonomialError,
                            ParseError, ResourceLimitError)
 from hermsq.scalars import (MonomialOrdering, ORDERINGS, Polynomial,
                             RationalFunction, X, Y, as_scalar, format_scalar,
-                            monomial_square_class, parse_scalar, poly_divexact,
-                            poly_gcd, sign_at, squarefree_part)
+                            factor_integer, monomial_square_class, parse_scalar,
+                            poly_divexact, poly_gcd, sign_at, squarefree_part)
 from hermsq import scalars
 
 
@@ -440,6 +440,26 @@ class TestSquareClasses:
         assert squarefree_part(-18) == -2
         with pytest.raises(HermsqError):
             squarefree_part(0)
+
+    def test_factor_integer(self):
+        assert factor_integer(1) == {}
+        assert factor_integer(-360) == {2: 3, 3: 2, 5: 1}
+        assert factor_integer(3 * 999999999989) == {3: 1, 999999999989: 1}
+        with pytest.raises(HermsqError):
+            factor_integer(0)
+
+    def test_factoring_bound(self, monkeypatch):
+        # with trial divisors up to B, every integer below B^2 factors
+        # completely, and so does a prime cofactor below (B + 1)^2
+        monkeypatch.setattr(scalars, "MAX_TRIAL_DIVISOR", 100)
+        assert factor_integer(89 * 97) == {89: 1, 97: 1}
+        assert factor_integer(4 * 10007) == {2: 2, 10007: 1}
+        # 101 * 103 has no divisor up to 100 and is not below 101^2
+        with pytest.raises(ResourceLimitError, match="bound 100"):
+            factor_integer(101 * 103)
+        with pytest.raises(ResourceLimitError):
+            squarefree_part(-9 * 101 * 103)
+        assert squarefree_part(-9 * 97) == -97
 
     def test_monomial_square_class(self):
         assert monomial_square_class(parse_scalar("X")) == (1, 1, 0)
