@@ -963,21 +963,29 @@ def _check_size(what, degree, terms, polys, pos):
                 f"(at position {pos})")
 
 
-def _check_power(base, e, pos):
+def _degrees(r):
+    """(degree of the numerator, degree of the denominator) of r."""
+    return r.num.degree(), r.den.degree()
+
+
+# The parser finds each operand's degrees once, without walking its
+# monomials except for a parenthesized sum or a product, and passes them in.
+
+def _check_power(base, degrees, e, pos):
     if e > MAX_EXPONENT:
         raise ResourceLimitError(
             f"exponent {e} exceeds the cap {MAX_EXPONENT} (at position {pos})")
     t = max(len(base.num.terms), len(base.den.terms))
     # p^e has at most C(e + t - 1, t - 1) terms for p with t terms
-    _check_size("power", e * max(base.num.degree(), base.den.degree()),
-                comb(e + t - 1, t - 1), (base.num, base.den), pos)
+    _check_size("power", e * max(degrees), comb(e + t - 1, t - 1), (base.num, base.den), pos)
 
 
-def _check_product(a, b, op, pos):
+def _check_product(a, a_degrees, b, b_degrees, op, pos):
     """The caps, on the numerator and denominator products of a op b."""
-    bn, bd = (b.num, b.den) if op == "*" else (b.den, b.num)
-    _check_size("product", max(a.num.degree() + bn.degree(), a.den.degree() + bd.degree()),
-                max(len(a.num.terms) * len(bn.terms), len(a.den.terms) * len(bd.terms)),
+    (an, ad), (bn, bd) = a_degrees, b_degrees if op == "*" else b_degrees[::-1]
+    bnum, bden = (b.num, b.den) if op == "*" else (b.den, b.num)
+    _check_size("product", max(an + bn, ad + bd),
+                max(len(a.num.terms) * len(bnum.terms), len(a.den.terms) * len(bden.terms)),
                 (a.num, a.den, b.num, b.den), pos)
 
 
@@ -1025,18 +1033,21 @@ class _Parser:
         return val
 
     def term(self):
-        val = self.factor()
+        val, degrees = self.factor()
         while self.peek() in ("*", "/"):
             op, pos = self.next()
-            rhs = self.factor()
+            rhs, rhs_degrees = self.factor()
             if op == "/" and rhs.is_zero():
                 raise ParseError("division by zero", self.toks[self.i - 1][1])
-            _check_product(val, rhs, op, pos)
+            # a product's degrees are walked only if another factor follows
+            _check_product(val, degrees or _degrees(val), rhs, rhs_degrees, op, pos)
             val = val * rhs if op == "*" else val / rhs
+            degrees = None
         return val
 
     def factor(self):
-        base = self.primary()
+        """(value, its degrees)."""
+        base, degrees = self.primary()
         if self.peek() in ("^", "**"):
             self.next()
             neg = False
@@ -1047,22 +1058,28 @@ class _Parser:
             if not tok.isdigit():
                 raise ParseError(f"expected integer exponent, got {tok!r}", pos)
             e = int(tok)
-            _check_power(base, e, pos)
+            _check_power(base, degrees, e, pos)
+            dn, dd = degrees[::-1] if neg else degrees
             base = base ** (-e if neg else e)
-        return base
+            # deg p^e = e deg p for p != 0, Z[X, Y, z] being a domain, and
+            # nothing cancels in the power of a coprime pair
+            degrees = (e * dn, e * dd) if base else _degrees(base)
+        return base, degrees
 
     def primary(self):
         tok, pos = self.next()
         if tok == "(":
             val = self.expr()
             self.expect(")")
-            return val
+            return val, _degrees(val)
         if tok == "-":
-            return -self.primary()
+            val, degrees = self.primary()
+            return -val, degrees
         if tok.isdigit():
-            return RationalFunction.from_const(int(tok))
+            # the zero polynomial has degree -1
+            return RationalFunction.from_const(int(tok)), (0 if int(tok) else -1, 0)
         if tok in ("X", "Y") or tok.startswith("z"):
-            return RationalFunction.variable(tok)
+            return RationalFunction.variable(tok), (1, 0)
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 

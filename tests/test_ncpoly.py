@@ -1,6 +1,7 @@
 """Tests for noncommutative *-polynomials, generic matrices and matrix
 positivity."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -257,6 +258,84 @@ class TestHornerEvaluation:
         assert not is_central_nonvanishing(big, 2)
         assert is_identity_mod_a(commutator(big, big * big), 2)
         assert all(name.endswith("_100000000") for name in made)
+
+
+def standard_polynomial(k):
+    """s_k = sum over permutations p of sign(p) x_p(1) ... x_p(k)."""
+    terms = {}
+    for p in itertools.permutations(range(1, k + 1)):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        terms[p] = Fraction((-1) ** inversions)
+    return NCPolynomial(terms)
+
+
+class TestPackedKernel:
+    """The decisions on the packed generic-matrix image, and generic_eval's
+    unpacking of it, against the word-by-word reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_field_width_edges(self, n):
+        # deg f from 1 to 10: fields of 1 to 4 bits, widths 1 to 3 also at
+        # their top values 1, 3 and 7 (a 1x1 image is one variable to the
+        # power deg f, which fills its field)
+        ctx = GenericMatrixContext(n, 1)
+        images = {1: ctx.matrices[1], -1: ctx.star(ctx.matrices[1])}
+        for k in (1, 3, 4, 7, 8, 9):
+            for f in (x(1) ** k, (x(1) * xs(1)) ** ((k + 1) // 2)):
+                want = naive_eval(f, images, n, Polynomial(), Polynomial.one())
+                assert generic_eval(f, ctx) == want
+                d = f.degree()
+                assert not is_identity_mod_a(f, n, max_degree=d)
+                assert is_central_nonvanishing(f, n, max_degree=d) is (n == 1)
+
+    def test_decisions_match_unpacked_image(self):
+        rng = random.Random(229)
+        known = [NCPolynomial.zero(), NCPolynomial.const(Fraction(-7, 3)),
+                 commutator(commutator(x(1), x(2)) ** 2, x(3)),
+                 Fraction(3, 2) * commutator(x(1), x(2)) ** 2,
+                 x(1) + xs(1), commutator(x(1) + xs(1), x(2))]
+        seen = set()
+        for J, n in (("orthogonal", 1), ("orthogonal", 2), ("orthogonal", 3),
+                     ("symplectic", 2)):
+            ctx = GenericMatrixContext(n, 3, J)
+            count = 4 if n == 3 else 10
+            for f in known + [trie_nc(rng, 3, rng.randint(1, 8), 4) for _ in range(count)]:
+                value = generic_eval(f, ctx)
+                zero = all(v.is_zero() for row in value for v in row)
+                scalar = (not value[0][0].is_zero() and all(
+                    value[i][j] == (value[0][0] if i == j else 0)
+                    for i in range(n) for j in range(n)))
+                assert is_identity_mod_a(f, n, J) is zero
+                assert is_central_nonvanishing(f, n, J) is scalar
+                seen.add((J, n, zero, scalar))
+        # identities, central polynomials and neither, for each type at n > 1
+        for J, n in (("orthogonal", 2), ("orthogonal", 3), ("symplectic", 2)):
+            assert {(J, n, True, False), (J, n, False, True), (J, n, False, False)} <= seen
+
+    def test_fractional_coefficients_give_rational_entries(self):
+        f = Fraction(1, 2) * x(1) * xs(2) - Fraction(3, 5) * x(2) * x(1) + Fraction(7, 3)
+        for J in ("orthogonal", "symplectic"):
+            ctx = GenericMatrixContext(2, 2, J)
+            images = {}
+            for i, m in ctx.matrices.items():
+                images[i] = m
+                images[-i] = ctx.star(m)
+            value = generic_eval(f, ctx)
+            assert value == naive_eval(f, images, 2, Polynomial(), Polynomial.one())
+            assert all(type(v) is Polynomial for row in value for v in row)
+            assert any(type(c) is Fraction and c.denominator > 1
+                       for row in value for v in row for c in v.terms.values())
+
+    def test_entry_that_is_not_a_signed_variable(self):
+        ctx = GenericMatrixContext(2, 1)
+        ctx.matrices[1][0][1] = 2 * ctx.matrices[1][0][1]
+        with pytest.raises(ShapeError):
+            generic_eval(x(1), ctx)
+
+    def test_amitsur_levitzki_on_3x3(self):
+        # s6 vanishes on M_3 (Amitsur-Levitzki), s5 does not
+        assert is_identity_mod_a(standard_polynomial(6), 3)
+        assert not is_identity_mod_a(standard_polynomial(5), 3)
 
 
 class TestIdentities:

@@ -204,6 +204,97 @@ class TestIntegerGcdKernel:
         assert p.degree_in("z2_1_1") == 2 and p.degree_in("X") == 0
 
 
+def determinant(rows):
+    """Fraction-free Bareiss elimination; rows is a square list of int lists."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def convolve(p, q):
+    """Product of coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def univariate(coeffs):
+    """The polynomial in X with coefficients coeffs, highest degree first."""
+    top = len(coeffs) - 1
+    return sum((Polynomial.variable("X", top - i) * c for i, c in enumerate(coeffs)),
+               Polynomial())
+
+
+def subresultant(a, b, j):
+    """S_j(a, b) as {exponent: int}, for coefficient lists a, b (highest
+    degree first) with deg a >= deg b > j: the coefficient of x^i is the
+    determinant of the Sylvester rows x^k a (k < deg b - j) and x^k b
+    (k < deg a - j), cut to their first deg a + deg b - 2j - 1 columns and
+    the column of x^i."""
+    m, n = len(a) - 1, len(b) - 1
+    width = m + n - j
+    rows = ([[0] * k + a + [0] * (width - m - 1 - k) for k in range(n - j)]
+            + [[0] * k + b + [0] * (width - n - 1 - k) for k in range(m - j)])
+    out = {}
+    for i in range(j + 1):
+        c = determinant([r[:m + n - 2 * j - 1] + [r[width - 1 - i]] for r in rows])
+        if c:
+            out[i] = c
+    return out
+
+
+class TestSubresultantPRS:
+    """The remainders of the subresultant PRS in _gcd are the subresultants
+    of its inputs, up to sign: S_(d - 1) follows a remainder of degree d.
+    This pins the update of h, which a too small value would only show as
+    coefficient growth that the final primitive part removes."""
+
+    def test_remainders_are_subresultants(self, monkeypatch):
+        divisors = []
+        pseudo_rem = scalars._pseudo_rem
+
+        def recorded(fu, gu):
+            divisors.append({e: p.constant() for e, p in gu.items()})
+            return pseudo_rem(fu, gu)
+
+        monkeypatch.setattr(scalars, "_pseudo_rem", recorded)
+        rng = random.Random(131)
+        late = 0
+        for _ in range(60):
+            # a common factor keeps the PRS running to the end, and the
+            # degree gap of 2 or 3 sets h to lc(b)^gap for the second step
+            common = [rng.choice((1, 2, 3)), rng.randint(-3, 3)]
+            q = [rng.choice((2, 3))] + [rng.randint(-1, 1) for _ in range(rng.randint(4, 5))]
+            p = [rng.choice((2, 3, 5))] + [rng.randint(-1, 1) for _ in range(len(q) + rng.randint(1, 2))]
+            ac, bc = convolve(p, common), convolve(q, common)
+            if gcd(*ac) != 1 or gcd(*bc) != 1:
+                continue
+            divisors.clear()
+            poly_gcd(univariate(ac), univariate(bc))
+            assert divisors[0] == {len(bc) - 1 - i: c for i, c in enumerate(bc) if c}
+            for prev, rem in zip(divisors, divisors[1:]):
+                s = subresultant(ac, bc, max(prev) - 1)
+                assert rem in (s, {e: -c for e, c in s.items()})
+            # a later step with a degree gap of 2 or more updates h from a
+            # value other than 1, and a step after it divides by the result
+            late += any(max(divisors[k - 1]) - max(divisors[k]) > 1
+                        for k in range(1, len(divisors) - 2))
+        assert late >= 2
+
+
 class TestRationalFunction:
     def test_canonical_reduction(self):
         f = RationalFunction(parse_scalar("X^2 - Y^2").num,
@@ -514,6 +605,17 @@ class TestGrammar:
             parse_scalar("1/0")
         with pytest.raises(ParseError):
             parse_scalar("X Y")
+
+    def test_caps_find_each_degree_once(self, monkeypatch):
+        # the caps walked every operand for its degree at each * / and ^, ten
+        # walks here; now only the product 3*X^2, which another factor
+        # follows, is walked, once for its numerator and once for its
+        # denominator
+        walks = []
+        degree = Polynomial.degree
+        monkeypatch.setattr(Polynomial, "degree", lambda p: walks.append(p) or degree(p))
+        assert parse_scalar("3*X^2*Y") == 3 * X ** 2 * Y
+        assert len(walks) == 2
 
     def test_power_caps(self):
         # over a cap: inputs the grammar would have computed at once, so
