@@ -244,7 +244,7 @@ class TestHornerEvaluation:
         # a high variable index used to build one generic matrix for every
         # index below it (10^8 here) before any check
         made = []
-        variable = RationalFunction.variable
+        variable = Polynomial.variable
 
         def counted(name, exp=1):
             made.append(name)
@@ -252,7 +252,7 @@ class TestHornerEvaluation:
                 raise AssertionError("generic matrices built for unused letters")
             return variable(name, exp)
 
-        monkeypatch.setattr(RationalFunction, "variable", staticmethod(counted))
+        monkeypatch.setattr(Polynomial, "variable", staticmethod(counted))
         big = x(10 ** 8)
         assert not is_identity_mod_a(big, 2)
         assert not is_central_nonvanishing(big, 2)

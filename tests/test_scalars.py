@@ -257,8 +257,9 @@ def subresultant(a, b, j):
 
 
 class TestSubresultantPRS:
-    """The remainders of the subresultant PRS in _gcd are the subresultants
-    of its inputs, up to sign: S_(d - 1) follows a remainder of degree d.
+    """The remainders of the subresultant PRS (_prs_gcd, the fallback of the
+    heuristic gcd) are the subresultants of its inputs, up to sign: S_(d - 1)
+    follows a remainder of degree d.
     This pins the update of h, which a too small value would only show as
     coefficient growth that the final primitive part removes."""
 
@@ -283,7 +284,7 @@ class TestSubresultantPRS:
             if gcd(*ac) != 1 or gcd(*bc) != 1:
                 continue
             divisors.clear()
-            poly_gcd(univariate(ac), univariate(bc))
+            scalars._prs_gcd(univariate(ac), univariate(bc))
             assert divisors[0] == {len(bc) - 1 - i: c for i, c in enumerate(bc) if c}
             for prev, rem in zip(divisors, divisors[1:]):
                 s = subresultant(ac, bc, max(prev) - 1)
@@ -293,6 +294,121 @@ class TestSubresultantPRS:
             late += any(max(divisors[k - 1]) - max(divisors[k]) > 1
                         for k in range(1, len(divisors) - 2))
         assert late >= 2
+
+
+HEU_NAMES = ["X", "Y", "z2_1_1", "z1_2_2"]
+
+
+def heuristic_cases(seed, count):
+    """Seeded (f, g, h) in 1-4 variables with coefficients up to 1, 9, 10^3
+    or 10^6: h is squared in about a third of them, and in about half of
+    those with two or more variables g is free of one of them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        names = rng.sample(HEU_NAMES, rng.randint(1, 4))
+        maxc = rng.choice((1, 9, 10 ** 3, 10 ** 6))
+        f, g, h = (random_poly(rng, nterms=4, maxdeg=3, maxc=maxc, names=names)
+                   for _ in range(3))
+        if rng.random() < 0.35:
+            h = h * h
+        if len(names) > 1 and rng.random() < 0.5:
+            g = random_poly(rng, nterms=4, maxdeg=3, maxc=maxc, names=names[1:])
+        if f.is_zero() or g.is_zero() or h.is_zero():
+            continue
+        out.append((f, g, h))
+    return out
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of the scalars function `name` from now on."""
+    calls = []
+    original = getattr(scalars, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scalars, name, counted)
+    return calls
+
+
+def prs_only(monkeypatch):
+    """Make the heuristic gcd give up at once, so every gcd runs the PRS."""
+    monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g, k: None)
+
+
+class TestHeuristicGcd:
+    """The heuristic gcd agrees with the PRS, and gives up only on large
+    values."""
+
+    def test_equals_prs(self, monkeypatch):
+        cases = [(f * h, g * h) for f, g, h in heuristic_cases(141, 60)]
+        fallbacks = count_calls(monkeypatch, "_prs_gcd")
+        got, answered = [], 0
+        for a, b in cases:
+            before = len(fallbacks)
+            got.append(poly_gcd(a, b))
+            answered += len(fallbacks) == before
+        assert answered == len(cases)
+        prs_only(monkeypatch)
+        want = [poly_gcd(a, b) for a, b in cases]
+        assert len(fallbacks) >= 50
+        for d, e in zip(got, want):
+            assert d.terms == e.terms
+            assert all(type(c) is int for c in d.terms.values())
+
+    def test_rational_function_cancels_common_factor(self):
+        for f, g, h in heuristic_cases(142, 200):
+            r = RationalFunction(f * h, g * h)
+            assert r == RationalFunction(f, g)
+            assert_canonical(r)
+            assert poly_gcd(f * h, g * h) == primitive(h * poly_gcd(f, g))
+
+    def test_content_extracted_at_every_level(self):
+        # f and g are primitive, but their images at Y = xi (a constant and
+        # a polynomial in X) share an integer factor: without the content
+        # removed at every level, the step in X answers 1 for them and the
+        # gcd comes out as 1
+        f = parse_scalar("Y^2 - 3*Y").num
+        g = parse_scalar("3*Y^6 - 18*Y^5 + 3*X^2*Y^3 + 27*Y^4 + 4*X*Y^3 - 9*X^2*Y^2"
+                         " - 12*X*Y^2 + 4*Y^2 - 12*Y").num
+        assert poly_gcd(f, g) == f
+        assert poly_gcd(g, f) == f
+
+    def test_rejected_candidate_retries(self, monkeypatch):
+        # the integer gcd of the values has a spurious factor at the first
+        # two points, and the candidates rebuilt there fail the division
+        f = parse_scalar("Y^4 + Y^3 + Y^2 + 3*Y - 6").num
+        g = parse_scalar("3*Y^3 - 2*Y^2 + 9*Y - 6").num
+        divides = scalars._divides
+        rejected = []
+        monkeypatch.setattr(scalars, "_divides",
+                            lambda h, p: divides(h, p) or rejected.append(h))
+        fallbacks = count_calls(monkeypatch, "_prs_gcd")
+        assert poly_gcd(f, g) == parse_scalar("Y^2 + 3").num
+        assert len(rejected) == 2 and not fallbacks
+
+    def test_gives_up_after_six_points(self, monkeypatch):
+        monkeypatch.setattr(scalars, "_divides", lambda h, p: False)
+        points = count_calls(monkeypatch, "_digits_last")
+        f = parse_scalar("(X + 1) * (X - 2)").num
+        g = parse_scalar("(X + 1) * (3*X + 5)").num
+        assert scalars._heu_gcd({(2,): 1, (1,): -1, (0,): -2},
+                                {(2,): 3, (1,): 8, (0,): 5}, 1) is None
+        assert len(points) == 6
+        # the PRS answers instead
+        assert poly_gcd(f, g) == parse_scalar("X + 1").num
+
+    def test_gives_up_before_large_values(self, monkeypatch):
+        # the values' sizes multiply at each of the 12 levels: without the
+        # bound on their bits this gcd took 41 s, and the PRS takes 0.005 s
+        names = [f"z{i}_{j}_1" for i in range(1, 4) for j in range(1, 5)]
+        rng = random.Random(3)
+        f, g, h = (random_poly(rng, nterms=4, maxdeg=2, maxc=9, names=names) for _ in range(3))
+        fallbacks = count_calls(monkeypatch, "_prs_gcd")
+        assert poly_gcd(f * h, g * h) == primitive(h * poly_gcd(f, g))
+        assert fallbacks
 
 
 class TestRationalFunction:
@@ -471,6 +587,21 @@ class TestCanonicalForm:
             assert want.den.terms == {(): q // gcd(p, q)}
             assert want.as_fraction() == Fraction(p, q)
             assert type(want.as_fraction()) is Fraction
+
+
+class TestPrsFallback(TestIntegerGcdKernel, TestCanonicalForm):
+    """The gcd and canonical-form properties above, with the heuristic gcd
+    giving up at once so that the PRS it falls back to answers every gcd."""
+
+    @pytest.fixture(autouse=True)
+    def heuristic_gives_up(self, monkeypatch):
+        prs_only(monkeypatch)
+
+    def test_fallback_answers(self, monkeypatch):
+        fallbacks = count_calls(monkeypatch, "_prs_gcd")
+        for f, g, h in self.triples(105, count=20):
+            assert poly_gcd(f * h, g * h) == primitive(h * poly_gcd(f, g))
+        assert len(fallbacks) >= 20
 
 
 class TestOrderingsAndSign:
