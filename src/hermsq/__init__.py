@@ -18,6 +18,7 @@ from .involutions import (AlgebraWithInvolution, InvolutionSpec, QuatElem,
                           entry_33_constraint, hermitian_square, is_symmetric,
                           reduced_norm_quat, reduced_trace, sigma_orderings,
                           symbolic_elements, trace_form)
+from .zpoly import ZPolynomial
 from .fdalgebra import StructureAlgebra, structure_algebra
 from .certificates import (CounterexampleReport, HermSqCertificate,
                            TotalPositivityWitness, WeightedCertificate,

@@ -13,7 +13,7 @@ from .qforms import (DiagonalForm, diagonalize, is_isotropic_Q,
                      is_weakly_isotropic_Q, weakly_represents_one)
 from .jsonio import (dumps, form_from_json, gram_from_json, loads,
                      matrices_from_json, psatz_cert_from_json)
-from .ncpoly import (is_central_nonvanishing, is_identity_mod_a, nc_eval,
+from .ncpoly import (degree_cap, is_central_nonvanishing, is_identity_mod_a, nc_eval,
                      parse_nc, psd_falsify, positivstellensatz_conditions)
 from .scenarios import SCENARIOS, run_scenario
 
@@ -133,13 +133,13 @@ def _cmd_nc_eval(args):
 
 
 def _cmd_nc_identity(args):
-    result = is_identity_mod_a(parse_nc(args.poly), args.n, args.type)
+    result = is_identity_mod_a(parse_nc(args.poly, degree_cap()), args.n, args.type)
     _emit(args, {"identity": result}, [f"identity mod a: {result}"])
     return 0 if result else 1
 
 
 def _cmd_nc_central(args):
-    result = is_central_nonvanishing(parse_nc(args.poly), args.n, args.type)
+    result = is_central_nonvanishing(parse_nc(args.poly, degree_cap()), args.n, args.type)
     _emit(args, {"central_nonvanishing": result},
           [f"central nonvanishing: {result}"])
     return 0 if result else 1
@@ -161,7 +161,7 @@ def _cmd_nc_falsify(args):
 
 
 def _cmd_nc_verify_cert(args):
-    cert = psatz_cert_from_json(_read_json(args.file))
+    cert = psatz_cert_from_json(_read_json(args.file), degree_cap())
     conditions = positivstellensatz_conditions(cert)
     ok = all(conditions.values())
     _emit(args, {"conditions": conditions, "verified": ok},
@@ -181,7 +181,7 @@ def build_parser():
         prog="hermsq",
         description="Exact quadratic-form, involution-algebra and "
                     "hermitian-square certificate toolkit.",
-        epilog="Scalar grammar: integers, p/q, X, Y, z<i>_<j>_<l>, "
+        epilog="Scalar grammar: integers, p/q, X, Y, "
                "operators + - * / ^ and parentheses. NC grammar: sums of "
                "terms 'c x1 x2* ...'. Forms as JSON: {\"entries\": [...]}.")
     sub = parser.add_subparsers(dest="command", required=True)

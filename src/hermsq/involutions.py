@@ -11,8 +11,9 @@ from . import linalg
 from .errors import DivisionByZeroError, ShapeError
 # perfbench/tracing.py wraps the product under this name
 from .linalg import mat_mul as _mat_mul
-from .scalars import ORDERINGS, RationalFunction, as_scalar
+from .scalars import ORDERINGS, as_scalar
 from .qforms import GramForm, diagonalize
+from .zpoly import ZPolynomial
 
 
 class QuaternionAlgebra:
@@ -389,7 +390,8 @@ def trace_form(algebra):
 
 
 def symbolic_elements(algebra, count):
-    """Matrices of fresh commuting indeterminates, one list per element.
+    """Matrices of fresh commuting indeterminates, one list per element,
+    with `ZPolynomial` entries (coordinates, for a quaternion base).
 
     Scalar base: entry (i,j) of element t is z<i>_<j>_<t>.  Quaternion base:
     the four coordinates of entry (i,j) of element t are z<i>_<j>_<4t+c>.
@@ -402,11 +404,11 @@ def symbolic_elements(algebra, count):
             row = []
             for j in range(1, algebra.n + 1):
                 if isinstance(algebra.base, QuaternionAlgebra):
-                    coords = [RationalFunction.variable(f"z{i}_{j}_{4 * t + c}")
+                    coords = [ZPolynomial.variable(f"z{i}_{j}_{4 * t + c}")
                               for c in range(4)]
                     row.append(QuatElem(algebra.base, coords))
                 else:
-                    row.append(RationalFunction.variable(f"z{i}_{j}_{t}"))
+                    row.append(ZPolynomial.variable(f"z{i}_{j}_{t}"))
             rows.append(row)
         out.append(rows)
     return out

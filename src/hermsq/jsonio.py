@@ -8,7 +8,7 @@ document is the identity.
 import json
 from fractions import Fraction
 
-from .errors import ParseError, ShapeError
+from .errors import ParseError, ResourceLimitError, ShapeError
 from .scalars import format_scalar, parse_scalar
 from .qforms import DiagonalForm, GramForm
 from .involutions import (_INVOLUTION_KINDS, AlgebraWithInvolution,
@@ -46,10 +46,22 @@ def form_from_json(doc):
                          for s in _field(doc, "entries", list, "form", str)])
 
 
+# the largest Gram matrix gram_from_json reads, so `qf diag --json` ends in
+# about a second: with random two-term entries over {1, X, Y, XY},
+# diagonalizing takes 0.13 / 0.33 / 0.65 / 1.65 / 2.85 / 9.2 s at n = 6 / 7 /
+# 8 / 9 / 10 / 12 (2-vCPU VM, Python 3.11).  diagonalize itself has no cap:
+# the trace form of thm3.3 is 36 x 36.
+MAX_GRAM_N = 8
+
+
 def gram_from_json(doc):
-    """{"matrix": rows of scalar strings} as a GramForm."""
-    return GramForm(_scalar_rows(_field(doc, "matrix", list, "Gram document"),
-                                 "Gram matrix row"))
+    """{"matrix": rows of scalar strings} as a GramForm, of at most
+    MAX_GRAM_N rows."""
+    rows = _field(doc, "matrix", list, "Gram document")
+    if len(rows) > MAX_GRAM_N:
+        raise ResourceLimitError(
+            f"Gram matrix of size {len(rows)} exceeds the cap {MAX_GRAM_N}")
+    return GramForm(_scalar_rows(rows, "Gram matrix row"))
 
 
 def _rational(v):
@@ -192,16 +204,19 @@ def psatz_cert_to_json(cert):
                       for eps, ps in cert.terms.items()}}
 
 
-def psatz_cert_from_json(doc):
+def psatz_cert_from_json(doc, max_degree=None):
+    """The certificate; with max_degree, h and the weights, whose own
+    degrees the verification caps, are refused at their first word longer
+    than it (g and the squares are capped after h* g h - sum cancels)."""
     what = "certificate"
     g = parse_nc(_field(doc, "g", str, what))
-    h = parse_nc(_field(doc, "h", str, what))
+    h = parse_nc(_field(doc, "h", str, what), max_degree)
     n = _field(doc, "n", int, what)
     if n < 1:
         raise ShapeError(f"certificate key 'n' must be positive, got {n}")
     return PositivstellensatzCertificate(
         g, h, n, _field(doc, "J", str, what),
-        [parse_nc(a) for a in _field(doc, "weights", list, what, str)],
+        [parse_nc(a, max_degree) for a in _field(doc, "weights", list, what, str)],
         {key: [parse_nc(p) for p in _typed(ps, list, f"certificate term {key!r}", str)]
          for key, ps in _field(doc, "terms", dict, what).items()})
 

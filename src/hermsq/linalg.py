@@ -1,9 +1,10 @@
 """Exact dense matrix kernel shared by every module that does matrix work.
 
-Matrices are lists of row lists.  Entries are Fraction, Polynomial,
-RationalFunction or QuatElem; the kernel needs only + - * and tests zero by
-truth value, which all four support.  Functions that create entries take
-the ring's zero (and one) from the caller.
+Matrices are lists of row lists.  Entries are Fraction, RationalFunction,
+ZPolynomial (generic and symbolic entries) or QuatElem; every function
+but `inverse` needs only + - * and tests zero by truth value, which all
+four support, and `inverse` needs an inverse() method.  Functions that
+create entries take the ring's zero (and one) from the caller.
 """
 
 from .errors import SingularMatrixError

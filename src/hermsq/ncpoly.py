@@ -14,7 +14,7 @@ denominators, and nothing is ever divided.  There the entries are dicts
 field per generic variable, so a monomial product is one int addition.
 `is_identity_mod_a` and `is_central_nonvanishing` decide on that packed
 form directly (s6 on M_3 in about 0.3 s on a 2-vCPU VM, Python 3.11);
-`generic_eval` unpacks it into `Polynomial` entries.
+`generic_eval` unpacks it into `ZPolynomial` entries.
 """
 
 import os
@@ -27,8 +27,8 @@ from math import lcm
 from .certificates import parse_selector, psd_symmetric_rational
 from .errors import ParseError, ResourceLimitError, ShapeError
 from .linalg import add, identity, mat_mul, transpose
-from .scalars import Polynomial
 from .involutions import AlgebraWithInvolution, InvolutionSpec
+from .zpoly import ZPolynomial
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_N = 3
@@ -38,7 +38,11 @@ MAX_FALSIFY_N = 8
 MAX_FALSIFY_TRIALS = 1000
 
 
-def _max_degree():
+def degree_cap(max_degree=None):
+    """The degree cap of symbolic expansion: max_degree if given, else
+    HERMSQ_MAX_DEGREE if set, else DEFAULT_MAX_DEGREE."""
+    if max_degree is not None:
+        return max_degree
     value = os.environ.get("HERMSQ_MAX_DEGREE")
     return int(value) if value else DEFAULT_MAX_DEGREE
 
@@ -46,7 +50,7 @@ def _max_degree():
 def _check_limits(degree, n, max_degree=None):
     """The degree cap, which HERMSQ_MAX_DEGREE and max_degree override, and
     the matrix-size cap, which nothing overrides."""
-    cap = max_degree if max_degree is not None else _max_degree()
+    cap = degree_cap(max_degree)
     if degree > cap:
         raise ResourceLimitError(
             f"degree {degree} exceeds the cap {cap} (set HERMSQ_MAX_DEGREE to raise it)")
@@ -173,8 +177,11 @@ def commutator(f, g):
 _NC_TOKEN = re.compile(r"\s*(x\d+\*?|\d+/\d+|\d+|[-+])")
 
 
-def parse_nc(text):
-    """Sums of terms; a term is an optional rational followed by letters."""
+def parse_nc(text, max_degree=None):
+    """Sums of terms; a term is an optional rational followed by letters.
+    The terms are summed into one dict.  With max_degree, the first word
+    longer than it raises ResourceLimitError as it is read, before any
+    later term (and even if a later term would cancel it)."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -185,17 +192,18 @@ def parse_nc(text):
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
-    result = NCPolynomial.zero()
+    terms = {}
     sign = 1
     coeff = None
     word = []
     pending = False
 
     def flush():
-        nonlocal result, sign, coeff, word, pending
+        nonlocal sign, coeff, word, pending
         if pending:
             c = Fraction(sign) * (coeff if coeff is not None else 1)
-            result = result + NCPolynomial({tuple(word): c})
+            w = tuple(word)
+            terms[w] = terms.get(w, 0) + c
         sign, coeff, word, pending = 1, None, [], False
 
     for tok, at in tokens:
@@ -210,6 +218,10 @@ def parse_nc(text):
             if idx < 1:
                 raise ParseError("variable index must be positive", at)
             word.append(-idx if star else idx)
+            if max_degree is not None and len(word) > max_degree:
+                raise ResourceLimitError(
+                    f"word of degree {len(word)} at position {at} exceeds the cap "
+                    f"{max_degree} (set HERMSQ_MAX_DEGREE to raise it)")
             pending = True
         else:
             if coeff is not None or word:
@@ -223,7 +235,7 @@ def parse_nc(text):
     if tokens and tokens[-1][0] in "+-":
         raise ParseError("dangling sign", len(text))
     flush()
-    return result
+    return NCPolynomial(terms)
 
 
 def format_nc(f):
@@ -307,9 +319,8 @@ class GenericMatrixContext:
     """Generic matrices Y_l = [z<i>_<j>_<l>] with the type-J involution.
 
     `variables` is a count c, for Y_1 .. Y_c, or the indices l to build Y_l
-    for; the matrices are keyed by index.  Entries are `Polynomial`
-    variables: the ring of generic matrices lies in M_n(Z[z]).  They
-    compare equal to the matching `RationalFunction` values."""
+    for; the matrices are keyed by index.  Entries are `ZPolynomial`
+    variables: the ring of generic matrices lies in M_n(Z[z])."""
 
     def __init__(self, n, variables, J="orthogonal"):
         if n < 1:
@@ -326,7 +337,7 @@ class GenericMatrixContext:
                 else InvolutionSpec.symplectic_standard())
         self._alg = AlgebraWithInvolution("F", n, spec)
         self.matrices = {
-            l: [[Polynomial.variable(f"z{i}_{j}_{l}") for j in range(1, n + 1)]
+            l: [[ZPolynomial.variable(f"z{i}_{j}_{l}") for j in range(1, n + 1)]
                 for i in range(1, n + 1)]
             for l in variables}
 
@@ -337,8 +348,8 @@ class GenericMatrixContext:
 # -- generic matrices in packed form ------------------------------------------
 #
 # An entry of a generic-matrix image is a dict {packed monomial: coefficient}.
-# The generic variables of f's letters take slots 0, 1, ... in the scalars
-# order (by letter, row, column), and a packed monomial is the int whose
+# The generic variables of f's letters take slots 0, 1, ... in the order
+# (letter, row, column), and a packed monomial is the int whose
 # bits [w*s, w*s + w) hold the exponent of slot s.  An image monomial has
 # total degree at most deg f < 2^w, so no field carries into the next one
 # and the product of monomials is the sum of their ints.
@@ -357,10 +368,11 @@ def _packed_images(f, ctx):
     packed = {name: 1 << (w * s) for s, name in enumerate(names)}
 
     def signed_variable(p):
-        mono, c = p.leading() if p.is_monomial() else ((), 0)
-        if len(mono) != 1 or mono[0][1] != 1 or c not in (1, -1) or mono[0][0] not in packed:
-            raise ShapeError(f"generic matrix entry {p} is not a signed variable")
-        return c, packed[mono[0][0]]
+        if len(p.terms) == 1:
+            ((mono, c),) = p.terms.items()
+            if len(mono) == 1 and mono[0][1] == 1 and c in (1, -1) and mono[0][0] in packed:
+                return (1 if c == 1 else -1), packed[mono[0][0]]
+        raise ShapeError(f"generic matrix entry {p} is not a signed variable")
 
     images = {}
     for l in letters:
@@ -407,21 +419,18 @@ def _packed_eval(f, images, n):
 
 
 def generic_eval(f, ctx):
-    """Image of f in the generic matrix algebra of ctx, with `Polynomial`
+    """Image of f in the generic matrix algebra of ctx, with `ZPolynomial`
     entries: over Z[z] when f's coefficients are integers, over Q[z]
-    otherwise.  Nothing is divided, so no entry becomes a
-    `RationalFunction`; entries still compare equal to `RationalFunction`
-    values."""
+    otherwise."""
     images, names, w = _packed_images(f, ctx)
     mask = (1 << w) - 1
+    # slots in the order of their names, so each monomial comes out sorted
+    slots = sorted(range(len(names)), key=names.__getitem__)
 
     def unpack(entry):
-        terms = {}
-        for m, c in entry.items():
-            mono = [(name, e) for s, name in enumerate(names) if (e := m >> (w * s) & mask)]
-            # distinct packed monomials are distinct monomials
-            terms.update(Polynomial.monomial(mono, c).terms)
-        return Polynomial(terms)
+        # distinct packed monomials are distinct monomials
+        return ZPolynomial({tuple((names[s], e) for s in slots if (e := m >> (w * s) & mask)): c
+                            for m, c in entry.items()})
 
     return [[unpack(entry) for entry in row] for row in _packed_eval(f, images, ctx.n)]
 

@@ -345,9 +345,6 @@ def _monomial_data(entry):
     if e.is_zero() or not e.is_monomial():
         raise NotMonomialError("form entry is not a monomial scalar")
     c, exps = monomial_parts(e)
-    bad = set(exps) - {"X", "Y"}
-    if bad:
-        raise NotMonomialError(f"monomial involves variables {sorted(bad)}")
     return c, exps.get("X", 0), exps.get("Y", 0)
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, outputs, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hermsq
+from hermsq import jsonio
 from hermsq.cli import main
 from hermsq.jsonio import dumps
 
@@ -47,6 +49,25 @@ class TestQfCommands:
         assert doc["entries"] == ["2", "3/2"]
         assert "transform" in doc
 
+    def test_diag_matrix_over_cap_is_input_error(self, capsys, tmp_path, monkeypatch):
+        def diagonalize(*args):
+            raise AssertionError("diagonalized over the cap")
+
+        cap = jsonio.MAX_GRAM_N
+        path = tmp_path / "gram.json"
+        for n, want in ((cap, 0), (cap + 1, 2)):
+            rows = [["X" if i == j else "0" for j in range(n)] for i in range(n)]
+            path.write_text(dumps({"matrix": rows}))
+            if n > cap:
+                monkeypatch.setattr("hermsq.cli.diagonalize", diagonalize)
+            code, out, err = run(capsys, "qf", "diag", "--json", str(path))
+            assert code == want
+            if want:
+                assert out == "" and "Traceback" not in err
+                assert f"size {n} exceeds the cap {cap}" in err
+            else:
+                assert out.split() == ["X"] * n
+
     def test_isotropy_exit_codes(self, capsys):
         code, out, _ = run(capsys, "qf", "isotropy", "1", "-1")
         assert code == 0
@@ -75,11 +96,12 @@ class TestQfCommands:
 
     @pytest.mark.parametrize("power, message", [
         ("(X+Y+1)^100000", "exponent 100000 exceeds the cap"),
-        ("(X+Y+z1_1_1+z1_2_1+z2_1_1+z2_2_1+1)^10", "power of up to 8008 terms exceeds the cap"),
+        # the generic variables z are no scalars: a parse error
+        ("(X+Y+z1_1_1+z1_2_1+z2_1_1+z2_2_1+1)^10", "unexpected character 'z'"),
         ("(X+Y+1)^64*(X+Y+1)^64", "product of degree 128 exceeds the cap"),
         ("(" + "+".join(f"z{i}_1_1" for i in range(1, 72)) + ")*("
          + "+".join(f"z{i}_2_1" for i in range(1, 72)) + ")",
-         "product of up to 5041 terms exceeds the cap"),
+         "unexpected character 'z'"),
     ])
     def test_power_over_cap_is_input_error(self, power, message):
         # in a child process with a timeout: without the caps these run
@@ -204,6 +226,42 @@ class TestNcCommands:
                            "--poly", "x1 x1 x1 x1 x1 x1 x1", "--n", "2")
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("command, decision", [
+        ("identity", "is_identity_mod_a"), ("central", "is_central_nonvanishing")])
+    def test_degree_cap_before_expansion(self, capsys, monkeypatch, command, decision):
+        # s7 has 5040 words of degree 7, over the cap 6: the command stops
+        # at its first word, before any term is summed or expanded
+        def expand(*args):
+            raise AssertionError("expanded over the cap")
+
+        monkeypatch.setattr(f"hermsq.cli.{decision}", expand)
+        s7 = " + ".join(("-" if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else "")
+                        + " ".join(f"x{i}" for i in p)
+                        for p in itertools.permutations(range(1, 8)))
+        code, out, err = run(capsys, "nc", command, "--poly", s7, "--n", "3")
+        assert code == 2 and out == ""
+        assert "word of degree 7 at position 18 exceeds the cap 6" in err
+
+    def test_verify_cert_degree_cap(self, capsys, tmp_path, monkeypatch):
+        # h over the cap exits 2 before anything is expanded; g may pass the
+        # cap when h* g h minus the squares cancels below it
+        doc = {"g": "x1* x1* x1* x1* x1 x1 x1 x1", "h": "1", "n": 2, "J": "orthogonal",
+               "weights": [], "terms": {"": ["x1 x1 x1 x1"]}}
+        path = tmp_path / "cert.json"
+        path.write_text(dumps(doc))
+        code, out, _ = run(capsys, "nc", "verify-cert", str(path))
+        assert code == 0 and "verified: True" in out
+
+        def conditions(*args):
+            raise AssertionError("verified over the cap")
+
+        monkeypatch.setattr("hermsq.cli.positivstellensatz_conditions", conditions)
+        doc["h"] = "x1 x2 x1 x2 x1 x2 x1"
+        path.write_text(dumps(doc))
+        code, out, err = run(capsys, "nc", "verify-cert", str(path))
+        assert code == 2 and out == ""
+        assert "word of degree 7" in err
 
     @pytest.mark.parametrize("argv", [
         ["identity", "--poly", "x1", "--n", "0"],

@@ -10,7 +10,9 @@ import pytest
 
 from hermsq.errors import (CertificateError, ParseError, ResourceLimitError,
                            ShapeError)
-from hermsq.scalars import Polynomial, RationalFunction, as_scalar
+from hermsq.scalars import as_scalar
+from hermsq.zpoly import ZPolynomial
+from hermsq import ncpoly
 from hermsq.ncpoly import (GenericMatrixContext, NCPolynomial,
                            PositivstellensatzCertificate, commutator,
                            format_nc, generic_eval, is_central_nonvanishing,
@@ -103,6 +105,43 @@ class TestGrammar:
         # repeated signs before a term still parse
         assert parse_nc("x1 + + x2") == parse_nc("x1 + x2")
         assert parse_nc("- - x1") == parse_nc("x1")
+
+    def test_terms_summed_in_one_dict(self, monkeypatch):
+        # adding each term through NCPolynomial.__add__ copies the whole
+        # term dict, which is quadratic in the number of terms
+        made = []
+        init = NCPolynomial.__init__
+
+        def counted(self, terms):
+            made.append(len(terms))
+            init(self, terms)
+
+        monkeypatch.setattr(NCPolynomial, "__init__", counted)
+        s5 = standard_polynomial(5)
+        made.clear()
+        assert parse_nc(format_nc(s5)) == s5
+        # the parse builds one polynomial, from one dict of 120 terms
+        assert made == [120]
+        assert parse_nc("x1 x2 - x2 x1 + 2 x2 x1 + x1 x2") == 2 * x(1) * x(2) + x(2) * x(1)
+
+    def test_degree_cap_as_words_are_read(self, monkeypatch):
+        # s7 has 5040 words of degree 7: with the cap 6 the parse stops in
+        # its first word, at the seventh letter, before any term is summed
+        text = format_nc(standard_polynomial(7))
+        sums = []
+        monkeypatch.setattr(NCPolynomial, "__init__",
+                            lambda self, terms: sums.append(terms))
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_nc(text, max_degree=6)
+        seventh = [m.start(1) for m in ncpoly._NC_TOKEN.finditer(text)][6]
+        assert f"word of degree 7 at position {seventh} exceeds the cap 6" in str(exc.value)
+        assert not sums
+        monkeypatch.undo()
+        assert parse_nc("x1 x1* x1", max_degree=3) == x(1) * xs(1) * x(1)
+        # the cap is on words as read, even if a later term cancels one
+        with pytest.raises(ResourceLimitError):
+            parse_nc("x1 x1 x1 - x1 x1 x1", max_degree=2)
+        assert parse_nc("x1 x1 x1 - x1 x1 x1").is_zero()
 
 
 class TestEval:
@@ -223,18 +262,18 @@ class TestHornerEvaluation:
     def test_generic_entries_are_integer_polynomials(self, J):
         # generic matrices live in M_n(Z[z]): no entry is a RationalFunction
         ctx = GenericMatrixContext(2, 2, J)
-        assert ctx.matrices[2][1][0] == Polynomial.variable("z2_1_2")
-        assert all(type(v) is Polynomial for m in ctx.matrices.values()
+        assert ctx.matrices[2][1][0] == ZPolynomial.variable("z2_1_2")
+        assert all(type(v) is ZPolynomial for m in ctx.matrices.values()
                    for row in m for v in row)
         f = 3 * x(1) * xs(2) - x(2) * x(1) + 5
         value = generic_eval(f, ctx)
-        assert all(type(v) is Polynomial for row in value for v in row)
+        assert all(type(v) is ZPolynomial for row in value for v in row)
         assert all(type(c) is int for row in value for v in row for c in v.terms.values())
 
     def test_context_by_indices(self):
         ctx = GenericMatrixContext(2, [2, 5])
         assert sorted(ctx.matrices) == [2, 5]
-        assert ctx.matrices[5][0][1] == RationalFunction.variable("z1_2_5")
+        assert ctx.matrices[5][0][1] == ZPolynomial.variable("z1_2_5")
         assert generic_eval(x(2) * x(5), ctx) == generic_eval(
             x(2) * x(5), GenericMatrixContext(2, 5))
         with pytest.raises(ShapeError):
@@ -244,20 +283,20 @@ class TestHornerEvaluation:
         # a high variable index used to build one generic matrix for every
         # index below it (10^8 here) before any check
         made = []
-        variable = Polynomial.variable
+        variable = ZPolynomial.variable
 
-        def counted(name, exp=1):
+        def counted(name):
             made.append(name)
             if len(made) > 100:
                 raise AssertionError("generic matrices built for unused letters")
-            return variable(name, exp)
+            return variable(name)
 
-        monkeypatch.setattr(Polynomial, "variable", staticmethod(counted))
+        monkeypatch.setattr(ZPolynomial, "variable", staticmethod(counted))
         big = x(10 ** 8)
         assert not is_identity_mod_a(big, 2)
         assert not is_central_nonvanishing(big, 2)
         assert is_identity_mod_a(commutator(big, big * big), 2)
-        assert all(name.endswith("_100000000") for name in made)
+        assert made and all(name.endswith("_100000000") for name in made)
 
 
 def standard_polynomial(k):
@@ -282,7 +321,7 @@ class TestPackedKernel:
         images = {1: ctx.matrices[1], -1: ctx.star(ctx.matrices[1])}
         for k in (1, 3, 4, 7, 8, 9):
             for f in (x(1) ** k, (x(1) * xs(1)) ** ((k + 1) // 2)):
-                want = naive_eval(f, images, n, Polynomial(), Polynomial.one())
+                want = naive_eval(f, images, n, as_scalar(0), as_scalar(1))
                 assert generic_eval(f, ctx) == want
                 d = f.degree()
                 assert not is_identity_mod_a(f, n, max_degree=d)
@@ -321,8 +360,8 @@ class TestPackedKernel:
                 images[i] = m
                 images[-i] = ctx.star(m)
             value = generic_eval(f, ctx)
-            assert value == naive_eval(f, images, 2, Polynomial(), Polynomial.one())
-            assert all(type(v) is Polynomial for row in value for v in row)
+            assert value == naive_eval(f, images, 2, as_scalar(0), as_scalar(1))
+            assert all(type(v) is ZPolynomial for row in value for v in row)
             assert any(type(c) is Fraction and c.denominator > 1
                        for row in value for v in row for c in v.terms.values())
 
