@@ -230,3 +230,5 @@ def loads(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", exc.pos)
+    except RecursionError:
+        raise ParseError("malformed JSON: nested too deeply", 0) from None

@@ -113,6 +113,22 @@ class TestQfCommands:
             main(["qf", "signature", "--", power])   # no --ordering
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("scalar, message", [
+        ("(" * 250 + "X" + ")" * 250, "parentheses nested deeper than 100"),
+        ("X*" + "-" * 3000, "unexpected end of input"),
+    ])
+    def test_deep_scalar_is_input_error(self, capsys, scalar, message):
+        # both recursed once per "(" or "-" and escaped as RecursionError
+        code, out, err = run(capsys, "qf", "diag", "--", scalar)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_long_unary_minus_chain(self, capsys):
+        code, out, _ = run(capsys, "qf", "diag", "--", "X*" + "-" * 3001 + "X", "Y")
+        assert code == 0
+        code, want, _ = run(capsys, "qf", "diag", "--", "-X^2", "Y")
+        assert out == want
+
     @pytest.mark.parametrize("argv", [["--ordering=--"], ["--ordering", "--"]])
     def test_signature_ordering_minus_minus(self, capsys, argv):
         # argparse strips "--" from an option value and takes a detached
@@ -336,6 +352,16 @@ class TestMalformedJson:
         code, _, err = run(capsys, *argv, str(path))
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("argv", [["qf", "diag", "--json"], ["qf", "isotropy", "--json"],
+                                      ["nc", "verify-cert"]])
+    def test_deep_nesting_is_input_error(self, capsys, tmp_path, argv):
+        # json.loads raises RecursionError on this document
+        path = tmp_path / "doc.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("matrices", ['{"a": 1}', "[[1, 2]]", '[[["1/0"]]]',
                                           '[[["x"]]]', "[[[true]]]", "[[]]"])

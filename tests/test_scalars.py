@@ -157,6 +157,20 @@ class TestGcd:
         with pytest.raises(DivisionByZeroError):
             poly_divexact(x, Polynomial.zero())
 
+    def test_divexact_over_q(self):
+        # exact over Q: Fraction coefficients on either side, and a quotient
+        # with Fraction coefficients from int operands
+        x = Polynomial.variable("X")
+        y = Polynomial.variable("Y")
+        q = x * Fraction(1, 2) - y * Fraction(2, 3) + Fraction(5, 7)
+        for d in (x + y, 3 * x * y - 2, x * Fraction(2, 9) + 4):
+            assert poly_divexact(q * d, d) == q
+            assert poly_divexact(q * d, q) == d
+        assert poly_divexact(x * x + x, 2 * x + 2) == x * Fraction(1, 2)
+        assert exact_terms(poly_divexact(6 * x * y + 4 * y, 3 * x + 2)) == exact_terms(2 * y)
+        with pytest.raises(HermsqError):
+            poly_divexact(q * (x + y) + 1, x + y)
+
     def test_gcd_basic(self):
         x = Polynomial.variable("X")
         y = Polynomial.variable("Y")
@@ -405,7 +419,7 @@ def count_calls(monkeypatch, name):
 
 def prs_only(monkeypatch):
     """Make the heuristic gcd give up at once, so every gcd runs the PRS."""
-    monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g, k: None)
+    monkeypatch.setattr(scalars, "_gcdheu", lambda f, g, levels: None)
 
 
 class TestHeuristicGcd:
@@ -446,29 +460,50 @@ class TestHeuristicGcd:
         assert poly_gcd(f, g) == f
         assert poly_gcd(g, f) == f
 
+    def test_xi_bound(self, monkeypatch):
+        # xi = max(2*min(|f|, |g|) + 2, 2*min(|f| // |lc f|, |g| // |lc g|) + 4)
+        # with the leading coefficients in the lex order, X's exponent
+        # first: 1 and 1 here, not the 100 of the graded-lex leaders Y^3, Y^4
+        f = parse_scalar("X^2 + 100*Y^3 + 1").num
+        g = parse_scalar("X^2*Y + 100*Y^4 + 3").num
+        evaluate = scalars._evaluate
+        points = []
+        monkeypatch.setattr(scalars, "_evaluate", lambda p, unit, shift, powers:
+                            points.append(powers[1]) or evaluate(p, unit, shift, powers))
+        assert poly_gcd(f, g) == Polynomial.one()
+        assert points[0] == 2 * 100 // 1 + 4
+
     def test_rejected_candidate_retries(self, monkeypatch):
         # the integer gcd of the values has a spurious factor at the first
         # two points, and the candidates rebuilt there fail the division
         f = parse_scalar("Y^4 + Y^3 + Y^2 + 3*Y - 6").num
         g = parse_scalar("3*Y^3 - 2*Y^2 + 9*Y - 6").num
-        divides = scalars._divides
+        divide = scalars._divide
         rejected = []
-        monkeypatch.setattr(scalars, "_divides",
-                            lambda h, p: divides(h, p) or rejected.append(h))
+
+        def checked(p, h, in_z):
+            q = divide(p, h, in_z)
+            if q is None:
+                rejected.append(h)
+            return q
+
+        monkeypatch.setattr(scalars, "_divide", checked)
         fallbacks = count_calls(monkeypatch, "_prs_gcd")
         assert poly_gcd(f, g) == parse_scalar("Y^2 + 3").num
         assert len(rejected) == 2 and not fallbacks
 
     def test_gives_up_after_six_points(self, monkeypatch):
-        monkeypatch.setattr(scalars, "_divides", lambda h, p: False)
-        points = count_calls(monkeypatch, "_digits_last")
+        # every candidate of the heuristic is rejected: each point rebuilds
+        # one, which fails on f, and after six points the PRS answers
         f = parse_scalar("(X + 1) * (X - 2)").num
         g = parse_scalar("(X + 1) * (3*X + 5)").num
-        assert scalars._heu_gcd({(2,): 1, (1,): -1, (0,): -2},
-                                {(2,): 3, (1,): 8, (0,): 5}, 1) is None
-        assert len(points) == 6
-        # the PRS answers instead
+        divide = scalars._divide
+        fallbacks = count_calls(monkeypatch, "_prs_gcd")
+        points = []
+        monkeypatch.setattr(scalars, "_divide",
+                            lambda p, h, in_z: divide(p, h, in_z) if fallbacks else points.append(h))
         assert poly_gcd(f, g) == parse_scalar("X + 1").num
+        assert len(points) == 6 and len(fallbacks) == 1
 
     def test_gives_up_before_large_values(self, monkeypatch):
         # xi grows with the coefficients: at about 2^24000, the third power
@@ -479,6 +514,62 @@ class TestHeuristicGcd:
         fallbacks = count_calls(monkeypatch, "_prs_gcd")
         assert poly_gcd(f * h, g * h) == primitive(h * poly_gcd(f, g))
         assert fallbacks
+
+
+def cofactor_pairs(seed, count):
+    """Seeded f*h*c, g*h*c from heuristic_cases: X-only, Y-only and
+    bivariate, a joint integer content c (1 in about a quarter of them) and
+    random signs, so leading coefficients are negative in about half."""
+    rng = random.Random(seed)
+    out = []
+    for f, g, h in heuristic_cases(seed, count):
+        c = rng.choice((1, 2, 6, 35))
+        out.append((f * h * (c * rng.choice((1, -1))), g * h * (c * rng.choice((1, -1)))))
+    return out
+
+
+def assert_cofactors(f, g):
+    h, qf, qg = scalars._gcd_cofactors(f, g)
+    assert h == poly_gcd(f, g)
+    for p, q in ((f, qf), (g, qg)):
+        assert all(type(c) is int for c in q.terms.values())
+        if h.is_zero():
+            assert q.is_zero()
+        else:
+            assert q == poly_divexact(p, h)
+            assert h * q == p
+
+
+class TestGcdCofactors:
+    """_gcd_cofactors(f, g) returns poly_gcd(f, g) with the two exact
+    quotients, at every exit."""
+
+    def test_cheap_exits(self):
+        x, y = Polynomial.variable("X"), Polynomial.variable("Y")
+        zero, p = Polynomial(), 6 * x * x - 4 * x * y + 2
+        for f, g in ((zero, zero), (zero, p), (-p, zero), (zero, Polynomial.const(-3)),
+                     (Polynomial.const(-4), p), (p, Polynomial.const(6)),
+                     # monomial gcds X*Y, 1 and X^2
+                     (-6 * x * x * y, 4 * x * y ** 3 + 2 * x ** 3 * y),
+                     (x * x + x * y, -3 * y), (9 * x ** 3 - x * x, 6 * x ** 2 * y),
+                     # no shared variable, and joint content 2
+                     (2 * x * x + 4, -6 * y + 2)):
+            assert_cofactors(f, g)
+            assert_cofactors(g, f)
+
+    def test_heuristic_exit(self, monkeypatch):
+        pairs = cofactor_pairs(151, 60)
+        fallbacks = count_calls(monkeypatch, "_prs_gcd")
+        for f, g in pairs:
+            assert_cofactors(f, g)
+        assert not fallbacks
+
+    def test_prs_exit(self, monkeypatch):
+        prs_only(monkeypatch)
+        fallbacks = count_calls(monkeypatch, "_prs_gcd")
+        for f, g in cofactor_pairs(152, 30):
+            assert_cofactors(f, g)
+        assert len(fallbacks) >= 25
 
 
 class TestRationalFunction:
@@ -820,6 +911,30 @@ class TestGrammar:
         monkeypatch.setattr(Polynomial, "degree", lambda p: walks.append(p) or degree(p))
         assert parse_scalar("3*X^2*Y") == 3 * X ** 2 * Y
         assert len(walks) == 2
+
+    def test_product_cap_before_powers(self, monkeypatch):
+        # only the first operand's power is built (its numerator and its
+        # denominator 1): the product's cap is checked before the second
+        calls = []
+        power = Polynomial.__pow__
+        monkeypatch.setattr(Polynomial, "__pow__", lambda p, n: calls.append(n) or power(p, n))
+        with pytest.raises(ResourceLimitError, match="product of degree 128 exceeds"):
+            parse_scalar("(X+Y+1)^64*(X+Y+1)^64")
+        assert calls == [64, 64]
+        calls.clear()
+        with pytest.raises(ResourceLimitError, match="product of degree 80 exceeds"):
+            parse_scalar("X^40/(X+1)^-40")
+        assert calls == [40, 40]
+
+    def test_nesting(self):
+        depth = scalars.MAX_NESTING
+        assert parse_scalar("(" * depth + "X" + ")" * depth) == X
+        assert parse_scalar("-(" * depth + "X" + ")" * depth) == (-1) ** depth * X
+        with pytest.raises(ResourceLimitError, match=f"nested deeper than {depth}"):
+            parse_scalar("(" * (depth + 1) + "X" + ")" * (depth + 1))
+        # unary minus is read in a loop, and binds tighter than a power
+        assert parse_scalar("X*" + "-" * 3001 + "X") == -X * X
+        assert parse_scalar("X*" + "-" * 3001 + "X^2") == X ** 3
 
     def test_power_caps(self):
         # over a cap: inputs the grammar would have computed at once, so
