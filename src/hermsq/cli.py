@@ -124,7 +124,7 @@ def _cmd_qf_signature(args):
 
 
 def _cmd_nc_eval(args):
-    poly = parse_nc(args.poly)
+    poly = parse_nc(args.poly, degree_cap())
     mats = matrices_from_json(loads(args.matrices))
     value = nc_eval(poly, mats)
     doc = {"value": [[str(v) for v in row] for row in value]}
@@ -146,7 +146,7 @@ def _cmd_nc_central(args):
 
 
 def _cmd_nc_falsify(args):
-    found = psd_falsify(parse_nc(args.poly), args.n, args.trials, args.seed,
+    found = psd_falsify(parse_nc(args.poly, degree_cap()), args.n, args.trials, args.seed,
                         args.bound)
     if found is None:
         _emit(args, {"counterexample": None},

@@ -12,9 +12,12 @@ image lies in M_n(Z[z]) once f is scaled by the lcm of its coefficient
 denominators, and nothing is ever divided.  There the entries are dicts
 {packed monomial: coefficient}, a packed monomial being one int with a bit
 field per generic variable, so a monomial product is one int addition.
+Y_l and its star come from the involution applied to the int matrix of
+the variables' slot numbers s + 1, which it only moves and negates.
 `is_identity_mod_a` and `is_central_nonvanishing` decide on that packed
-form directly (s6 on M_3 in about 0.3 s on a 2-vCPU VM, Python 3.11);
-`generic_eval` unpacks it into `ZPolynomial` entries.
+form directly and build no `ZPolynomial` (s6 on M_3 in about 0.3 s on a
+2-vCPU VM, Python 3.11); `generic_eval` unpacks it into `ZPolynomial`
+entries.
 """
 
 import os
@@ -32,8 +35,12 @@ from .zpoly import ZPolynomial
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_N = 3
-# caps of psd_falsify: 1000 trials on x1* x1 + x2* x2 take 4 to 6 s at
-# n = 8 and about 48 s at n = 16 on a 2-vCPU VM
+# caps of psd_falsify, and MAX_FALSIFY_N also of nc_eval: 1000 trials on
+# x1* x1 + x2* x2 take 4 to 6 s at n = 8 and about 48 s at n = 16 on a
+# 2-vCPU VM.  With the CLI's degree cap (6) too, the worst cases measured
+# there are `nc falsify` on (x1* x1)^3 at n = 8 with 1000 trials, 16 s, and
+# `nc eval` of s6 (720 words) on an 8 x 8 tuple, 4.2 s (5.6 s with
+# entries up to 10^6); the time grows with the number of words
 MAX_FALSIFY_N = 8
 MAX_FALSIFY_TRIALS = 1000
 
@@ -249,10 +256,13 @@ def nc_star(f):
 # -- evaluation -------------------------------------------------------------
 
 def nc_eval(f, mats):
-    """Evaluate on a tuple of rational matrices, star acting as transpose."""
+    """Evaluate on a tuple of rational matrices of size at most
+    MAX_FALSIFY_N, star acting as transpose."""
     if not mats or not mats[0]:
         raise ShapeError("empty matrix tuple or empty matrix")
     n = len(mats[0])
+    if n > MAX_FALSIFY_N:
+        raise ResourceLimitError(f"matrix size {n} exceeds the cap {MAX_FALSIFY_N}")
     mats = [[[Fraction(v) for v in row] for row in m] for m in mats]
     for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
@@ -354,31 +364,22 @@ class GenericMatrixContext:
 # total degree at most deg f < 2^w, so no field carries into the next one
 # and the product of monomials is the sum of their ints.
 
-def _packed_images(f, ctx):
-    """(images, names, w): images[l] and images[-l] are Y_l and its star as
-    n x n arrays of (sign, packed variable), names[s] is the generic
-    variable in slot s, and w the field width."""
-    letters = f.variables()
-    for l in letters:
-        if l not in ctx.matrices:
-            raise ShapeError(f"context has no generic matrix for x{l}")
+def _packed_images(f, n, star):
+    """(images, w): images[l] and images[-l] are Y_l and its star as n x n
+    arrays of (sign, packed variable) for each letter l of f, and w is the
+    field width.  The star is applied to the int matrix of the slot numbers
+    s + 1: an involution of either type only moves and negates entries, so
+    the sign and the slot of each entry come straight out of its int."""
     w = max(f.degree().bit_length(), 1)
-    rows = range(1, ctx.n + 1)
-    names = [f"z{i}_{j}_{l}" for l in letters for i in rows for j in rows]
-    packed = {name: 1 << (w * s) for s, name in enumerate(names)}
-
-    def signed_variable(p):
-        if len(p.terms) == 1:
-            ((mono, c),) = p.terms.items()
-            if len(mono) == 1 and mono[0][1] == 1 and c in (1, -1) and mono[0][0] in packed:
-                return (1 if c == 1 else -1), packed[mono[0][0]]
-        raise ShapeError(f"generic matrix entry {p} is not a signed variable")
-
+    span = range(n)
     images = {}
-    for l in letters:
-        for key, m in ((l, ctx.matrices[l]), (-l, ctx.star(ctx.matrices[l]))):
-            images[key] = [[signed_variable(p) for p in row] for row in m]
-    return images, names, w
+    for k, l in enumerate(f.variables()):
+        first = k * n * n + 1
+        slots = [[first + i * n + j for j in span] for i in span]
+        for key, m in ((l, slots), (-l, star(slots))):
+            images[key] = [[(1, 1 << w * (v - 1)) if v > 0 else (-1, 1 << w * (-v - 1))
+                            for v in row] for row in m]
+    return images, w
 
 
 def _packed_eval(f, images, n):
@@ -421,8 +422,18 @@ def _packed_eval(f, images, n):
 def generic_eval(f, ctx):
     """Image of f in the generic matrix algebra of ctx, with `ZPolynomial`
     entries: over Z[z] when f's coefficients are integers, over Q[z]
-    otherwise."""
-    images, names, w = _packed_images(f, ctx)
+    otherwise.  Each entry of a matrix of ctx must be its generic variable."""
+    letters = f.variables()
+    rows = range(1, ctx.n + 1)
+    names = [f"z{i}_{j}_{l}" for l in letters for i in rows for j in rows]
+    for l in letters:
+        if l not in ctx.matrices:
+            raise ShapeError(f"context has no generic matrix for x{l}")
+    entries = (p for l in letters for row in ctx.matrices[l] for p in row)
+    for name, p in zip(names, entries):
+        if ZPolynomial.variable(name) != p:
+            raise ShapeError(f"generic matrix entry {p} is not the variable {name}")
+    images, w = _packed_images(f, ctx.n, ctx.star)
     mask = (1 << w) - 1
     # slots in the order of their names, so each monomial comes out sorted
     slots = sorted(range(len(names)), key=names.__getitem__)
@@ -441,7 +452,7 @@ def _integral_image(f, n, J, max_degree):
     does, and its image has int coefficients."""
     _check_limits(f.degree(), n, max_degree)
     f = f * lcm(*(c.denominator for c in f.terms.values()))
-    images, _, _ = _packed_images(f, GenericMatrixContext(n, f.variables(), J))
+    images, _ = _packed_images(f, n, GenericMatrixContext(n, (), J).star)
     return _packed_eval(f, images, n)
 
 

@@ -1,4 +1,4 @@
-"""Exact scalars: sparse polynomials over Q and normalized rational
+"""Exact scalars: sparse polynomials over Z and normalized rational
 functions in the commuting variables X and Y, the elements of F = Q(X,Y).
 
 A monomial X^a Y^b is stored as the int (a + b) << 2W | b << W | a, with
@@ -10,9 +10,10 @@ first, then the exponent of Y).  Only this module knows the format:
 variable names appear at the boundary alone (`Polynomial.variable`,
 `Polynomial.monomial`, `variables`, `degree_in`, `evaluate`, `leading`,
 `monomial_parts`, `sign_at`, parsing and formatting).  The zero polynomial
-is the empty term map.  Coefficients are ints wherever the arithmetic stays
-in Z; Fractions enter only with rational values given to a polynomial, and
-leave as the values of `evaluate`, `as_fraction` and `monomial_parts`.  A
+is the empty term map.  Every coefficient of a `Polynomial` is an int: it
+is the ring Z[X, Y].  Rationals enter only through `as_scalar`,
+`RationalFunction.from_const` and division, and leave only as the values
+of `evaluate`, `as_fraction` and `monomial_parts`.  A
 rational function is a coprime pair of int polynomials num/den, den with a
 positive graded-lex leading coefficient and integer content 1 over num and
 den together, so equal fractions have identical representations (p/q is p
@@ -77,16 +78,8 @@ def _scaled(p, k):
     return p if k == 1 else Polynomial({m: c * k for m, c in p.terms.items()})
 
 
-def _quo(a, b):
-    """a / b, kept an int when a and b are ints and b divides a."""
-    if a.__class__ is int and b.__class__ is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return a / b
-
-
 class Polynomial:
-    """Sparse polynomial over Q in X and Y."""
+    """Sparse polynomial over Z in X and Y."""
 
     __slots__ = ("terms",)
 
@@ -114,14 +107,12 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, mono, coeff):
-        """coeff times the monomial given as (variable name, exponent) pairs."""
+        """coeff, an int, times the monomial given as (variable name,
+        exponent) pairs."""
         mono = _pack(mono)
-        coeff = Fraction(coeff)
-        if not coeff:
-            return cls()
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        return cls({mono: coeff})
+        if not isinstance(coeff, int):
+            raise HermsqError(f"polynomial coefficient {coeff!r} is not an int")
+        return cls({mono: int(coeff)} if coeff else None)
 
     # -- structure ----------------------------------------------------
 
@@ -194,7 +185,7 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -267,29 +258,21 @@ class Polynomial:
         return total
 
     def content_and_primitive(self):
-        """Return (c, p) with self = c*p, c a Fraction and p primitive over Z
-        with int coefficients and positive graded-lex leading coefficient.
-        Zero returns (0, 0)."""
+        """Return (c, p) with self = c*p, c the int content signed like the
+        leading coefficient and p primitive with positive graded-lex leading
+        coefficient.  Zero returns (0, 0)."""
         if not self.terms:
-            return Fraction(0), self
-        num, den = 0, 1
-        for c in self.terms.values():
-            num = _int_gcd(num, c.numerator)
-            d = c.denominator
-            if d != 1:
-                den = den * d // _int_gcd(den, d)
+            return 0, self
+        c = _int_gcd(*self.terms.values())
         if _leading(self)[1] < 0:
-            num = -num
-        if num == 1 and den == 1 and all(c.__class__ is int for c in self.terms.values()):
-            return Fraction(1), self
-        prim = {m: c.numerator // num * (den // c.denominator) for m, c in self.terms.items()}
-        return Fraction(num, den), Polynomial(prim)
+            c = -c
+        return c, self if c == 1 else Polynomial({m: v // c for m, v in self.terms.items()})
 
 
 def _as_poly(x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Polynomial.const(x)
     return NotImplemented
 
@@ -336,11 +319,11 @@ def _from_univar(coeffs, var):
     return Polynomial(out)
 
 
-def _divide(f, h, in_z):
-    """The quotient f/h of term maps, h nonzero, by division in the graded-lex
-    order of the packed monomials; None when h does not divide f, over Z
-    when in_z and over Q otherwise.  A quotient monomial beyond f's degree
-    minus h's in either variable ends it early."""
+def _divide(f, h):
+    """The quotient f/h of int term maps, h nonzero, by division in the
+    graded-lex order of the packed monomials; None when h does not divide f
+    in Z[X, Y].  A quotient monomial beyond f's degree minus h's in either
+    variable ends it early."""
     lm = max(h)
     lx, ly = lm & _MASK, lm >> _W & _MASK
     room_x = max([m & _MASK for m in f], default=0) - lx
@@ -356,9 +339,7 @@ def _divide(f, h, in_z):
             return None
         k, r = divmod(c, lc)
         if r:
-            if in_z:
-                return None
-            k = _quo(c, lc)
+            return None
         d = m - lm
         q[d] = k
         for hm, hv in tail:
@@ -372,14 +353,10 @@ def _divide(f, h, in_z):
 
 
 def poly_divexact(f, g):
-    """Exact division f/g over Q; raises if g does not divide f.  Int
-    coefficients stay ints where the quotient's coefficients are integers."""
+    """Exact division f/g in Z[X, Y]; raises if g does not divide f."""
     if g.is_zero():
         raise DivisionByZeroError("polynomial division by zero")
-    if g.is_constant():
-        c = g.terms[0]
-        return Polynomial({m: _quo(co, c) for m, co in f.terms.items()})
-    q = _divide(f.terms, g.terms, False)
+    q = _divide(f.terms, g.terms)
     if q is None:
         raise HermsqError("inexact polynomial division")
     return Polynomial(q)
@@ -423,7 +400,7 @@ def _gcd_cofactors(f, g):
     if not f.terms or not g.terms:
         # gcd(p, 0) is p's primitive part, whose cofactor is p's content
         c, h = (f if f.terms else g).content_and_primitive()
-        c = Polynomial.const(c.numerator)
+        c = Polynomial.const(c)
         return (h, c, g) if f.terms else (h, f, c)
     if f.is_constant() or g.is_constant():
         return _INT_ONE, f, g
@@ -442,8 +419,8 @@ def _gcd_cofactors(f, g):
     found = _gcdheu(f.terms, g.terms, [v for v in (_VARS["Y"], _VARS["X"]) if v[1] in fs | gs])
     if found is None:
         h = _prs_gcd(f, g)
-        return (h, Polynomial(_divide(f.terms, h.terms, True)),
-                Polynomial(_divide(g.terms, h.terms, True)))
+        return (h, Polynomial(_divide(f.terms, h.terms)),
+                Polynomial(_divide(g.terms, h.terms)))
     c, h, qf, qg = found
     if 0 in h and len(h) == 1:
         return _INT_ONE, f, g
@@ -531,9 +508,9 @@ def _gcdheu(f, g, levels):
                 hc = -hc
             if hc != 1:
                 h = {m: v // hc for m, v in h.items()}
-            qf = _divide(f, h, True)
+            qf = _divide(f, h)
             if qf is not None:
-                qg = _divide(g, h, True)
+                qg = _divide(g, h)
                 if qg is not None:
                     return c, h, qf, qg
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
@@ -615,27 +592,28 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        """num/den for ints or int polynomials num and den."""
         num = _as_poly(num)
         den = _INT_ONE if den is None else _as_poly(den)
         if num is NotImplemented or den is NotImplemented:
             raise HermsqError("cannot build rational function from given operands")
         if den.is_zero():
             raise DivisionByZeroError("zero denominator")
-        cn, num = num.content_and_primitive()
-        cd, den = den.content_and_primitive()
         _, num, den = _gcd_cofactors(num, den)
-        # num and den are primitive and coprime, so the joint content of
-        # c's numerator times num and c's denominator times den is 1
-        c = cn / cd
-        self.num = _scaled(num, c.numerator)
-        self.den = _scaled(den, c.denominator)
+        if _leading(den)[1] < 0:
+            num, den = -num, -den
+        reduced = RationalFunction._reduced(num, den)
+        self.num, self.den = reduced.num, reduced.den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_const(cls, c):
         c = Fraction(c)
-        return cls._reduced(Polynomial.const(c.numerator), _scaled(_INT_ONE, c.denominator))
+        out = object.__new__(cls)
+        out.num = Polynomial({0: c.numerator} if c else None)
+        out.den = _INT_ONE if c.denominator == 1 else Polynomial({0: c.denominator})
+        return out
 
     @classmethod
     def variable(cls, name, exp=1):
@@ -644,11 +622,11 @@ class RationalFunction:
 
     @classmethod
     def zero(cls):
-        return cls(Polynomial())
+        return cls.from_const(0)
 
     @classmethod
     def one(cls):
-        return cls(Polynomial.one())
+        return cls.from_const(1)
 
     # -- predicates ---------------------------------------------------
 
@@ -1111,13 +1089,14 @@ def _format_mono(mono, coeff):
     return f"{coeff}*{body}"
 
 
-def format_polynomial(p):
+def format_polynomial(p, den=1):
+    """The text of p/den for a positive int den, term by term."""
     if not p.terms:
         return "0"
     monos = sorted(p.terms, reverse=True)
-    out = _format_mono(monos[0], p.terms[monos[0]])
-    for m in monos[1:]:
-        c = p.terms[m]
+    coeffs = [p.terms[m] if den == 1 else Fraction(p.terms[m], den) for m in monos]
+    out = _format_mono(monos[0], coeffs[0])
+    for m, c in zip(monos[1:], coeffs[1:]):
         piece = _format_mono(m, abs(c))
         out += f" - {piece}" if c < 0 else f" + {piece}"
     return out
@@ -1126,12 +1105,11 @@ def format_polynomial(p):
 def format_scalar(f):
     """Canonical text form; parse(format(f)) == f."""
     f = as_scalar(f)
-    # the text keeps the den primitive, its integer content inside the num
+    # the text keeps the den primitive, its integer content c dividing the num
     c, den = f.den.content_and_primitive()
-    num = f.num if c == 1 else Polynomial({m: v / c for m, v in f.num.terms.items()})
     if den.is_constant():
-        return format_polynomial(num)
-    return f"({format_polynomial(num)})/({format_polynomial(den)})"
+        return format_polynomial(f.num, c)
+    return f"({format_polynomial(f.num, c)})/({format_polynomial(den)})"
 
 
 X = RationalFunction.variable("X")

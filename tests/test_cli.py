@@ -307,6 +307,37 @@ class TestNcCommands:
         assert "cap" in err and all(size in err for size in sizes)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, work", [
+        (["eval", "--poly", "x1 x2 x3 x4 x5 x6 x7 x8",
+          "--matrices", json.dumps([[[1, 2], [3, 4]]] * 8)], "nc_eval"),
+        (["falsify", "--poly", "x1* x1 x1* x1 x1* x1 x1* x1 x1* x1", "--n", "8",
+          "--trials", "1000"], "psd_falsify"),
+    ])
+    def test_degree_cap_before_evaluation(self, capsys, monkeypatch, argv, work):
+        # eval and falsify refuse the first word over the cap 6 as it is read
+        def evaluate(*args, **kwargs):
+            raise AssertionError("evaluated over the cap")
+
+        monkeypatch.setattr(f"hermsq.cli.{work}", evaluate)
+        code, out, err = run(capsys, "nc", *argv)
+        assert code == 2 and out == ""
+        assert "word of degree 7" in err and "cap 6" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_eval_matrix_size_cap(self, capsys, monkeypatch, n):
+        # the size cap of falsify, checked before any product
+        def multiply(*args):
+            raise AssertionError("multiplied over the cap")
+
+        monkeypatch.setattr("hermsq.ncpoly.mat_mul", multiply)
+        mats = [[[1] * n for _ in range(n)]] * 2
+        code, out, err = run(capsys, "nc", "eval", "--poly", "x1 x2 x1* x2*",
+                             "--matrices", json.dumps(mats))
+        assert code == 2 and out == ""
+        assert f"matrix size {n} exceeds the cap 8" in err
+        assert "Traceback" not in err
+
     def test_verify_cert(self, capsys, tmp_path):
         doc = {"g": "x1* x1", "h": "1", "n": 2, "J": "orthogonal",
                "weights": [], "terms": {"": ["x1"]}}

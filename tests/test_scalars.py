@@ -33,9 +33,23 @@ class TestPolynomial:
     def test_zero_and_constants(self):
         assert Polynomial.zero().is_zero()
         assert Polynomial.const(0).is_zero()
-        assert Polynomial.const(Fraction(3, 2)).constant() == Fraction(3, 2)
+        assert Polynomial.const(-3).constant() == -3
         assert Polynomial.one().degree() == 0
         assert Polynomial.zero().degree() == -1
+
+    def test_coefficients_are_ints(self):
+        # Polynomial is Z[X, Y]: a rational enters through RationalFunction
+        x = Polynomial.variable("X")
+        for c in (Fraction(1, 2), Fraction(2), 0.5):
+            with pytest.raises(HermsqError):
+                Polynomial.const(c)
+            with pytest.raises(HermsqError):
+                Polynomial.monomial((("X", 1),), c)
+        for op in (lambda: x * Fraction(1, 2), lambda: Fraction(1, 2) * x,
+                   lambda: x + Fraction(1, 2), lambda: Fraction(1, 2) - x):
+            with pytest.raises(TypeError):
+                op()
+        assert RationalFunction(x) * Fraction(1, 2) == RationalFunction(x, 2)
 
     def test_variable_arithmetic(self):
         x = Polynomial.variable("X")
@@ -73,8 +87,11 @@ class TestPolynomial:
 
     def test_evaluate(self):
         x, y = Polynomial.variable("X"), Polynomial.variable("Y")
-        p = x ** 2 * y - 3 * x + Fraction(1, 2)
+        p = 2 * x ** 2 * y - 6 * x + 1
         val = p.evaluate({"X": 2, "Y": Fraction(1, 4)})
+        assert val == Fraction(8, 4) - 12 + 1
+        # x^2*y - 3*x + 1/2 as a rational function
+        val = RationalFunction(p, 2).evaluate({"X": 2, "Y": Fraction(1, 4)})
         assert val == Fraction(4, 4) - 6 + Fraction(1, 2)
 
     def test_evaluate_missing_variable(self):
@@ -157,19 +174,20 @@ class TestGcd:
         with pytest.raises(DivisionByZeroError):
             poly_divexact(x, Polynomial.zero())
 
-    def test_divexact_over_q(self):
-        # exact over Q: Fraction coefficients on either side, and a quotient
-        # with Fraction coefficients from int operands
+    def test_divexact_over_z(self):
+        # exact in Z[X, Y]: a quotient that needs a rational coefficient is
+        # inexact, by a constant divisor too
         x = Polynomial.variable("X")
         y = Polynomial.variable("Y")
-        q = x * Fraction(1, 2) - y * Fraction(2, 3) + Fraction(5, 7)
-        for d in (x + y, 3 * x * y - 2, x * Fraction(2, 9) + 4):
+        assert exact_terms(poly_divexact(2 * x + 2, Polynomial.const(2))) == exact_terms(x + 1)
+        assert exact_terms(poly_divexact(6 * x * y + 4 * y, 3 * x + 2)) == exact_terms(2 * y)
+        q = 2 * x - 3 * y + 5
+        for d in (x + y, 3 * x * y - 2, Polynomial.const(-7)):
             assert poly_divexact(q * d, d) == q
             assert poly_divexact(q * d, q) == d
-        assert poly_divexact(x * x + x, 2 * x + 2) == x * Fraction(1, 2)
-        assert exact_terms(poly_divexact(6 * x * y + 4 * y, 3 * x + 2)) == exact_terms(2 * y)
-        with pytest.raises(HermsqError):
-            poly_divexact(q * (x + y) + 1, x + y)
+        for f, g in ((x, Polynomial.const(2)), (x * x + x, 2 * x + 2), (q * (x + y) + 1, x + y)):
+            with pytest.raises(HermsqError):
+                poly_divexact(f, g)
 
     def test_gcd_basic(self):
         x = Polynomial.variable("X")
@@ -235,8 +253,10 @@ class TestIntegerGcdKernel:
                        for _ in range(3))
             if f.is_zero() or g.is_zero() or h.is_zero():
                 continue
-            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            out.append((f * c, g, h))
+            # the rational factor a/b of f/g reaches RationalFunction as
+            # integer contents of f and g
+            a, b = rng.randint(1, 9), rng.randint(1, 9)
+            out.append((f * a, g * b, h))
         return out
 
     def test_common_factor_comes_out(self):
@@ -481,8 +501,8 @@ class TestHeuristicGcd:
         divide = scalars._divide
         rejected = []
 
-        def checked(p, h, in_z):
-            q = divide(p, h, in_z)
+        def checked(p, h):
+            q = divide(p, h)
             if q is None:
                 rejected.append(h)
             return q
@@ -501,7 +521,7 @@ class TestHeuristicGcd:
         fallbacks = count_calls(monkeypatch, "_prs_gcd")
         points = []
         monkeypatch.setattr(scalars, "_divide",
-                            lambda p, h, in_z: divide(p, h, in_z) if fallbacks else points.append(h))
+                            lambda p, h: divide(p, h) if fallbacks else points.append(h))
         assert poly_gcd(f, g) == parse_scalar("X + 1").num
         assert len(points) == 6 and len(fallbacks) == 1
 
@@ -636,24 +656,26 @@ class TestDenominatorOneFastPaths:
     result must be exactly what the general constructor builds."""
 
     def fractions(self, seed, rational):
+        """(p, d): an int polynomial p over an int d, 1 unless rational,
+        that RationalFunction(p, d) reduces."""
         rng = random.Random(seed)
         out = []
         for _ in range(40):
-            p = random_poly(rng, nterms=4, maxdeg=2)
+            p, d = random_poly(rng, nterms=4, maxdeg=2), 1
             if rational:
-                p = p * Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7))
-            out.append(p)
-        return out + [Polynomial.const(Fraction(3, 4)), Polynomial()]
+                c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7))
+                p, d = p * c.numerator, c.denominator
+            out.append((p, d))
+        return out + [(Polynomial.const(3), 4), (Polynomial(), 1)]
 
     @pytest.mark.parametrize("rational", [False, True])
     def test_same_terms_as_constructor(self, rational):
-        polys = self.fractions(31 + rational, rational)
-        one = Polynomial.one()
-        for p, q in zip(polys, polys[1:] + polys[:1]):
-            a, b = RationalFunction(p), RationalFunction(q)
-            for got, want in ((a + b, RationalFunction(p + q, one)),
-                              (a * b, RationalFunction(p * q, one * one)),
-                              (a - b, RationalFunction(p - q, one))):
+        pairs = self.fractions(31 + rational, rational)
+        for (p, d), (q, e) in zip(pairs, pairs[1:] + pairs[:1]):
+            a, b = RationalFunction(p, d), RationalFunction(q, e)
+            for got, want in ((a + b, RationalFunction(p * e + q * d, d * e)),
+                              (a * b, RationalFunction(p * q, d * e)),
+                              (a - b, RationalFunction(p * e - q * d, d * e))):
                 assert exact_terms(got.num) == exact_terms(want.num)
                 assert exact_terms(got.den) == exact_terms(want.den)
 
@@ -664,12 +686,16 @@ class TestDenominatorOneFastPaths:
         f = RationalFunction(p, d)
         assert f.den.terms == d.terms and f.num.terms == p.terms
         c, prim = d.content_and_primitive()
-        assert c == 1 and exact_terms(prim) == exact_terms(d)
+        assert c == 1 and type(c) is int and exact_terms(prim) == exact_terms(d)
         c, prim = (-d).content_and_primitive()
-        assert c == -1 and exact_terms(prim) == exact_terms(d)
-        g = RationalFunction(p, Polynomial.const(Fraction(-2, 3)))
-        assert g.den == Polynomial.const(2) and type(g.den.constant()) is int
-        assert g.num.terms == {m: c * -3 for m, c in p.terms.items()}
+        assert c == -1 and type(c) is int and exact_terms(prim) == exact_terms(d)
+        c, prim = (d * -6).content_and_primitive()
+        assert c == -6 and type(c) is int and exact_terms(prim) == exact_terms(d)
+        assert Polynomial().content_and_primitive() == (0, Polynomial())
+        # p over -2/3, by the constructor and by a rational scalar
+        for g in (RationalFunction(p * 3, -2), RationalFunction(p) / as_scalar(Fraction(-2, 3))):
+            assert g.den == Polynomial.const(2) and type(g.den.constant()) is int
+            assert g.num.terms == {m: c * -3 for m, c in p.terms.items()}
 
     def test_mixed_denominators(self):
         rng = random.Random(37)
@@ -683,12 +709,13 @@ class TestDenominatorOneFastPaths:
 
 
 def rational_poly(rng, names=("X", "Y")):
-    """A random polynomial with Fraction coefficients, and its text."""
-    p, parts = Polynomial(), []
+    """A random polynomial with Fraction coefficients, as a RationalFunction
+    with a constant den, and its text."""
+    p, parts = RationalFunction.zero(), []
     for _ in range(rng.randint(1, 3)):
         c = Fraction(rng.randint(-6, 6) or 1, rng.choice((1, 2, 3, 4, 6, 9)))
         mono = tuple((v, rng.randint(1, 2)) for v in names if rng.random() < 0.5)
-        p = p + Polynomial.monomial(mono, c)
+        p = p + RationalFunction(Polynomial.monomial(mono, c.numerator), c.denominator)
         parts.append("*".join([f"({c})"] + [f"{v}^{e}" for v, e in mono]))
     return p, " + ".join(parts)
 
@@ -715,11 +742,12 @@ class TestCanonicalForm:
             (n, n_text), (d, d_text), (e, _) = (rational_poly(rng) for _ in range(3))
             if n.is_zero() or d.is_zero() or e.is_zero() or (d + 1).is_zero():
                 continue
-            c = RationalFunction(e, d + 1)
-            want = RationalFunction(n, d)
+            c = e / (d + 1)
+            # n/d by the constructor, the constant dens crossed over
+            want = RationalFunction(n.num * d.den, n.den * d.num)
             got = [parse_scalar(f"({n_text})/({d_text})"),
-                   RationalFunction(n) / RationalFunction(d),
-                   RationalFunction(n) * RationalFunction(d).inverse(),
+                   n / d,
+                   n * d.inverse(),
                    (want + c) - c,
                    (want * c) / c,
                    (want ** 3) * want ** -2,
@@ -736,7 +764,8 @@ class TestCanonicalForm:
             want = RationalFunction.from_const(Fraction(p, q))
             got = [parse_scalar(f"{p}/{q}"),
                    RationalFunction(Polynomial.const(p), Polynomial.const(q)),
-                   RationalFunction(Polynomial.const(Fraction(p, q))),
+                   RationalFunction(p, q),
+                   RationalFunction(-p, -q),
                    as_scalar(p) / as_scalar(q),
                    as_scalar(Fraction(p, 2 * q)) + as_scalar(Fraction(p, 2 * q)),
                    as_scalar(Fraction(p, q)) * as_scalar(Fraction(7, 3)) / 7 * 3]
@@ -868,6 +897,19 @@ class TestGrammar:
             assert parse_scalar(format_scalar(f)) == f
         with pytest.raises(ParseError):
             parse_scalar("z1_2_3")
+
+    def test_den_content_moves_into_the_num(self):
+        # the den's integer content c > 1 divides the num's coefficients in
+        # the text, which keeps the den primitive
+        for text, want in (("(3*X - 1)/(6*Y + 4)", "(3/2*X - 1/2)/(3*Y + 2)"),
+                           ("(X + 1)/(2*Y + 2)", "(1/2*X + 1/2)/(Y + 1)"),
+                           ("(X + 3)/2", "1/2*X + 3/2"),
+                           ("-(4*X^2*Y - 3)/(6*X*Y - 9*Y^2 + 12)",
+                            "(4/3*X^2*Y - 1)/(3*Y^2 - 2*X*Y - 4)"),
+                           ("5/(10*X)", "(1/2)/(X)"),
+                           ("(6*X)/(4*Y)", "(3/2*X)/(Y)"),
+                           ("7/3", "7/3")):
+            assert format_scalar(parse_scalar(text)) == want
 
     def test_roundtrip_random(self):
         rng = random.Random(41)
