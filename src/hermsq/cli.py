@@ -7,7 +7,7 @@ Exit codes: 0 claim confirmed / verification passed / property holds,
 import argparse
 import sys
 
-from .errors import HermsqError
+from .errors import HermsqError, ResourceLimitError
 from .scalars import MonomialOrdering, format_scalar, parse_scalar
 from .qforms import (DiagonalForm, diagonalize, is_isotropic_Q,
                      is_weakly_isotropic_Q, weakly_represents_one)
@@ -127,8 +127,12 @@ def _cmd_nc_eval(args):
     poly = parse_nc(args.poly, degree_cap())
     mats = matrices_from_json(loads(args.matrices))
     value = nc_eval(poly, mats)
-    doc = {"value": [[str(v) for v in row] for row in value]}
-    _emit(args, doc, [str([[str(v) for v in row] for row in value])])
+    try:
+        value = [[str(v) for v in row] for row in value]
+    except ValueError:   # an int over sys.get_int_max_str_digits()
+        raise ResourceLimitError("the value has an entry too long to print (over "
+                                 f"{sys.get_int_max_str_digits()} digits)") from None
+    _emit(args, {"value": value}, [str(value)])
     return 0
 
 

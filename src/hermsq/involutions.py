@@ -89,6 +89,10 @@ class QuatElem:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, QuatElem):
+            # scalars are central: c q = q c scales the four coordinates
+            c = as_scalar(other)
+            return QuatElem(self.algebra, tuple(x * c for x in self.coords))
         other = self._coerce(other)
         a, b = self.algebra.a, self.algebra.b
         x0, x1, x2, x3 = self.coords
@@ -100,8 +104,7 @@ class QuatElem:
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         ))
 
-    def __rmul__(self, other):
-        return self._coerce(other) * self
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, QuatElem):
@@ -242,8 +245,8 @@ class AlgebraWithInvolution:
             d = param.entries
             if len(d) != n:
                 raise ShapeError(f"{kind} form dimension must match n")
-            self._factors = [[self.coerce_entry(d[i] * d[j].inverse())
-                              for j in range(n)] for i in range(n)]
+            self._factors = [[d[i] * d[j].inverse() for j in range(n)]
+                             for i in range(n)]
         elif ptype == "quaternion":
             if param.algebra != base:
                 raise ShapeError("twisting element lies in a different algebra")
@@ -340,32 +343,38 @@ class AlgebraWithInvolution:
     def is_symmetric(self, x):
         return self.equal(self.involution(x), x)
 
+    def _cells(self):
+        """(i, j, w) of each basis element E_ij w, in basis order."""
+        units = self.base.basis() if self._is_quat() else [as_scalar(1)]
+        return [(i, j, w) for i in range(self.n) for j in range(self.n)
+                for w in units]
+
     def basis(self):
         """Standard F-basis: matrix units, times 1,i,j,k for quaternion base."""
-        out = []
-        units = self.base.basis() if self._is_quat() else [as_scalar(1)]
-        for i in range(self.n):
-            for j in range(self.n):
-                for w in units:
-                    out.append(self.unit(i, j, w))
-        return out
+        return [self.unit(i, j, w) for i, j, w in self._cells()]
 
     def trace_form(self):
         """Gram matrix of the involution trace form T(x, y) = Trd(sigma(x)y).
 
         Every supported involution is of the first kind, so Trd o sigma = Trd
         and Trd(sigma(y)x) = Trd(sigma(sigma(y)x)) = Trd(sigma(x)y): T is
-        symmetric, equal to its symmetrisation entry by entry, and one
-        product per pair of basis elements gives it."""
-        basis = self.basis()
-        sigmas = [self.involution(e) for e in basis]
-        dim = len(basis)
-        gram = [[None] * dim for _ in range(dim)]
-        for r in range(dim):
-            for s in range(r + 1):
-                v = self.trd(self.mul(sigmas[r], basis[s]))
-                gram[r][s] = v
-                gram[s][r] = v
+        symmetric and equal to its symmetrisation entry by entry.  A basis
+        element is E_ij w, a matrix unit times a base unit w, and
+        Trd(a E_ij w) = trd(a[j][i] w) for any matrix a, so each entry is
+        one product of base elements, none when sigma(x)[j][i] is zero."""
+        cells = self._cells()
+        sigmas = [self.involution(self.unit(i, j, w)) for i, j, w in cells]
+        quat = self._is_quat()
+        zero = as_scalar(0)
+        gram = [[None] * len(cells) for _ in cells]
+        for r, a in enumerate(sigmas):
+            for s, (i, j, w) in enumerate(cells[:r + 1]):
+                v = a[j][i]
+                if not v:
+                    v = zero
+                elif quat:
+                    v = (v * w).trd()
+                gram[r][s] = gram[s][r] = v
         return GramForm(gram)
 
 

@@ -35,14 +35,32 @@ from .zpoly import ZPolynomial
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_N = 3
-# caps of psd_falsify, and MAX_FALSIFY_N also of nc_eval: 1000 trials on
-# x1* x1 + x2* x2 take 4 to 6 s at n = 8 and about 48 s at n = 16 on a
-# 2-vCPU VM.  With the CLI's degree cap (6) too, the worst cases measured
-# there are `nc falsify` on (x1* x1)^3 at n = 8 with 1000 trials, 16 s, and
-# `nc eval` of s6 (720 words) on an 8 x 8 tuple, 4.2 s (5.6 s with
-# entries up to 10^6); the time grows with the number of words
+# caps of psd_falsify, and MAX_FALSIFY_N and MAX_EVAL_WORK also of nc_eval,
+# checked before the first product.  The work of an evaluation is trials x
+# (sum of f's word lengths) x n^3, with trials = 1 for nc_eval, whose work
+# is also scaled by 1 + (b/8)^2 for the largest bit length b of an entry's
+# numerator or denominator: the user's entries are fractions whose
+# denominators multiply along a word, so an 8 x 8 product on a word of six
+# letters takes 2.2 ms at b = 2, 15 ms at b = 20 and 0.27 s at b = 100.
+# psd_falsify draws ints up to MAX_FALSIFY_BOUND instead, which grow far
+# more slowly.  Timed on a 2-vCPU VM (Python 3.11): before these caps,
+# `nc falsify` on (x1* x1)^3 at n = 8 with 1000 trials (3.07M units) took
+# 16 s, and 10 trials with entry bound 10^1000 took 84 s; `nc eval` of s6
+# (720 words) on an 8 x 8 tuple (2.2M units) took 4.2 s, and of the 126
+# words of degree 1 to 6 in x1, x1* on one 8 x 8 matrix of 100-bit
+# fractions (328704 units unscaled) 8.3 s.  A unit of falsification costs
+# 3.4 to 6 us, more for larger entries, so the largest accepted
+# falsification, 113 trials of (x1* x1)^3 at n = 8 (347136 units), takes
+# 1.7 to 1.9 s at bound 5 and 2.3 to 2.4 s at bound 10^6; a scaled unit of
+# nc_eval costs 2.9 to 4.4 us at b = 2 to 400, so six letters on 8 x 8
+# matrices of 85-bit fractions, the largest accepted, take 1.3 s, and the
+# 126 words above at b = 2 take 0.25 s.  Matrices stay at most
+# 8 x 8 in nc_eval too: the denominators of a product grow with n^2, so
+# six letters on 16 x 16 fractions up to 10^6 (24576 units) take 1.7 s.
 MAX_FALSIFY_N = 8
 MAX_FALSIFY_TRIALS = 1000
+MAX_FALSIFY_BOUND = 10 ** 6
+MAX_EVAL_WORK = 350_000
 
 
 def degree_cap(max_degree=None):
@@ -257,7 +275,9 @@ def nc_star(f):
 
 def nc_eval(f, mats):
     """Evaluate on a tuple of rational matrices of size at most
-    MAX_FALSIFY_N, star acting as transpose."""
+    MAX_FALSIFY_N, star acting as transpose; an evaluation over
+    MAX_EVAL_WORK, its entries' size included, is refused before any
+    product."""
     if not mats or not mats[0]:
         raise ShapeError("empty matrix tuple or empty matrix")
     n = len(mats[0])
@@ -270,7 +290,21 @@ def nc_eval(f, mats):
     needed = f.variables()
     if needed and needed[-1] > len(mats):
         raise ShapeError(f"variable x{needed[-1]} has no matrix in the tuple")
-    return _eval_at(f, needed, [mats[i - 1] for i in needed], n)
+    used = [mats[i - 1] for i in needed]
+    bits = max((max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+                for m in used for row in m for v in row), default=0)
+    _check_work(f, n, 1, bits)
+    return _eval_at(f, needed, used, n)
+
+
+def _check_work(f, n, trials, bits=0):
+    """Refuse an evaluation of f on n x n matrices, trials times, with
+    entries of at most bits bits, whose work exceeds MAX_EVAL_WORK."""
+    work = trials * sum(len(w) for w in f.terms) * n ** 3 * (64 + bits * bits) // 64
+    if work > MAX_EVAL_WORK:
+        raise ResourceLimitError(
+            f"evaluation work {work} (trials x word letters x n^3 x "
+            f"(1 + (entry bits/8)^2)) exceeds the cap {MAX_EVAL_WORK}")
 
 
 def _eval_at(f, letters, mats, n):
@@ -488,6 +522,10 @@ def psd_falsify(g, n, trials, seed, bound=5):
         raise ResourceLimitError(
             f"falsification at matrix size {n} with {trials} trials exceeds the caps "
             f"{MAX_FALSIFY_N} and {MAX_FALSIFY_TRIALS}")
+    if bound > MAX_FALSIFY_BOUND:
+        raise ResourceLimitError(
+            f"entry bound {bound} exceeds the cap {MAX_FALSIFY_BOUND}")
+    _check_work(g, n, trials)
     # a constant g still gets one matrix, so the counterexample fixes n
     letters = g.variables() or [1]
     for t in range(trials):

@@ -323,13 +323,21 @@ def _divide(f, h):
     """The quotient f/h of int term maps, h nonzero, by division in the
     graded-lex order of the packed monomials; None when h does not divide f
     in Z[X, Y].  A quotient monomial beyond f's degree minus h's in either
-    variable ends it early."""
+    variable ends it early.  A one-term h divides f term by term."""
     lm = max(h)
     lx, ly = lm & _MASK, lm >> _W & _MASK
+    lc = h[lm]
+    if len(h) == 1:
+        q = {}
+        for m, c in f.items():
+            k, r = divmod(c, lc)
+            if r or (m & _MASK) < lx or (m >> _W & _MASK) < ly:
+                return None
+            q[m - lm] = k
+        return q
     room_x = max([m & _MASK for m in f], default=0) - lx
     room_y = max([m >> _W & _MASK for m in f], default=0) - ly
     tail = [(m, c) for m, c in h.items() if m != lm]
-    lc = h[lm]
     rem = dict(f)
     q = {}
     while rem:

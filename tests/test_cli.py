@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -28,6 +29,13 @@ def run_process(*argv, timeout=60):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "hermsq.cli", *argv],
                           capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def standard_poly_text(k):
+    """s_k in the NC grammar: sign(p) x_p(1) ... x_p(k) over permutations p."""
+    return " + ".join(("-" if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else "")
+                      + " ".join(f"x{i}" for i in p)
+                      for p in itertools.permutations(range(1, k + 1)))
 
 
 def run_json(capsys, *argv):
@@ -252,10 +260,8 @@ class TestNcCommands:
             raise AssertionError("expanded over the cap")
 
         monkeypatch.setattr(f"hermsq.cli.{decision}", expand)
-        s7 = " + ".join(("-" if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else "")
-                        + " ".join(f"x{i}" for i in p)
-                        for p in itertools.permutations(range(1, 8)))
-        code, out, err = run(capsys, "nc", command, "--poly", s7, "--n", "3")
+        code, out, err = run(capsys, "nc", command, "--poly", standard_poly_text(7),
+                             "--n", "3")
         assert code == 2 and out == ""
         assert "word of degree 7 at position 18 exceeds the cap 6" in err
 
@@ -297,6 +303,7 @@ class TestNcCommands:
     @pytest.mark.parametrize("argv, sizes", [
         (["--n", "9"], ("9", "8")),
         (["--n", "2", "--trials", "1001"], ("1001", "1000")),
+        (["--n", "2", "--bound", "1000001"], ("1000001", "1000000")),
     ])
     def test_falsify_over_cap_is_input_error(self, capsys, monkeypatch, argv, sizes):
         def evaluate(*args, **kwargs):
@@ -323,6 +330,43 @@ class TestNcCommands:
         assert code == 2 and out == ""
         assert "word of degree 7" in err and "cap 6" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, work", [
+        (["falsify", "--poly", "x1* x1 x1* x1 x1* x1", "--n", "8", "--trials", "1000"],
+         1000 * 6 * 8 ** 3),
+        (["eval", "--poly", standard_poly_text(6),
+          "--matrices", json.dumps([[[1] * 8 for _ in range(8)]] * 6)],
+         720 * 6 * 8 ** 3 * (64 + 1) // 64),
+        (["eval", "--poly", "x1 x1* x1 x1* x1 x1*",
+          "--matrices", json.dumps([[[f"{2 ** 99 + 1}/{2 ** 99 + i}" for i in range(8)]] * 8])],
+         6 * 8 ** 3 * (64 + 100 ** 2) // 64),
+    ])
+    def test_work_over_cap_is_input_error(self, capsys, monkeypatch, argv, work):
+        # inside the size, trial and degree caps, these ran for 16 s, 4.2 s
+        # and about 1.6 s (100-bit fractions); the work cap refuses them
+        # before the first product
+        def multiply(*args):
+            raise AssertionError("multiplied over the work cap")
+
+        monkeypatch.setattr("hermsq.ncpoly.mat_mul", multiply)
+        code, out, err = run(capsys, "nc", *argv)
+        assert code == 2 and out == ""
+        assert f"evaluation work {work}" in err and "exceeds the cap 350000" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on int to str conversion")
+    def test_eval_value_too_long_to_print(self, capsys):
+        # inside the work cap, six 4 x 4 matrices of 240-bit fractions give
+        # a product with more digits than str() converts: exit 2, not a
+        # traceback
+        rng = random.Random(7)
+        mats = [[[f"{rng.getrandbits(239) | 1 << 239}/{rng.getrandbits(239) | 1 << 239}"
+                  for _ in range(4)] for _ in range(4)] for _ in range(6)]
+        code, out, err = run(capsys, "nc", "eval", "--poly", "x1 x2 x3 x4 x5 x6",
+                             "--matrices", json.dumps(mats))
+        assert code == 2 and out == ""
+        assert "too long to print" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n", [9, 60])
     def test_eval_matrix_size_cap(self, capsys, monkeypatch, n):
@@ -400,6 +444,29 @@ class TestMalformedJson:
         code, _, _ = run(capsys, "nc", "eval", "--poly", "x1",
                          "--matrices", matrices)
         assert code == 2
+
+
+class TestRepeatedMain:
+    """Two main() calls in one process share no state: every call starts
+    from the parser's defaults."""
+
+    def test_output_option_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "scenario", "thm3.2", "--output", "json")
+        assert code == 0 and json.loads(out)["confirmed"] is True
+        code, out, _ = run(capsys, "scenario", "thm3.2")
+        assert code == 0 and out.startswith("scenario: thm3.2\n")
+        assert "confirmed: True" in out
+
+    def test_ordering_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "qf", "signature", "--ordering", "--",
+                           "--output", "json", "--", "X", "Y")
+        assert code == 0 and json.loads(out) == {"ordering": "--", "signature": -2}
+        with pytest.raises(SystemExit) as exc:
+            main(["qf", "signature", "--ordering=+x", "X"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["qf", "signature", "X"])   # no --ordering
+        assert exc.value.code == 2
 
 
 class TestScenarios:

@@ -103,6 +103,25 @@ class TestQuaternionAlgebra:
         with pytest.raises(HermsqError):
             h.zero().inverse()
 
+    def test_scalar_product_scales_coordinates(self):
+        # a scalar is central: q c and c q scale the coordinates, and equal
+        # the product with the scalar as a quaternion
+        rng = random.Random(89)
+        h = QuaternionAlgebra(-1, X)
+        scalars = [3, 0, Fraction(-5, 7), parse_scalar("(X - 2*Y)/(X*Y + 1)"), as_scalar(0)]
+        for _ in range(5):
+            q = random_quat(rng, h)
+            for c in scalars:
+                want = q * h.elem(c)
+                for got in (q * c, c * q):
+                    assert isinstance(got, QuatElem) and got.algebra == h
+                    assert got == want
+                    assert all(a.num.terms == b.num.terms and a.den.terms == b.den.terms
+                               for a, b in zip(got.coords, want.coords))
+        assert (h.zero() * Fraction(1, 2)).is_zero()
+        with pytest.raises(HermsqError):
+            h.i() * "X"
+
     def test_predicates(self):
         h = QuaternionAlgebra(-1, -1)
         assert h.elem(3).is_scalar()
@@ -316,6 +335,38 @@ class TestTraceFormAllKinds:
                 assert got == want
                 assert got.num.terms == want.num.terms
                 assert got.den.terms == want.den.terms
+
+
+class TestTraceFormThm33:
+    def test_matches_full_products(self):
+        # M_3((-1,-1)) with the adjoint of <X, Y, XY>: a seeded sample of
+        # Gram entries, and every pair of basis elements in one matrix cell,
+        # against Trd(sigma(b_r) b_s) by full matrix products
+        alg = thm33_algebra()
+        basis = alg.basis()
+        sigmas = [alg.involution(e) for e in basis]
+        gram = trace_form(alg).matrix
+        rng = random.Random(97)
+        pairs = {(rng.randrange(36), rng.randrange(36)) for _ in range(80)}
+        pairs |= {(4 * cell + a, 4 * cell + b)
+                  for cell in range(9) for a in range(4) for b in range(4)}
+        for r, s in sorted(pairs):
+            want = alg.trd(alg.mul(sigmas[r], basis[s]))
+            assert gram[r][s] == want
+            assert gram[r][s].num.terms == want.num.terms
+            assert gram[r][s].den.terms == want.den.terms
+
+    def test_no_matrix_product(self, monkeypatch):
+        # each entry is one quaternion product, not a 3x3 matrix product
+        alg = thm33_algebra()
+
+        def multiply(*args):
+            raise AssertionError("matrix product in the trace form")
+
+        monkeypatch.setattr("hermsq.involutions._mat_mul", multiply)
+        monkeypatch.setattr(AlgebraWithInvolution, "trd", multiply)
+        gram = trace_form(alg).matrix
+        assert len(gram) == 36
 
 
 class TestEntry33:

@@ -478,6 +478,53 @@ class TestFalsify:
         assert near is not None and len(near) == 1
         assert psd_falsify(x(2000) + xs(2000), 2, 10, 0) == near
 
+    def test_work_cap_boundary(self, monkeypatch):
+        # work = trials x (sum of word lengths) x n^3: (x1* x1)^3 at n = 8
+        # is 3072 a trial, so 113 trials fit the cap of 350000 and 114 do not
+        calls = []
+
+        def evaluate(f, letters, mats, n):
+            calls.append(n)
+            return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+        monkeypatch.setattr(ncpoly, "_eval_at", evaluate)
+        g = (xs(1) * x(1)) ** 3
+        assert ncpoly.MAX_EVAL_WORK == 350_000
+        assert psd_falsify(g, 8, 113, 0) is None and len(calls) == 113
+        with pytest.raises(ResourceLimitError, match="evaluation work 350208"):
+            psd_falsify(g, 8, 114, 0)
+        assert len(calls) == 113
+
+    def test_eval_work_counts_entry_bits(self, monkeypatch):
+        # nc_eval scales the work by 1 + (b/8)^2 for the largest bit length
+        # b of a numerator or denominator of the matrices it uses: six
+        # letters at n = 8 are 3072 units, so b = 85 fits the cap and 86
+        # does not
+        calls = []
+        monkeypatch.setattr(ncpoly, "_eval_at", lambda *args: calls.append(args))
+        f = (x(1) * xs(1)) ** 3
+
+        def matrix(entry):
+            return [[entry if (i, j) == (0, 1) else Fraction(1) for j in range(8)]
+                    for i in range(8)]
+
+        nc_eval(f, [matrix(Fraction(2 ** 84))])
+        nc_eval(f, [matrix(Fraction(1, 2 ** 84))])
+        nc_eval(f, [matrix(Fraction(1)), matrix(Fraction(2 ** 1000))])  # x2 unused
+        assert len(calls) == 3
+        with pytest.raises(ResourceLimitError, match="evaluation work 358080"):
+            nc_eval(f, [matrix(Fraction(2 ** 85))])
+        with pytest.raises(ResourceLimitError, match="evaluation work 358080"):
+            nc_eval(f, [matrix(Fraction(-3, 2 ** 85))])
+        assert len(calls) == 3
+
+    def test_entry_bound_cap(self, monkeypatch):
+        # 10 trials at n = 8 with entries up to 10^1000 took 84 s
+        monkeypatch.setattr(ncpoly, "_eval_at", None)
+        g = (xs(1) * x(1)) ** 3
+        with pytest.raises(ResourceLimitError, match="entry bound 1000001 exceeds the cap 1000000"):
+            psd_falsify(g, 8, 10, 0, 10 ** 6 + 1)
+
     def test_sparse_letters(self):
         from hermsq.certificates import psd_symmetric_rational
         g = x(1) + xs(1) + xs(3) * x(3)

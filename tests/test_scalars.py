@@ -189,6 +189,20 @@ class TestGcd:
             with pytest.raises(HermsqError):
                 poly_divexact(f, g)
 
+    def test_divexact_by_one_term(self):
+        # a one-term divisor divides term by term, in time linear in f
+        x = Polynomial.variable("X")
+        y = Polynomial.variable("Y")
+        p = (x + y + 1) ** 40
+        assert len(p.terms) == 861
+        assert poly_divexact(6 * p, Polynomial.const(3)) == 2 * p
+        assert poly_divexact(-4 * x * y * p, -2 * x * y) == 2 * p
+        assert exact_terms(poly_divexact(x * y + y, y)) == exact_terms(x + 1)
+        for f, g in ((2 * x + 3, Polynomial.const(2)), (x, y), (x * y + 1, x),
+                     (x * y * y, x * x * y)):
+            with pytest.raises(HermsqError):
+                poly_divexact(f, g)
+
     def test_gcd_basic(self):
         x = Polynomial.variable("X")
         y = Polynomial.variable("Y")
