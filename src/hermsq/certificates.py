@@ -7,11 +7,13 @@ construction and verification are deliberately independent code paths.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CertificateError, ShapeError, SingularMatrixError
-from .linalg import Congruence, equal, mat_mul, neg, transpose
+from .errors import CertificateError, ShapeError
+from .linalg import mat_mul, transpose
 from .scalars import ORDERINGS, RationalFunction, as_scalar, monomial_square_class
 from .qforms import DiagonalForm, diagonalize, weakly_represents_one
-from .involutions import AlgebraWithInvolution, InvolutionSpec, QuaternionAlgebra
+# skew_congruence lives with the int_skew involution and is re-exported here
+from .involutions import (AlgebraWithInvolution, InvolutionSpec, QuaternionAlgebra,
+                          skew_congruence)
 from .fdalgebra import structure_algebra
 
 
@@ -175,7 +177,7 @@ def tensor_certificates(c1, c2):
     return HermSqCertificate(sa, sa.scalar(b1 * b2), witnesses)
 
 
-# -- skew-symmetric congruence and the -1 certificate ----------------------
+# -- the -1 certificate under Int(S) o transpose ----------------------------
 
 def _blocks(n, lower):
     """Block diagonal matrix of n/2 blocks [[0, 1], [lower, 0]]."""
@@ -186,52 +188,24 @@ def _blocks(n, lower):
     return b
 
 
-def skew_congruence(s):
-    """P with P^t S P equal to the standard skew block matrix B.
-
-    Greedy pivoting: the first nonzero entry of the current row becomes the
-    (t, t+1) pivot of the block.
-    """
-    n = len(s)
-    m = [[as_scalar(v) for v in row] for row in s]
-    if not equal(transpose(m), neg(m)):
-        raise ShapeError("matrix is not skew-symmetric")
-    if n % 2 != 0:
-        raise SingularMatrixError("odd-size skew-symmetric matrices are singular")
-    red = Congruence(m, as_scalar(0), as_scalar(1))
-    m = red.m
-    for t in range(0, n, 2):
-        j = next((k for k in range(t + 1, n) if not m[t][k].is_zero()), None)
-        if j is None:
-            raise SingularMatrixError("skew matrix is singular")
-        if j != t + 1:
-            red.swap(j, t + 1)
-        red.scale(t + 1, m[t][t + 1].inverse())
-        for k in range(t + 2, n):
-            if not m[t][k].is_zero():
-                red.addmul(k, t + 1, -m[t][k])
-            if not m[t + 1][k].is_zero():
-                red.addmul(k, t, m[t + 1][k])
-    return red.t
-
-
 def symplectic_minus_one(s):
     """Single-witness certificate for -1 in (M_n(F), Int(S) o transpose).
 
     S skew-symmetric and nonsingular, n even.  With P^t S P = B (standard
-    blocks), X the blockwise antidiagonal satisfying X^t B X = B^{-1}, and
-    Y = P X P^t, the witness W = S Y satisfies sigma(W) W = -I.  The
-    intermediate matrices are recorded under details.
+    blocks; P comes from the algebra, which inverts S through it), X the
+    blockwise antidiagonal satisfying X^t B X = B^{-1}, and Y = P X P^t,
+    the witness W = S Y satisfies sigma(W) W = -I.  The intermediate
+    matrices are recorded under details.
     """
     n = len(s)
     s = [[as_scalar(v) for v in row] for row in s]
-    p = skew_congruence(s)
+    alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
+    p = alg.skew_p
     b = _blocks(n, -1)
     x = _blocks(n, 1)
     zero = as_scalar(0)
     y = mat_mul(mat_mul(p, x, zero), transpose(p), zero)
     w = mat_mul(s, y, zero)
-    alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
     cert = HermSqCertificate(alg, alg.scalar(-1), [w],
                              details={"P": p, "B": b, "X": x, "Y": y, "S": s})
     if not verify_hermsq(cert):

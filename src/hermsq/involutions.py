@@ -8,7 +8,7 @@ nonsingular skew-symmetric S.
 """
 
 from . import linalg
-from .errors import DivisionByZeroError, ShapeError
+from .errors import DivisionByZeroError, ShapeError, SingularMatrixError
 # perfbench/tracing.py wraps the product under this name
 from .linalg import mat_mul as _mat_mul
 from .scalars import ORDERINGS, as_scalar
@@ -159,6 +159,35 @@ def reduced_norm_quat(x, algebra=None):
     return x.nrd()
 
 
+def skew_congruence(s):
+    """P with P^t S P equal to the standard skew block matrix B.
+
+    Greedy pivoting: the first nonzero entry of the current row becomes the
+    (t, t+1) pivot of the block.
+    """
+    n = len(s)
+    m = [[as_scalar(v) for v in row] for row in s]
+    if not linalg.equal(linalg.transpose(m), linalg.neg(m)):
+        raise ShapeError("matrix is not skew-symmetric")
+    if n % 2 != 0:
+        raise SingularMatrixError("odd-size skew-symmetric matrices are singular")
+    red = linalg.Congruence(m, as_scalar(0), as_scalar(1))
+    m = red.m
+    for t in range(0, n, 2):
+        j = next((k for k in range(t + 1, n) if not m[t][k].is_zero()), None)
+        if j is None:
+            raise SingularMatrixError("skew matrix is singular")
+        if j != t + 1:
+            red.swap(j, t + 1)
+        red.scale(t + 1, m[t][t + 1].inverse())
+        for k in range(t + 2, n):
+            if not m[t][k].is_zero():
+                red.addmul(k, t + 1, -m[t][k])
+            if not m[t + 1][k].is_zero():
+                red.addmul(k, t, m[t + 1][k])
+    return red.t
+
+
 # kind -> (the base it needs, the type of its parameter: None, a diagonal
 # "form", a "quaternion" or a "skew" matrix); AlgebraWithInvolution checks
 # against this table and jsonio reads and writes parameters by their type
@@ -222,7 +251,8 @@ class AlgebraWithInvolution:
     """(A, sigma): M_n over F = Q(X,Y) or over a quaternion algebra.
 
     Elements are plain n x n lists of lists with RationalFunction entries
-    (base "F") or QuatElem entries (quaternion base).
+    (base "F") or QuatElem entries (quaternion base).  For Int(S) composed
+    with transpose, `skew_p` is the P with P^t S P = B of `skew_congruence`.
     """
 
     def __init__(self, base, n, sigma):
@@ -254,10 +284,14 @@ class AlgebraWithInvolution:
         elif ptype == "skew":
             if len(param) != n or any(len(r) != n for r in param):
                 raise ShapeError("skew matrix size must match n")
-            if not linalg.equal(linalg.transpose(param), linalg.neg(param)):
-                raise ShapeError("Int(S) twist requires S skew-symmetric")
-            s = [[as_scalar(v) for v in row] for row in param]
-            self._skew_inv = linalg.inverse(s, as_scalar(0), as_scalar(1))
+            # S^-1 = P B^-1 P^t; B^-1 has the blocks [[0, -1], [1, 0]], so
+            # P B^-1 is P with each column pair (t, t+1) made (t+1, -t)
+            self.skew_p = p = skew_congruence(param)
+            pb = [list(row) for row in p]
+            for row in pb:
+                for t in range(0, n, 2):
+                    row[t], row[t + 1] = row[t + 1], -row[t]
+            self._skew_inv = _mat_mul(pb, linalg.transpose(p), as_scalar(0))
 
     # -- element plumbing ------------------------------------------------
 

@@ -1,13 +1,11 @@
 """Exact dense matrix kernel shared by every module that does matrix work.
 
 Matrices are lists of row lists.  Entries are Fraction, RationalFunction,
-ZPolynomial (generic and symbolic entries) or QuatElem; every function
-but `inverse` needs only + - * and tests zero by truth value, which all
-four support, and `inverse` needs an inverse() method.  Functions that
-create entries take the ring's zero (and one) from the caller.
+ZPolynomial (generic and symbolic entries) or QuatElem; the functions need
+only + - * and test zero by truth value, which all four support.
+Functions that create entries take the ring's zero (and one) from the
+caller.
 """
-
-from .errors import SingularMatrixError
 
 
 def mat_mul(x, y, zero):
@@ -44,29 +42,6 @@ def equal(x, y):
 
 def identity(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def inverse(m, zero, one):
-    """Gauss-Jordan inverse; the first nonzero entry of each column pivots.
-    Entries need an inverse() method (RationalFunction, QuatElem)."""
-    n = len(m)
-    a = [list(row) for row in m]
-    inv = identity(n, zero, one)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        pinv = a[col][col].inverse()
-        a[col] = [v * pinv for v in a[col]]
-        inv[col] = [v * pinv for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
 
 
 class Congruence:

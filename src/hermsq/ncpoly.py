@@ -5,19 +5,21 @@ x<i>*.  Evaluation sends x<i> to the i-th matrix of a tuple and x<i>* to
 its transpose; on generic matrices the star is the transpose (orthogonal
 type) or the standard symplectic involution (symplectic type).
 
-Both evaluators run Horner's rule over the trie of f's words.  On rational
-matrices the entries are Fractions.  On generic matrices every entry of
-Y_l and of its star is plus or minus one variable z<i>_<j>_<l>, so the
-image lies in M_n(Z[z]) once f is scaled by the lcm of its coefficient
-denominators, and nothing is ever divided.  There the entries are dicts
-{packed monomial: coefficient}, a packed monomial being one int with a bit
-field per generic variable, so a monomial product is one int addition.
-Y_l and its star come from the involution applied to the int matrix of
-the variables' slot numbers s + 1, which it only moves and negates.
-`is_identity_mod_a` and `is_central_nonvanishing` decide on that packed
-form directly and build no `ZPolynomial` (s6 on M_3 in about 0.3 s on a
-2-vCPU VM, Python 3.11); `generic_eval` unpacks it into `ZPolynomial`
-entries.
+Every evaluator runs Horner's rule over the trie of f's words.
+`nc_eval` and `generic_eval` share one walk, `_eval_words`, over any ring
+of entries whose zero the caller passes: Fractions for rational matrices,
+`ZPolynomial`s for the matrices of a `GenericMatrixContext` and their
+stars.  The decisions run their own walk on packed entries.  On generic
+matrices every entry of Y_l and of its star is plus or minus one variable
+z<i>_<j>_<l>, so the image lies in M_n(Z[z]) once f is scaled by the lcm
+of its coefficient denominators, and nothing is ever divided.  There the
+entries are dicts {packed monomial: coefficient}, a packed monomial being
+one int with a bit field per generic variable, so a monomial product is
+one int addition.  Y_l and its star come from the involution applied to
+the int matrix of the variables' slot numbers s + 1, which it only moves
+and negates.  `is_identity_mod_a` and `is_central_nonvanishing` decide on
+that packed form directly and build no `ZPolynomial` (s6 on M_3 in about
+0.3 s on a 2-vCPU VM, Python 3.11).
 """
 
 import os
@@ -313,7 +315,7 @@ def _eval_at(f, letters, mats, n):
     for i, m in zip(letters, mats):
         images[i] = m
         images[-i] = transpose(m)
-    return _eval_words(f, images, n)
+    return _eval_words(f, images, n, Fraction(0))
 
 
 def _word_trie(f):
@@ -338,19 +340,19 @@ def _word_trie(f):
     return coeffs, children
 
 
-def _eval_words(f, images, n):
-    """Image of f with each letter l sent to the Fraction matrix images[l],
-    in Horner form over the trie of f's words.  The node of a word u has
-    the value V(u) = c_u*I + sum over letters l of images[l] * V(u l), with
-    c_u the coefficient of u in f (0 if u is not a term), so V(empty word)
-    is the image of f, and every prefix shared by several words costs one
-    product."""
+def _eval_words(f, images, n, zero):
+    """Image of f with each letter l sent to the matrix images[l] over the
+    ring whose zero is `zero`, in Horner form over the trie of f's words.
+    The node of a word u has the value V(u) = c_u*I + sum over letters l of
+    images[l] * V(u l), with c_u the coefficient of u in f (0 if u is not a
+    term), so V(empty word) is the image of f, and every prefix shared by
+    several words costs one product."""
     coeffs, children = _word_trie(f)
-    zero = Fraction(0)
     values = [None] * len(coeffs)
     for node in reversed(range(len(coeffs))):
         c = coeffs[node]
-        value = None if c is None else identity(n, zero, c)
+        # zero + c brings the Fraction c into the ring
+        value = None if c is None else identity(n, zero, zero + c)
         for l, child in children[node].items():
             term = mat_mul(images[l], values[child], zero)
             values[child] = None
@@ -456,28 +458,14 @@ def _packed_eval(f, images, n):
 def generic_eval(f, ctx):
     """Image of f in the generic matrix algebra of ctx, with `ZPolynomial`
     entries: over Z[z] when f's coefficients are integers, over Q[z]
-    otherwise.  Each entry of a matrix of ctx must be its generic variable."""
-    letters = f.variables()
-    rows = range(1, ctx.n + 1)
-    names = [f"z{i}_{j}_{l}" for l in letters for i in rows for j in rows]
-    for l in letters:
+    otherwise.  The matrices of ctx and their stars are used as they are."""
+    images = {}
+    for l in f.variables():
         if l not in ctx.matrices:
             raise ShapeError(f"context has no generic matrix for x{l}")
-    entries = (p for l in letters for row in ctx.matrices[l] for p in row)
-    for name, p in zip(names, entries):
-        if ZPolynomial.variable(name) != p:
-            raise ShapeError(f"generic matrix entry {p} is not the variable {name}")
-    images, w = _packed_images(f, ctx.n, ctx.star)
-    mask = (1 << w) - 1
-    # slots in the order of their names, so each monomial comes out sorted
-    slots = sorted(range(len(names)), key=names.__getitem__)
-
-    def unpack(entry):
-        # distinct packed monomials are distinct monomials
-        return ZPolynomial({tuple((names[s], e) for s in slots if (e := m >> (w * s) & mask)): c
-                            for m, c in entry.items()})
-
-    return [[unpack(entry) for entry in row] for row in _packed_eval(f, images, ctx.n)]
+        images[l] = ctx.matrices[l]
+        images[-l] = ctx.star(ctx.matrices[l])
+    return _eval_words(f, images, ctx.n, ZPolynomial())
 
 
 def _integral_image(f, n, J, max_degree):

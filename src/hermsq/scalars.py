@@ -23,6 +23,7 @@ over q, zero is 0 over 1).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd as _int_gcd, isqrt, prod
@@ -707,6 +708,11 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        # a zero factor is the canonical zero 0/1 already
+        if not self.num.terms:
+            return self
+        if not other.num.terms:
+            return other
         if self.den.is_constant() and other.den.is_constant():
             return RationalFunction._reduced(self.num * other.num, self.den * other.den)
         # cross-cancel so the product of two reduced fractions stays reduced
@@ -947,6 +953,17 @@ def _tokenize(text):
     return out
 
 
+def _int_literal(tok, pos):
+    """The int of a digit token; a literal over Python's int/str conversion
+    limit (sys.get_int_max_str_digits()) is refused, not a ValueError."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ResourceLimitError(
+            f"integer literal of {len(tok)} digits is too long to read "
+            f"(at position {pos})") from None
+
+
 def _check_size(what, degree, pos):
     if degree > MAX_POWER_DEGREE:
         raise ResourceLimitError(
@@ -1049,7 +1066,7 @@ class _Parser:
         tok, pos = self.next()
         if not tok.isdigit():
             raise ParseError(f"expected integer exponent, got {tok!r}", pos)
-        e = int(tok)
+        e = _int_literal(tok, pos)
         _check_power(degrees, e, pos)
         dn, dd = degrees[::-1] if neg else degrees
         # deg p^e = e deg p for p != 0, Z[X, Y] being a domain, and nothing
@@ -1072,8 +1089,9 @@ class _Parser:
             self.expect(")")
             degrees = _degrees(val)
         elif tok.isdigit():
+            c = _int_literal(tok, pos)
             # the zero polynomial has degree -1
-            val, degrees = RationalFunction.from_const(int(tok)), (0 if int(tok) else -1, 0)
+            val, degrees = RationalFunction.from_const(c), (0 if c else -1, 0)
         elif tok in ("X", "Y"):
             val, degrees = RationalFunction.variable(tok), (1, 0)
         else:
@@ -1115,9 +1133,13 @@ def format_scalar(f):
     f = as_scalar(f)
     # the text keeps the den primitive, its integer content c dividing the num
     c, den = f.den.content_and_primitive()
-    if den.is_constant():
-        return format_polynomial(f.num, c)
-    return f"({format_polynomial(f.num, c)})/({format_polynomial(den)})"
+    try:
+        if den.is_constant():
+            return format_polynomial(f.num, c)
+        return f"({format_polynomial(f.num, c)})/({format_polynomial(den)})"
+    except ValueError:   # an int over sys.get_int_max_str_digits()
+        raise ResourceLimitError("the value has a coefficient too long to print (over "
+                                 f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 X = RationalFunction.variable("X")

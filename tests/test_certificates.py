@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermsq import certificates, involutions
 from hermsq.certificates import (CounterexampleReport, HermSqCertificate,
                                  TotalPositivityWitness, WeightedCertificate,
                                  counterexample_pipeline, prop41_certificates,
@@ -232,6 +233,24 @@ class TestSymplectic:
                 prod = _mat_mul(s, ysy, zero)
                 assert all(prod[i][j] == as_scalar(1 if i == j else 0)
                            for i in range(n) for j in range(n))
+
+    def test_one_congruence_per_certificate(self, monkeypatch):
+        # the algebra inverts S through P^t S P = B, and the certificate
+        # reads that P back instead of reducing S a second time
+        calls = []
+        for module in (involutions, certificates):
+            def counted(s, reduce=module.skew_congruence):
+                calls.append(len(s))
+                return reduce(s)
+            monkeypatch.setattr(module, "skew_congruence", counted)
+        zero, one = as_scalar(0), as_scalar(1)
+        s = [[zero, zero, one, X], [zero, zero, Y, one],
+             [-one, -Y, zero, zero], [-X, -one, zero, zero]]
+        for _ in range(2):
+            before = len(calls)
+            cert = symplectic_minus_one(s)
+            assert verify_hermsq(cert)
+            assert calls[before:] == [4]
 
     def test_singular_rejected(self):
         zero = as_scalar(0)

@@ -205,6 +205,22 @@ class TestQfCommands:
         code, _, err = run(capsys, "qf", "isotropy")
         assert code == 2
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on int to str conversion")
+    @pytest.mark.parametrize("argv, message", [
+        (["7" * 5000], "integer literal of 5000 digits is too long to read"),
+        (["X^" + "7" * 5000], "integer literal of 5000 digits is too long to read"),
+        (["9" * 2200 + "*" + "9" * 2200, "X"], "too long to print"),
+    ])
+    def test_scalar_integer_too_long(self, capsys, argv, message):
+        # a literal over the int/str digit limit failed in the parser's
+        # int(), and a product of two shorter ones in format_scalar's str(),
+        # both with a ValueError traceback; now one error line and exit 2
+        code, out, err = run(capsys, "qf", "diag", "--", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
 
 class TestNcCommands:
     def test_eval(self, capsys):

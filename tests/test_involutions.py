@@ -12,7 +12,8 @@ from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
                                 QuatElem, QuaternionAlgebra, apply_involution,
                                 entry_33_constraint, hermitian_square,
                                 is_symmetric, reduced_norm_quat, reduced_trace,
-                                sigma_orderings, symbolic_elements, trace_form)
+                                sigma_orderings, skew_congruence,
+                                symbolic_elements, trace_form)
 from hermsq.qforms import DiagonalForm, diagonalize
 from hermsq.scalars import (ORDERINGS, MonomialOrdering, X, Y, as_scalar,
                             parse_scalar, sign_at)
@@ -174,7 +175,8 @@ class TestInvolutions:
             AlgebraWithInvolution(h, 1, InvolutionSpec.quat_conjugation()),
             AlgebraWithInvolution(h, 1, InvolutionSpec.int_u_conj(h.i())),
             thm33_algebra(),
-        ]
+        ] + [AlgebraWithInvolution("F", len(s), InvolutionSpec.int_skew(s))
+             for s in skew_cases()]
         for alg in algebras:
             for _ in range(12):
                 x = random_element(rng, alg)
@@ -195,6 +197,77 @@ class TestInvolutions:
             y = random_element(rng, alg)
             assert (reduced_trace(alg, alg.mul(x, y))
                     == reduced_trace(alg, alg.mul(y, x)))
+
+
+def random_skew(rng, n):
+    """A seeded nonsingular skew-symmetric n x n matrix over F (n even)."""
+    while True:
+        s = [[as_scalar(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = as_scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                if rng.random() < 0.5:
+                    v = v + X
+                s[i][j], s[j][i] = v, -v
+        try:
+            skew_congruence(s)
+        except SingularMatrixError:
+            continue
+        return s
+
+
+def skew_cases():
+    """Seeded nonsingular skew S at n = 2, 4 and 6, and one at n = 4 with
+    S[0][1] = 0, so the first pivot of its congruence needs a swap."""
+    rng = random.Random(89)
+    zero, one = as_scalar(0), as_scalar(1)
+    swap = [[zero, zero, one, X],
+            [zero, zero, Y, one],
+            [-one, -Y, zero, zero],
+            [-X, -one, zero, zero]]
+    return [random_skew(rng, n) for n in (2, 4, 6)] + [swap]
+
+
+class TestIntSkew:
+    """Int(S) composed with transpose, whose S^-1 is P B^-1 P^t."""
+
+    @pytest.mark.parametrize("s", skew_cases(), ids=["n2", "n4", "n6", "n4-swap"])
+    def test_inverse_of_s(self, s):
+        n = len(s)
+        alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
+        one = alg.identity()
+        assert alg.equal(alg.mul(s, alg._skew_inv), one)
+        assert alg.equal(alg.mul(alg._skew_inv, s), one)
+        p = alg.skew_p
+        b = alg.mul(alg.mul(linalg.transpose(p), s), p)
+        assert all(b[i][j] == (1 if j == i + 1 and i % 2 == 0 else
+                               -1 if i == j + 1 and j % 2 == 0 else 0)
+                   for i in range(n) for j in range(n))
+
+    def test_swap_case_takes_the_swap_branch(self, monkeypatch):
+        swaps = []
+        swap = linalg.Congruence.swap
+
+        def recorded(self, a, b):
+            swaps.append((a, b))
+            swap(self, a, b)
+
+        monkeypatch.setattr(linalg.Congruence, "swap", recorded)
+        AlgebraWithInvolution("F", 4, InvolutionSpec.int_skew(skew_cases()[-1]))
+        assert swaps[:1] == [(2, 1)]
+
+    def test_rejects_singular_odd_and_non_skew(self):
+        zero, one = as_scalar(0), as_scalar(1)
+        singular = [[zero, X, zero, zero], [-X, zero, zero, zero],
+                    [zero, zero, zero, zero], [zero, zero, zero, zero]]
+        odd = [[zero, one, X], [-one, zero, Y], [-X, -Y, zero]]
+        with pytest.raises(SingularMatrixError):
+            AlgebraWithInvolution("F", 4, InvolutionSpec.int_skew(singular))
+        with pytest.raises(SingularMatrixError):
+            AlgebraWithInvolution("F", 3, InvolutionSpec.int_skew(odd))
+        with pytest.raises(ShapeError):
+            AlgebraWithInvolution("F", 2, InvolutionSpec.int_skew(
+                [[zero, one], [one, zero]]))
 
 
 def random_element(rng, alg):
@@ -281,23 +354,6 @@ class TestTraceForm:
             t = reduced_trace(alg, hermitian_square(alg, x))
             for p in orderings:
                 assert sign_at(t, p) >= 0
-
-
-def random_skew(rng, n):
-    """A seeded nonsingular skew-symmetric n x n matrix over F (n even)."""
-    while True:
-        s = [[as_scalar(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = as_scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-                if rng.random() < 0.5:
-                    v = v + X
-                s[i][j], s[j][i] = v, -v
-        try:
-            linalg.inverse(s, as_scalar(0), as_scalar(1))
-        except SingularMatrixError:
-            continue
-        return s
 
 
 def all_kind_algebras():

@@ -305,9 +305,27 @@ def standard_polynomial(k):
     return NCPolynomial(terms)
 
 
+def unpack(value, f, n, w):
+    """A packed image as `ZPolynomial` entries: slot k*n*n + i*n + j holds
+    z<i+1>_<j+1>_<l> for the k-th letter l of f, in a field of w bits."""
+    names = [f"z{i}_{j}_{l}" for l in f.variables()
+             for i in range(1, n + 1) for j in range(1, n + 1)]
+    mask = (1 << w) - 1
+
+    def entry(d):
+        out = {}
+        for m, c in d.items():
+            mono = tuple(sorted((name, m >> (w * s) & mask)
+                                for s, name in enumerate(names) if m >> (w * s) & mask))
+            out[mono] = c
+        return ZPolynomial(out)
+
+    return [[entry(d) for d in row] for row in value]
+
+
 class TestPackedKernel:
-    """The decisions on the packed generic-matrix image, and generic_eval's
-    unpacking of it, against the word-by-word reference."""
+    """The decisions on the packed generic-matrix image against
+    `generic_eval` and the word-by-word reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_field_width_edges(self, n):
@@ -319,7 +337,8 @@ class TestPackedKernel:
         for k in (1, 3, 4, 7, 8, 9):
             for f in (x(1) ** k, (x(1) * xs(1)) ** ((k + 1) // 2)):
                 want = naive_eval(f, images, n, as_scalar(0), as_scalar(1))
-                assert generic_eval(f, ctx) == want
+                packed, w = ncpoly._packed_images(f, n, ctx.star)
+                assert unpack(ncpoly._packed_eval(f, packed, n), f, n, w) == want
                 d = f.degree()
                 assert not is_identity_mod_a(f, n, max_degree=d)
                 assert is_central_nonvanishing(f, n, max_degree=d) is (n == 1)
@@ -362,11 +381,15 @@ class TestPackedKernel:
             assert any(type(c) is Fraction and c.denominator > 1
                        for row in value for v in row for c in v.terms.values())
 
-    def test_entry_that_is_not_a_signed_variable(self):
+    def test_changed_context_matrix_is_evaluated_as_given(self):
         ctx = GenericMatrixContext(2, 1)
-        ctx.matrices[1][0][1] = 2 * ctx.matrices[1][0][1]
-        with pytest.raises(ShapeError):
-            generic_eval(x(1), ctx)
+        m = ctx.matrices[1]
+        m[0][1] = 2 * m[0][1] + ZPolynomial.variable("u")
+        assert generic_eval(x(1), ctx) == m
+        assert generic_eval(xs(1), ctx) == ctx.star(m)
+        images = {1: m, -1: ctx.star(m)}
+        f = x(1) * xs(1) * x(1) - 3 * xs(1) + 1
+        assert generic_eval(f, ctx) == naive_eval(f, images, 2, as_scalar(0), as_scalar(1))
 
     def test_amitsur_levitzki_on_3x3(self):
         # s6 vanishes on M_3 (Amitsur-Levitzki), s5 does not

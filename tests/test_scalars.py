@@ -711,6 +711,19 @@ class TestDenominatorOneFastPaths:
             assert g.den == Polynomial.const(2) and type(g.den.constant()) is int
             assert g.num.terms == {m: c * -3 for m, c in p.terms.items()}
 
+    def test_zero_factor_runs_no_gcd(self, monkeypatch):
+        # (X/Y)*0 ran two gcds; a zero factor now returns 0/1 at once
+        def no_gcd(f, g):
+            raise AssertionError("gcd run for a zero factor")
+
+        f = parse_scalar("(X + 2)/(3*Y - X)")
+        zeros = (RationalFunction.zero(), f - f)
+        monkeypatch.setattr(scalars, "_gcd_cofactors", no_gcd)
+        for zero in zeros:
+            for got in (f * zero, zero * f, f * 0, 0 * f, zero * zero):
+                assert got.is_zero() and got.den == Polynomial.one()
+                assert got == RationalFunction.zero()
+
     def test_mixed_denominators(self):
         rng = random.Random(37)
         for _ in range(30):
