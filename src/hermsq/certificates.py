@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateError, ShapeError
-from .linalg import mat_mul, transpose
-from .scalars import ORDERINGS, RationalFunction, as_scalar, monomial_square_class
+from .linalg import block_congruence, clear_denominators, divide, mat_mul
+from .scalars import ORDERINGS, Polynomial, RationalFunction, as_scalar, monomial_square_class
 from .qforms import DiagonalForm, diagonalize, weakly_represents_one
 # skew_congruence lives with the int_skew involution and is re-exported here
 from .involutions import (AlgebraWithInvolution, InvolutionSpec, QuaternionAlgebra,
@@ -194,20 +194,19 @@ def symplectic_minus_one(s):
     S skew-symmetric and nonsingular, n even.  With P^t S P = B (standard
     blocks; P comes from the algebra, which inverts S through it), X the
     blockwise antidiagonal satisfying X^t B X = B^{-1}, and Y = P X P^t,
-    the witness W = S Y satisfies sigma(W) W = -I.  The intermediate
-    matrices are recorded under details.
+    the witness W = S Y satisfies sigma(W) W = -I.  Y and W are formed over
+    Z[X, Y] from P's fraction-free form (P', d), and each entry is reduced
+    once.  The intermediate matrices are recorded under details.
     """
     n = len(s)
     s = [[as_scalar(v) for v in row] for row in s]
     alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
-    p = alg.skew_p
-    b = _blocks(n, -1)
-    x = _blocks(n, 1)
-    zero = as_scalar(0)
-    y = mat_mul(mat_mul(p, x, zero), transpose(p), zero)
-    w = mat_mul(s, y, zero)
+    y, y_num, y_den = block_congruence(*alg.skew_pd, 1, 1)
+    s_den, s_num = clear_denominators(s)
+    w = divide(mat_mul(s_num, y_num, Polynomial()), [s_den * y_den] * n)
     cert = HermSqCertificate(alg, alg.scalar(-1), [w],
-                             details={"P": p, "B": b, "X": x, "Y": y, "S": s})
+                             details={"P": alg.skew_p, "B": _blocks(n, -1),
+                                      "X": _blocks(n, 1), "Y": y, "S": s})
     if not verify_hermsq(cert):
         raise CertificateError("symplectic construction failed verification")
     return cert

@@ -160,10 +160,16 @@ def reduced_norm_quat(x, algebra=None):
 
 
 def skew_congruence(s):
-    """P with P^t S P equal to the standard skew block matrix B.
+    """(P', d) with P^t S P equal to the standard skew block matrix B, for P
+    whose column j is column j of P' over d[j]; P' is over Z[X, Y].
 
     Greedy pivoting: the first nonzero entry of the current row becomes the
-    (t, t+1) pivot of the block.
+    (t, t+1) pivot of the block.  The elimination runs fraction-free on
+    L * S, L the lcm of S's denominators, with 2 x 2 Pfaffian pivots:
+    column t of P' is over the scale before the step and column t+1 over
+    the step's stored pivot, and carries the factor L.  Without swaps or
+    decoupled steps, these are 1, Pf_1, Pf_1, Pf_2, Pf_2, ... for Pf_k the
+    Pfaffian of the leading 2k x 2k block of L * S.
     """
     n = len(s)
     m = [[as_scalar(v) for v in row] for row in s]
@@ -171,21 +177,22 @@ def skew_congruence(s):
         raise ShapeError("matrix is not skew-symmetric")
     if n % 2 != 0:
         raise SingularMatrixError("odd-size skew-symmetric matrices are singular")
-    red = linalg.Congruence(m, as_scalar(0), as_scalar(1))
+    lcm, num = linalg.clear_denominators(m)
+    red = linalg.Congruence(num, -1)
     m = red.m
+    dens = []
     for t in range(0, n, 2):
-        j = next((k for k in range(t + 1, n) if not m[t][k].is_zero()), None)
+        j = next((k for k in range(t + 1, n) if m[t][k]), None)
         if j is None:
             raise SingularMatrixError("skew matrix is singular")
         if j != t + 1:
             red.swap(j, t + 1)
-        red.scale(t + 1, m[t][t + 1].inverse())
-        for k in range(t + 2, n):
-            if not m[t][k].is_zero():
-                red.addmul(k, t + 1, -m[t][k])
-            if not m[t + 1][k].is_zero():
-                red.addmul(k, t, m[t + 1][k])
-    return red.t
+        dens += [red.eliminate((t, t + 1), ((0, -1), (1, 0)), m[t][t + 1]), m[t][t + 1]]
+    if lcm != 1:
+        for row in red.t:
+            for t in range(1, n, 2):
+                row[t] = row[t] * lcm
+    return red.t, dens
 
 
 # kind -> (the base it needs, the type of its parameter: None, a diagonal
@@ -252,7 +259,8 @@ class AlgebraWithInvolution:
 
     Elements are plain n x n lists of lists with RationalFunction entries
     (base "F") or QuatElem entries (quaternion base).  For Int(S) composed
-    with transpose, `skew_p` is the P with P^t S P = B of `skew_congruence`.
+    with transpose, `skew_pd` is the pair (P', d) of `skew_congruence` and
+    `skew_p` the P with P^t S P = B that it stands for.
     """
 
     def __init__(self, base, n, sigma):
@@ -284,14 +292,10 @@ class AlgebraWithInvolution:
         elif ptype == "skew":
             if len(param) != n or any(len(r) != n for r in param):
                 raise ShapeError("skew matrix size must match n")
-            # S^-1 = P B^-1 P^t; B^-1 has the blocks [[0, -1], [1, 0]], so
-            # P B^-1 is P with each column pair (t, t+1) made (t+1, -t)
-            self.skew_p = p = skew_congruence(param)
-            pb = [list(row) for row in p]
-            for row in pb:
-                for t in range(0, n, 2):
-                    row[t], row[t + 1] = row[t + 1], -row[t]
-            self._skew_inv = _mat_mul(pb, linalg.transpose(p), as_scalar(0))
+            # S^-1 = P B^-1 P^t, B^-1 with the blocks [[0, -1], [1, 0]]
+            self.skew_pd = p, dens = skew_congruence(param)
+            self.skew_p = linalg.divide(p, dens)
+            self._skew_inv = linalg.block_congruence(p, dens, -1, 1)[0]
 
     # -- element plumbing ------------------------------------------------
 

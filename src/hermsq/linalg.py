@@ -1,11 +1,24 @@
 """Exact dense matrix kernel shared by every module that does matrix work.
 
-Matrices are lists of row lists.  Entries are Fraction, RationalFunction,
-ZPolynomial (generic and symbolic entries) or QuatElem; the functions need
-only + - * and test zero by truth value, which all four support.
-Functions that create entries take the ring's zero (and one) from the
-caller.
+Matrices are lists of row lists.  The product, transpose, sum, negation,
+equality and identity take entries that are Fraction, RationalFunction,
+ZPolynomial (generic and symbolic entries) or QuatElem; they need only
++ - * and test zero by truth value, which all four support, and the ones
+that create entries take the ring's zero (and one) from the caller.
+
+The eliminations are over Z[X, Y]: `Congruence` is a fraction-free
+(Bareiss) congruence reducer on `Polynomial` entries, and
+`block_congruence` forms P K P^t from its output.  A matrix over
+Q(X, Y) enters through `clear_denominators` and leaves through `divide`,
+which reduces each entry once.
 """
+
+from functools import reduce
+
+from .scalars import ZERO, Polynomial, RationalFunction, poly_divexact, poly_lcm
+
+_ZERO_POLY = Polynomial()
+_ONE_POLY = Polynomial.one()
 
 
 def mat_mul(x, y, zero):
@@ -44,17 +57,43 @@ def identity(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-class Congruence:
-    """A square matrix M carried through congruences M -> E^t M E.
+def clear_denominators(matrix):
+    """(L, N) for a matrix over Q(X, Y): L is the lcm of its entries'
+    denominators and N = L * matrix, over Z[X, Y]."""
+    cofactors = dict.fromkeys({v.den for row in matrix for v in row if v.num.terms})
+    lcm = reduce(poly_lcm, cofactors, _ONE_POLY)
+    for den in cofactors:
+        cofactors[den] = poly_divexact(lcm, den)
+    return lcm, [[v.num * cofactors[v.den] if v.num.terms else _ZERO_POLY for v in row]
+                 for row in matrix]
 
-    Each operation acts on a column of M, then on the matching row, then on
-    the same column of the transform T, so T^t M0 T = M holds throughout,
-    with M0 the starting matrix and T starting at the identity.
+
+def divide(num, dens):
+    """The matrix over Q(X, Y) whose entry (i, j) is num[i][j] / dens[j],
+    for num over Z[X, Y] and nonzero dens; each entry is reduced once."""
+    return [[RationalFunction(v, d) if v.terms else ZERO for v, d in zip(row, dens)]
+            for row in num]
+
+
+class Congruence:
+    """Fraction-free congruence elimination of a symmetric (sign 1) or
+    skew-symmetric (sign -1) matrix M0 over Z[X, Y] (Bareiss, Math. Comp.
+    22, 1968; Zhou and Jeffrey, Front. Comput. Sci. China 2, 2008).
+
+    `m` holds the finished pivot blocks, then the trailing block times the
+    scale s (`scale`, 1 at the start).  `t` starts as the identity; its
+    trailing columns are s times those of the transform T, and a finished
+    column of T is its column of `t` over the scale `eliminate` returned
+    for it, so that T^t M0 T is the partly reduced matrix.  An entry is its
+    value in elimination over Q(X, Y) times a nonzero scale, so the zero
+    tests of the two agree.
     """
 
-    def __init__(self, matrix, zero, one):
+    def __init__(self, matrix, sign):
         self.m = [list(row) for row in matrix]
-        self.t = identity(len(matrix), zero, one)
+        self.t = identity(len(matrix), _ZERO_POLY, _ONE_POLY)
+        self.sign = sign
+        self.scale = _ONE_POLY
 
     def swap(self, a, b):
         m = self.m
@@ -64,19 +103,102 @@ class Congruence:
         for row in self.t:
             row[a], row[b] = row[b], row[a]
 
-    def scale(self, i, c):
-        m = self.m
-        for row in m:
-            row[i] = row[i] * c
-        m[i] = [v * c for v in m[i]]
-        for row in self.t:
-            row[i] = row[i] * c
-
     def addmul(self, dst, src, c):
-        """Column dst += c * column src, then the same for rows."""
+        """Column dst += c * column src, then the same for rows; c an int."""
         m = self.m
         for row in m:
             row[dst] = row[dst] + c * row[src]
         m[dst] = [v + c * w for v, w in zip(m[dst], m[src])]
         for row in self.t:
             row[dst] = row[dst] + c * row[src]
+
+    def eliminate(self, block, adj, pivot):
+        """Clear the rows and columns of `block` (consecutive indices) from
+        the trailing block; returns the scale s of the block's columns of T.
+
+        `pivot` becomes the next scale and `adj` is pivot * B^-1 for the
+        stored pivot block B: [[1]] for a 1 x 1 pivot (pivot = B), and
+        [[0, -1], [1, 0]] for a skew block [[0, a], [-a, 0]] (pivot = a, its
+        Pfaffian).  Each trailing entry of `m`, and of `t`, becomes
+        (pivot * m_kl - m_kB adj m_Bl) / s, an exact division; one that is
+        not exact raises.  A block whose rows are already clear is decoupled:
+        nothing changes, and s stays.
+        """
+        m, s, sign = self.m, self.scale, self.sign
+        n = len(m)
+        rest = range(block[-1] + 1, n)
+        if not any(m[u][k].terms for u in block for k in rest):
+            return s
+        terms = [(u, v, c) for u, row in zip(block, adj) for v, c in zip(block, row) if c]
+        unit = s.terms == {0: 1}
+
+        def weights(row):
+            """-(row_B adj) as (index in m, entry) pairs, zeros left out."""
+            w = {}
+            for u, v, c in terms:
+                if row[u]:
+                    w[v] = w.get(v, _ZERO_POLY) - c * row[u]
+            return [(v, x) for v, x in w.items() if x]
+
+        def update(row, cols, first):
+            """row[l] = (pivot * row[l] - row_B adj m_Bl) / s for l in cols."""
+            w = weights(row)
+            for l in cols:
+                v = row[l]
+                if v:
+                    v = pivot * v
+                for b, x in w:
+                    y = m[b][l]
+                    if y:
+                        v = v + x * y
+                if v and not unit:
+                    v = poly_divexact(v, s)
+                row[l] = v
+                if first is not None:
+                    # the entry below the diagonal, by symmetry or skew symmetry
+                    m[l][first] = v if sign > 0 else -v
+
+        for k in rest:
+            update(m[k], range(k if sign > 0 else k + 1, n), k)
+        for row in self.t:
+            update(row, rest, None)
+        for u in block:
+            for k in rest:
+                m[u][k] = m[k][u] = _ZERO_POLY
+        self.scale = pivot
+        return s
+
+
+def block_congruence(num, dens, upper, lower):
+    """P K P^t for P whose column j is column j of num over dens[j], and K
+    block diagonal with the 2 x 2 blocks [[0, upper], [lower, 0]], upper
+    and lower each 1 or -1.  Returns (R, N, L): R = P K P^t over Q(X, Y),
+    and N over Z[X, Y] with R = N / L, where L is the lcm of the column
+    pairs' denominators dens[t] * dens[t + 1].  R is symmetric when
+    upper = lower and skew when upper = -lower, so only its upper triangle
+    is computed and reduced."""
+    n = len(num)
+    pairs = [dens[t] * dens[t + 1] for t in range(0, n, 2)]
+    lcm = reduce(poly_lcm, pairs)
+    factors = [poly_divexact(lcm, d) for d in pairs]
+    sign = upper * lower
+    out = [[_ZERO_POLY] * n for _ in range(n)]
+    reduced = [[ZERO] * n for _ in range(n)]
+    for i, ri in enumerate(num):
+        for k in range(i if sign > 0 else i + 1, n):
+            rk = num[k]
+            total = _ZERO_POLY
+            for t, f in zip(range(0, n, 2), factors):
+                v = _ZERO_POLY
+                if ri[t] and rk[t + 1]:
+                    v = upper * (ri[t] * rk[t + 1])
+                if ri[t + 1] and rk[t]:
+                    v = v + lower * (ri[t + 1] * rk[t])
+                if v:
+                    total = total + f * v
+            if total:
+                out[i][k] = total
+                out[k][i] = total if sign > 0 else -total
+                reduced[i][k] = entry = RationalFunction(total, lcm)
+                reduced[k][i] = entry if sign > 0 else -entry
+    return reduced, out, lcm

@@ -14,10 +14,13 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from .errors import HermsqError, NotMonomialError, SingularMatrixError
-from .linalg import Congruence, equal, mat_mul, transpose
+from .linalg import (Congruence, clear_denominators, divide, equal, identity, mat_mul,
+                     transpose)
 from .scalars import (
+    ONE,
     ORDERINGS,
     RationalFunction,
+    ZERO,
     as_scalar,
     factor_integer,
     format_scalar,
@@ -142,29 +145,40 @@ class Diagonalization:
 
 def diagonalize(gram):
     """Congruence-diagonalize a symmetric nonsingular Gram matrix; returns
-    the diagonal entries together with the transformation."""
+    the diagonal entries together with the transformation.
+
+    The elimination runs fraction-free on L * G over Z[X, Y], L the lcm of
+    G's denominators: D_k is the k-th stored pivot over its scale times L,
+    and column j of T is column j of the stored transform over its scale.
+    A diagonal G, whose pivots are all decoupled, is its own answer.
+    """
     n = len(gram)
-    red = Congruence(gram.matrix, as_scalar(0), as_scalar(1))
+    g = gram.matrix
+    if all(g[k][k] for k in range(n)) and not any(
+            v.num.terms for i, row in enumerate(g) for v in row[i + 1:]):
+        return Diagonalization(DiagonalForm([g[k][k] for k in range(n)]),
+                               identity(n, ZERO, ONE))
+    lcm, num = clear_denominators(g)
+    red = Congruence(num, 1)
     M = red.m
+    scales = []
     for p in range(n):
-        if M[p][p].is_zero():
-            pivot = next((j for j in range(p + 1, n) if not M[j][j].is_zero()), None)
+        if not M[p][p]:
+            pivot = next((j for j in range(p + 1, n) if M[j][j]), None)
             if pivot is not None:
                 red.swap(p, pivot)
             else:
                 found = next(((i, j) for i in range(p, n) for j in range(i + 1, n)
-                              if not M[i][j].is_zero()), None)
+                              if M[i][j]), None)
                 if found is None:
                     raise SingularMatrixError("Gram matrix is singular")
                 i, j = found
-                red.addmul(i, j, as_scalar(1))  # makes M[i][i] = 2*M[i][j] != 0
+                red.addmul(i, j, 1)  # makes M[i][i] = 2*M[i][j] != 0
                 if i != p:
                     red.swap(p, i)
-        piv = M[p][p]
-        for j in range(p + 1, n):
-            if not M[p][j].is_zero():
-                red.addmul(j, p, -(M[p][j] / piv))
-    return Diagonalization(DiagonalForm([M[i][i] for i in range(n)]), red.t)
+        scales.append(red.eliminate((p,), ((1,),), M[p][p]))
+    entries = [RationalFunction(M[k][k], s * lcm) for k, s in enumerate(scales)]
+    return Diagonalization(DiagonalForm(entries), divide(red.t, scales))
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,17 @@ def poly_gcd(f, g):
     return _gcd_cofactors(f.content_and_primitive()[1], g.content_and_primitive()[1])[0]
 
 
+def poly_lcm(f, g):
+    """Least common multiple of nonzero int polynomials f and g with
+    positive leading coefficients (denominators); its leading coefficient
+    is positive too."""
+    if g == f or g.terms == {0: 1}:
+        return f
+    cf, pf = f.content_and_primitive()
+    cg, pg = g.content_and_primitive()
+    return _scaled(f * _gcd_cofactors(pf, pg)[2], cg // _int_gcd(cf, cg))
+
+
 def _gcd_cofactors(f, g):
     """(h, f/h, g/h) for polynomials f, g with int coefficients, h =
     poly_gcd(f, g); all three are zero for f = g = 0."""
@@ -608,6 +619,10 @@ class RationalFunction:
             raise HermsqError("cannot build rational function from given operands")
         if den.is_zero():
             raise DivisionByZeroError("zero denominator")
+        if den.terms == {0: 1}:
+            # num/1 is canonical as it stands
+            self.num, self.den = num, _INT_ONE
+            return
         _, num, den = _gcd_cofactors(num, den)
         if _leading(den)[1] < 0:
             num, den = -num, -den

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermsq import certificates, involutions
+from hermsq import certificates, involutions, scenarios
 from hermsq.certificates import (CounterexampleReport, HermSqCertificate,
                                  TotalPositivityWitness, WeightedCertificate,
                                  counterexample_pipeline, prop41_certificates,
@@ -19,7 +19,7 @@ from hermsq.errors import (CertificateError, HermsqError, ShapeError,
 from hermsq.fdalgebra import structure_algebra
 from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
                                 QuaternionAlgebra)
-from hermsq.linalg import mat_mul as _mat_mul, transpose as _mat_transpose
+from hermsq.linalg import divide, mat_mul as _mat_mul, transpose as _mat_transpose
 from hermsq.qforms import DiagonalForm
 from hermsq.scalars import (MonomialOrdering, X, Y, as_scalar,
                             monomial_square_class, parse_scalar)
@@ -216,7 +216,7 @@ class TestSymplectic:
                         v = as_scalar(rng.randint(-9, 9))
                         s[i][j], s[j][i] = v, -v
                 try:
-                    p = skew_congruence(s)
+                    p = divide(*skew_congruence(s))
                 except SingularMatrixError:
                     continue
                 produced += 1
@@ -251,6 +251,20 @@ class TestSymplectic:
             cert = symplectic_minus_one(s)
             assert verify_hermsq(cert)
             assert calls[before:] == [4]
+
+    def test_thm47_scenario_verifies_once(self, monkeypatch):
+        # symplectic_minus_one verifies its certificate before returning it,
+        # and the scenario reports that result instead of checking again
+        calls = []
+
+        def counted(cert, verify=certificates.verify_hermsq):
+            calls.append(cert)
+            return verify(cert)
+        monkeypatch.setattr(certificates, "verify_hermsq", counted)
+        monkeypatch.setattr(scenarios, "verify_hermsq", counted)
+        result = scenarios.run_scenario("thm4.7", n=8, seed=1)
+        assert result["confirmed"] is True
+        assert len(calls) == 1
 
     def test_singular_rejected(self):
         zero = as_scalar(0)

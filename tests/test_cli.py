@@ -57,6 +57,58 @@ class TestQfCommands:
         assert doc["entries"] == ["2", "3/2"]
         assert "transform" in doc
 
+    # the exact text of the zero-pivot branch, and of a swap with
+    # denominators in G
+    @pytest.mark.parametrize("matrix, want", [
+        ([["0", "X"], ["X", "0"]], """{
+  "entries": [
+    "2*X",
+    "-1/2*X"
+  ],
+  "transform": [
+    [
+      "1",
+      "-1/2"
+    ],
+    [
+      "1",
+      "1/2"
+    ]
+  ]
+}
+"""),
+        ([["0", "1/X", "Y"], ["1/X", "0", "1"], ["Y", "1", "X + Y"]], """{
+  "entries": [
+    "Y + X",
+    "(-1)/(Y + X)",
+    "(-2*X*Y + Y + X)/(X^2)"
+  ],
+  "transform": [
+    [
+      "0",
+      "0",
+      "1"
+    ],
+    [
+      "0",
+      "1",
+      "(-X*Y + Y + X)/(X)"
+    ],
+    [
+      "1",
+      "(-1)/(Y + X)",
+      "(-1)/(X)"
+    ]
+  ]
+}
+"""),
+    ], ids=["hyperbolic-plane", "swap-with-denominators"])
+    def test_diag_matrix_json_text_pinned(self, capsys, tmp_path, matrix, want):
+        path = tmp_path / "gram.json"
+        path.write_text(dumps({"matrix": matrix}))
+        code, out, err = run(capsys, "qf", "diag", "--json", str(path), "--output", "json")
+        assert (code, out, err) == (0, want, "")
+
     def test_diag_matrix_over_cap_is_input_error(self, capsys, tmp_path, monkeypatch):
         def diagonalize(*args):
             raise AssertionError("diagonalized over the cap")

@@ -15,8 +15,8 @@ from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
                                 sigma_orderings, skew_congruence,
                                 symbolic_elements, trace_form)
 from hermsq.qforms import DiagonalForm, diagonalize
-from hermsq.scalars import (ORDERINGS, MonomialOrdering, X, Y, as_scalar,
-                            parse_scalar, sign_at)
+from hermsq.scalars import (ORDERINGS, MonomialOrdering, Polynomial, X, Y,
+                            as_scalar, parse_scalar, sign_at)
 
 
 def random_quat(rng, algebra, span=5):
@@ -240,6 +240,39 @@ class TestIntSkew:
         assert alg.equal(alg.mul(alg._skew_inv, s), one)
         p = alg.skew_p
         b = alg.mul(alg.mul(linalg.transpose(p), s), p)
+        assert all(b[i][j] == (1 if j == i + 1 and i % 2 == 0 else
+                               -1 if i == j + 1 and j % 2 == 0 else 0)
+                   for i in range(n) for j in range(n))
+
+    def test_column_denominators_are_leading_pfaffians(self):
+        # P = P' diag(1/d): P' over Z[X, Y], and for a dense S that needs no
+        # swap, d = 1, Pf_1, Pf_1, Pf_2, Pf_2, Pf_3 for the Pfaffians Pf_k of
+        # the leading 2k x 2k blocks of L * S (L = 2 here, so column t + 1
+        # of P' carries the factor 2)
+        n = 6
+        s = [[as_scalar(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = (i + 1) * X + (j + 1) * Y + (i * j) % 3 + as_scalar(Fraction(1, 2))
+                s[i][j], s[j][i] = v, -v
+
+        def pfaffian(a):
+            if not a:
+                return as_scalar(1)
+            total = as_scalar(0)
+            for j in range(1, len(a)):
+                keep = [k for k in range(1, len(a)) if k != j]
+                minor = [[a[r][c] for c in keep] for r in keep]
+                total = total + (-1) ** (j + 1) * a[0][j] * pfaffian(minor)
+            return total
+
+        p, dens = skew_congruence(s)
+        assert all(isinstance(v, Polynomial) for row in p for v in row)
+        scaled = [[2 * v for v in row] for row in s]
+        pf = [pfaffian([row[:2 * k] for row in scaled[:2 * k]]) for k in range(4)]
+        assert [as_scalar(d) for d in dens] == [pf[0], pf[1], pf[1], pf[2], pf[2], pf[3]]
+        b = linalg.mat_mul(linalg.mat_mul(linalg.transpose(linalg.divide(p, dens)), s,
+                                          as_scalar(0)), linalg.divide(p, dens), as_scalar(0))
         assert all(b[i][j] == (1 if j == i + 1 and i % 2 == 0 else
                                -1 if i == j + 1 and j % 2 == 0 else 0)
                    for i in range(n) for j in range(n))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermsq import scalars
+from hermsq import linalg, scalars
 from hermsq.errors import (HermsqError, NotMonomialError, ResourceLimitError,
                            ShapeError, SingularMatrixError)
 from hermsq.qforms import (DiagonalForm, GramForm, WeakRepresentation,
@@ -15,8 +15,8 @@ from hermsq.qforms import (DiagonalForm, GramForm, WeakRepresentation,
                            is_isotropic_Q, is_weakly_isotropic_Q,
                            springer_residues, weak_isotropy_witness,
                            weakly_represents_one)
-from hermsq.scalars import (ORDERINGS, MonomialOrdering, X, Y, as_scalar,
-                            parse_scalar)
+from hermsq.scalars import (ORDERINGS, MonomialOrdering, Polynomial, X, Y,
+                            as_scalar, parse_scalar)
 
 
 def form(*texts):
@@ -152,6 +152,133 @@ class TestDiagonalize:
                 continue
             done += 1
             assert result.verify(g)
+
+
+def gram(rows):
+    return GramForm([[parse_scalar(v) for v in row] for row in rows])
+
+
+def fraction_det(m):
+    """Determinant of a Fraction matrix by Gaussian elimination."""
+    m = [list(row) for row in m]
+    det = Fraction(1)
+    for p in range(len(m)):
+        pivot = next((i for i in range(p, len(m)) if m[i][p]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != p:
+            m[p], m[pivot] = m[pivot], m[p]
+            det = -det
+        det *= m[p][p]
+        for i in range(p + 1, len(m)):
+            c = m[i][p] / m[p][p]
+            m[i] = [a - c * b for a, b in zip(m[i], m[p])]
+    return det
+
+
+def seeded_points(rng, count=4):
+    return [{"X": Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+             "Y": Fraction(rng.randint(-9, 9), rng.randint(1, 4))} for _ in range(count)]
+
+
+def congruence_holds_at(g, result, pt):
+    """T^t G T = D at a rational point, in Fraction arithmetic; None when
+    the point is a pole of some entry."""
+    try:
+        gv = [[v.evaluate(pt) for v in row] for row in g.matrix]
+        tv = [[v.evaluate(pt) for v in row] for row in result.transform]
+        dv = [e.evaluate(pt) for e in result.form.entries]
+    except HermsqError:
+        return None
+    n = len(gv)
+    return all(sum(tv[a][i] * gv[a][b] * tv[b][j] for a in range(n) for b in range(n))
+               == (dv[i] if i == j else 0) for i in range(n) for j in range(n))
+
+
+# Grams for the branches of the fraction-free kernel: the zero-pivot
+# addmul, the swap, decoupled pivots mixed with dense blocks, and
+# denominators in G (L != 1)
+KERNEL_GRAMS = {
+    "zero-pivot": [["0", "X"], ["X", "0"]],
+    "swap": [["0", "1/X", "Y"], ["1/X", "0", "1"], ["Y", "1", "X + Y"]],
+    "decoupled-mixed": [["X", "0", "0", "0", "0"],
+                        ["0", "1", "Y", "0", "0"],
+                        ["0", "Y", "X + 1", "0", "1"],
+                        ["0", "0", "0", "Y", "0"],
+                        ["0", "0", "1", "0", "X*Y"]],
+    "denominators": [["1/X", "1/(X + 1)", "1/2"],
+                     ["1/(X + 1)", "Y/X", "0"],
+                     ["1/2", "0", "1/(X*Y + 1)"]],
+}
+
+
+class TestFractionFreeKernel:
+    """diagonalize eliminates fraction-free over Z[X, Y] through
+    linalg.Congruence."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAMS))
+    def test_congruence_at_rational_points(self, name):
+        g = gram(KERNEL_GRAMS[name])
+        result = diagonalize(g)
+        assert result.verify(g)
+        checked = [congruence_holds_at(g, result, pt)
+                   for pt in seeded_points(random.Random(name))]
+        assert all(ok is not False for ok in checked)
+        assert checked.count(True) >= 2
+
+    def test_branches_taken(self, monkeypatch):
+        calls = []
+        for method in ("swap", "addmul"):
+            original = getattr(linalg.Congruence, method)
+
+            def recorded(self, *args, name=method, original=original):
+                calls.append((name, args))
+                return original(self, *args)
+            monkeypatch.setattr(linalg.Congruence, method, recorded)
+        diagonalize(gram(KERNEL_GRAMS["zero-pivot"]))
+        assert calls == [("addmul", (0, 1, 1))]
+        calls.clear()
+        diagonalize(gram(KERNEL_GRAMS["swap"]))
+        assert calls[:1] == [("swap", (0, 2))]
+
+    def test_zero_pivot_entries(self):
+        result = diagonalize(gram(KERNEL_GRAMS["zero-pivot"]))
+        assert [str(e) for e in result.form.entries] == ["2*X", "-1/2*X"]
+
+    def test_decoupled_pivot_keeps_the_scale(self):
+        lcm, num = linalg.clear_denominators(gram(KERNEL_GRAMS["decoupled-mixed"]).matrix)
+        red = linalg.Congruence(num, 1)
+        scales = [red.eliminate((p,), ((1,),), red.m[p][p]) for p in range(5)]
+        # index 0 is decoupled, 1 and 2 eliminate (the pivot at 1 is 1, so
+        # the scale becomes the pivot at 2), 3 is decoupled and keeps that
+        # scale, where eliminating it would have made it Y times as large
+        one = Polynomial.one()
+        pivot2 = Polynomial.variable("X") + 1 - Polynomial.variable("Y") ** 2
+        assert scales == [one, one, one, pivot2, pivot2]
+        assert red.scale == pivot2
+
+    @pytest.mark.parametrize("rows", [[["2", "1", "X"], ["1", "Y", "1/X"], ["X", "1/X", "1"]],
+                                      KERNEL_GRAMS["denominators"]])
+    def test_pivots_are_ratios_of_leading_minors(self, rows):
+        g = gram(rows)
+        result = diagonalize(g)
+        for pt in seeded_points(random.Random(5)):
+            try:
+                gv = [[v.evaluate(pt) for v in row] for row in g.matrix]
+                dv = [e.evaluate(pt) for e in result.form.entries]
+            except HermsqError:
+                continue
+            minors = [fraction_det([row[:k] for row in gv[:k]]) for k in range(len(gv) + 1)]
+            if 0 in minors:
+                continue
+            assert dv == [minors[k + 1] / minors[k] for k in range(len(gv))]
+
+    def test_inexact_pivot_division_raises(self):
+        x, y = Polynomial.variable("X"), Polynomial.variable("Y")
+        red = linalg.Congruence([[x, Polynomial.one()], [Polynomial.one(), y]], 1)
+        red.scale = x + 1  # not the scale the entries carry
+        with pytest.raises(HermsqError, match="inexact"):
+            red.eliminate((0,), ((1,),), red.m[0][0])
 
 
 class TestHilbertSymbol:
