@@ -205,7 +205,7 @@ def symplectic_minus_one(s):
     s_den, s_num = clear_denominators(s)
     w = divide(mat_mul(s_num, y_num, Polynomial()), [s_den * y_den] * n)
     cert = HermSqCertificate(alg, alg.scalar(-1), [w],
-                             details={"P": alg.skew_p, "B": _blocks(n, -1),
+                             details={"P": divide(*alg.skew_pd), "B": _blocks(n, -1),
                                       "X": _blocks(n, 1), "Y": y, "S": s})
     if not verify_hermsq(cert):
         raise CertificateError("symplectic construction failed verification")

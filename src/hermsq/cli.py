@@ -39,12 +39,6 @@ def _emit(args, doc, text_lines):
             print(line)
 
 
-def _add_form_args(p):
-    p.add_argument("entries", nargs="*", help="diagonal entries in the scalar grammar")
-    p.add_argument("--json", help="read the form from a JSON file instead")
-    p.add_argument("--output", choices=("json", "text"), default="text")
-
-
 def _cmd_qf_diag(args):
     doc = _read_json(args.json) if args.json else None
     if isinstance(doc, dict) and "matrix" in doc:
@@ -180,7 +174,82 @@ def _cmd_scenario(args):
     return 0 if result["confirmed"] else 1
 
 
-def build_parser():
+def _arg(*names, **kwargs):
+    """One argument of a leaf, as `add_argument` takes it."""
+    return names, kwargs
+
+
+_OUTPUT = _arg("--output", choices=("json", "text"), default="text")
+_FORM = (_arg("entries", nargs="*", help="diagonal entries in the scalar grammar"),
+         _arg("--json", help="read the form from a JSON file instead"),
+         _OUTPUT)
+_POLY = _arg("--poly", required=True)
+_N = _arg("--n", type=int, required=True)
+_TYPE = _arg("--type", choices=("orthogonal", "symplectic"), default="orthogonal")
+
+# The command tree: a group maps its name to (help, {child: ...}), a leaf to
+# (help, handler, arguments).
+_COMMANDS = {
+    "qf": ("diagonal quadratic forms", {
+        "diag": ("print the canonical diagonal form", _cmd_qf_diag, _FORM),
+        "isotropy": ("isotropy over Q", _cmd_qf_isotropy,
+                     (*_FORM, _arg("--weak", action="store_true", help="test weak isotropy"))),
+        "weak-rep-one": ("weak representation of 1 (monomial entries)",
+                         _cmd_qf_weak_rep_one, _FORM),
+        "signature": ("signature at a monomial ordering", _cmd_qf_signature,
+                      (*_FORM, _arg("--ordering", required=True, type=_ordering_value,
+                                    choices=("++", "+-", "-+", "--")))),
+    }),
+    "nc": ("noncommutative polynomials", {
+        "eval": ("evaluate on a rational matrix tuple", _cmd_nc_eval,
+                 (_POLY, _arg("--matrices", required=True,
+                              help="JSON list of row-major matrices"), _OUTPUT)),
+        "identity": ("test membership in the identity ideal", _cmd_nc_identity,
+                     (_POLY, _N, _TYPE, _OUTPUT)),
+        "central": ("test central nonvanishing", _cmd_nc_central,
+                    (_POLY, _N, _TYPE, _OUTPUT)),
+        "falsify": ("randomized PSD falsification", _cmd_nc_falsify,
+                    (_POLY, _N, _arg("--trials", type=int, default=100),
+                     _arg("--seed", type=int, default=0), _arg("--bound", type=int, default=5),
+                     _OUTPUT)),
+        "verify-cert": ("verify a Positivstellensatz certificate file", _cmd_nc_verify_cert,
+                        (_arg("file"), _OUTPUT)),
+    }),
+    "scenario": ("run a named end-to-end computation", _cmd_scenario,
+                 (_arg("name", choices=sorted(SCENARIOS)), _arg("--n", type=int),
+                  _arg("--seed", type=int), _OUTPUT)),
+}
+
+
+def _add_commands(parser, dest, table, path, every_name=False):
+    """Add `table`'s commands under `parser`: only the one that path[0] names,
+    or all of them when it names none.  With `every_name` the others are
+    added too, bare, so that the parser's usage line still lists them."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    chosen = path[0] if path and path[0] in table else None
+    for name, (help_text, *body) in table.items():
+        if chosen not in (None, name):
+            if every_name:
+                sub.add_parser(name, help=help_text)
+            continue
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(body[0], dict):
+            _add_commands(p, "subcommand", body[0], path[1:] if chosen else ())
+        else:
+            handler, arguments = body
+            for names, kwargs in arguments:
+                p.add_argument(*names, **kwargs)
+            p.set_defaults(func=handler)
+
+
+def build_parser(argv=None):
+    """The parser for `argv`, built only along the path of commands that
+    argv's leading words name, or the full tree when argv is None.
+
+    Only the parsers on that path can print, and each prints what the full
+    tree prints: a group is built whole unless argv names one of its leaves,
+    and the top level, which reports unrecognized arguments under its own
+    usage line, always lists every group."""
     parser = argparse.ArgumentParser(
         prog="hermsq",
         description="Exact quadratic-form, involution-algebra and "
@@ -188,71 +257,13 @@ def build_parser():
         epilog="Scalar grammar: integers, p/q, X, Y, "
                "operators + - * / ^ and parentheses. NC grammar: sums of "
                "terms 'c x1 x2* ...'. Forms as JSON: {\"entries\": [...]}.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    qf = sub.add_parser("qf", help="diagonal quadratic forms")
-    qfsub = qf.add_subparsers(dest="subcommand", required=True)
-    p = qfsub.add_parser("diag", help="print the canonical diagonal form")
-    _add_form_args(p)
-    p.set_defaults(func=_cmd_qf_diag)
-    p = qfsub.add_parser("isotropy", help="isotropy over Q")
-    _add_form_args(p)
-    p.add_argument("--weak", action="store_true", help="test weak isotropy")
-    p.set_defaults(func=_cmd_qf_isotropy)
-    p = qfsub.add_parser("weak-rep-one",
-                         help="weak representation of 1 (monomial entries)")
-    _add_form_args(p)
-    p.set_defaults(func=_cmd_qf_weak_rep_one)
-    p = qfsub.add_parser("signature", help="signature at a monomial ordering")
-    _add_form_args(p)
-    p.add_argument("--ordering", required=True, type=_ordering_value,
-                   choices=("++", "+-", "-+", "--"))
-    p.set_defaults(func=_cmd_qf_signature)
-
-    nc = sub.add_parser("nc", help="noncommutative polynomials")
-    ncsub = nc.add_subparsers(dest="subcommand", required=True)
-    p = ncsub.add_parser("eval", help="evaluate on a rational matrix tuple")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--matrices", required=True,
-                   help="JSON list of row-major matrices")
-    p.add_argument("--output", choices=("json", "text"), default="text")
-    p.set_defaults(func=_cmd_nc_eval)
-    for name, func, extra in (
-            ("identity", _cmd_nc_identity, "test membership in the identity ideal"),
-            ("central", _cmd_nc_central, "test central nonvanishing")):
-        p = ncsub.add_parser(name, help=extra)
-        p.add_argument("--poly", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--type", choices=("orthogonal", "symplectic"),
-                       default="orthogonal")
-        p.add_argument("--output", choices=("json", "text"), default="text")
-        p.set_defaults(func=func)
-    p = ncsub.add_parser("falsify", help="randomized PSD falsification")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--output", choices=("json", "text"), default="text")
-    p.set_defaults(func=_cmd_nc_falsify)
-    p = ncsub.add_parser("verify-cert",
-                         help="verify a Positivstellensatz certificate file")
-    p.add_argument("file")
-    p.add_argument("--output", choices=("json", "text"), default="text")
-    p.set_defaults(func=_cmd_nc_verify_cert)
-
-    p = sub.add_parser("scenario", help="run a named end-to-end computation")
-    p.add_argument("name", choices=sorted(SCENARIOS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", choices=("json", "text"), default="text")
-    p.set_defaults(func=_cmd_scenario)
+    _add_commands(parser, "command", _COMMANDS, argv or (), every_name=True)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_quote_ordering(sys.argv[1:] if argv is None else argv))
+    argv = _quote_ordering(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (HermsqError, OSError) as exc:

@@ -259,8 +259,8 @@ class AlgebraWithInvolution:
 
     Elements are plain n x n lists of lists with RationalFunction entries
     (base "F") or QuatElem entries (quaternion base).  For Int(S) composed
-    with transpose, `skew_pd` is the pair (P', d) of `skew_congruence` and
-    `skew_p` the P with P^t S P = B that it stands for.
+    with transpose, `skew_pd` is the pair (P', d) of `skew_congruence`, which
+    stands for the P = P' diag(1/d) with P^t S P = B.
     """
 
     def __init__(self, base, n, sigma):
@@ -294,7 +294,6 @@ class AlgebraWithInvolution:
                 raise ShapeError("skew matrix size must match n")
             # S^-1 = P B^-1 P^t, B^-1 with the blocks [[0, -1], [1, 0]]
             self.skew_pd = p, dens = skew_congruence(param)
-            self.skew_p = linalg.divide(p, dens)
             self._skew_inv = linalg.block_congruence(p, dens, -1, 1)[0]
 
     # -- element plumbing ------------------------------------------------

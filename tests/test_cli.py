@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, outputs, exit codes."""
 
+import argparse
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hermsq
-from hermsq import jsonio
+from hermsq import cli, jsonio
 from hermsq.cli import main
 from hermsq.jsonio import dumps
 
@@ -512,6 +513,103 @@ class TestMalformedJson:
         code, _, _ = run(capsys, "nc", "eval", "--poly", "x1",
                          "--matrices", matrices)
         assert code == 2
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def built_leaves(parser, path=()):
+    """The command paths under `parser` whose parsers got their arguments."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found |= built_leaves(sub, (*path, name))
+        elif not isinstance(action, argparse._HelpAction):
+            found.add(path)
+    return found
+
+
+LEAVES = [("qf", "diag"), ("qf", "isotropy"), ("qf", "weak-rep-one"), ("qf", "signature"),
+          ("nc", "eval"), ("nc", "identity"), ("nc", "central"), ("nc", "falsify"),
+          ("nc", "verify-cert"), ("scenario",)]
+
+
+class TestPathParser:
+    """main() builds only the parsers on argv's path, and that parser prints
+    and parses exactly as the full tree, build_parser(), does.  The texts
+    are compared on the running interpreter, as argparse's wording differs
+    between Python versions."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["qf", "--help"], ["nc", "--help"],
+        *([*leaf, "--help"] for leaf in LEAVES),
+        # a missing, or an unknown, group, leaf or scenario
+        [], ["qf"], ["nc"], ["scenario"], ["bogus"], ["bogus", "diag"], ["qf", "bogus"],
+        ["nc", "bogus"], ["scenario", "nope"], ["--", "qf", "diag"], ["qf", "-h", "diag"],
+        # an unknown option, at each level
+        ["--nosuch"], ["qf", "--nosuch"], ["qf", "isotropy", "1", "--weak", "--bad"],
+        ["nc", "falsify", "--poly", "x1", "--n", "2", "--nosuch"],
+        # a missing required option or value
+        ["qf", "signature", "1"], ["nc", "eval", "--poly", "x1"], ["nc", "identity", "--poly"],
+        ["qf", "signature", "1", "--ordering"],
+        # a bad choice or number
+        ["qf", "diag", "--output", "xml"], ["nc", "central", "--poly", "x1", "--n", "2",
+                                            "--type", "unitary"],
+        ["qf", "signature", "--ordering", "xx", "1"], ["qf", "signature", "--ordering=+x", "1"],
+        ["qf", "signature", "--ordering", "--", "1"], ["nc", "falsify", "--poly", "x1",
+                                                       "--n", "two"],
+        # an extra argument, after the end-of-options marker too
+        ["scenario", "thm3.2", "--", "extra"], ["nc", "verify-cert", "a", "--", "b"],
+        ["qf", "diag", "diag", "--json", "f", "--", "1"],
+    ], ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_text_as_full_tree(self, capsys, monkeypatch, argv):
+        got = outcome(capsys, argv)
+        full_tree = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda _argv: full_tree())
+        assert got == outcome(capsys, argv)
+        assert got[0] in (0, 2) and "Traceback" not in got[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "thm4.7", "--n", "8", "--seed", "3", "--output", "json"],
+        ["scenario", "thm3.2"],
+        ["qf", "diag", "--json", "gram.json", "--output", "json"],
+        ["qf", "diag", "1", "X"],
+        ["qf", "isotropy", "--", "1", "1", "-3"],
+        ["qf", "isotropy", "--weak", "--output", "json", "--", "1", "-X"],
+        ["qf", "weak-rep-one", "--output", "json", "--", "X", "Y", "X*Y"],
+        ["qf", "signature", "--ordering=--", "--", "X", "Y"],
+        ["qf", "signature", "--ordering", "+-", "--output", "json", "X"],
+        ["nc", "eval", "--poly", "x1 x1", "--matrices", "[[[1]]]", "--output", "json"],
+        ["nc", "identity", "--poly", "x1 x2 - x2 x1", "--n", "2", "--type", "symplectic"],
+        ["nc", "central", "--poly", "x1", "--n", "2"],
+        ["nc", "falsify", "--poly", "x1* x1", "--n", "2", "--trials", "4", "--seed", "7",
+         "--output", "json"],
+        ["nc", "falsify", "--poly", "x1* x1", "--n", "2"],
+        ["nc", "verify-cert", "cert.json", "--output", "json"],
+    ], ids=" ".join)
+    def test_same_namespace_as_full_tree(self, argv):
+        argv = cli._quote_ordering(argv)
+        got = vars(cli.build_parser(argv).parse_args(argv))
+        assert got == vars(cli.build_parser().parse_args(argv))
+        assert callable(got["func"])
+
+    def test_builds_only_the_path(self):
+        assert built_leaves(cli.build_parser()) == set(LEAVES)
+        assert built_leaves(cli.build_parser(["scenario", "thm3.2"])) == {("scenario",)}
+        assert built_leaves(cli.build_parser(["qf", "isotropy", "1"])) == {("qf", "isotropy")}
+        assert built_leaves(cli.build_parser(["nc", "falsify"])) == {("nc", "falsify")}
+        # a group named without a known leaf is built whole, and nothing else
+        assert built_leaves(cli.build_parser(["qf", "-h"])) == {
+            leaf for leaf in LEAVES if leaf[0] == "qf"}
+        assert built_leaves(cli.build_parser(["bogus"])) == set(LEAVES)
 
 
 class TestRepeatedMain:

@@ -238,7 +238,7 @@ class TestIntSkew:
         one = alg.identity()
         assert alg.equal(alg.mul(s, alg._skew_inv), one)
         assert alg.equal(alg.mul(alg._skew_inv, s), one)
-        p = alg.skew_p
+        p = linalg.divide(*alg.skew_pd)
         b = alg.mul(alg.mul(linalg.transpose(p), s), p)
         assert all(b[i][j] == (1 if j == i + 1 and i % 2 == 0 else
                                -1 if i == j + 1 and j % 2 == 0 else 0)
