@@ -18,8 +18,16 @@ one int with a bit field per generic variable, so a monomial product is
 one int addition.  Y_l and its star come from the involution applied to
 the int matrix of the variables' slot numbers s + 1, which it only moves
 and negates.  `is_identity_mod_a` and `is_central_nonvanishing` decide on
-that packed form directly and build no `ZPolynomial` (s6 on M_3 in about
-0.3 s on a 2-vCPU VM, Python 3.11).
+that packed form directly and build no `ZPolynomial`.  The packed walk
+groups the children of a node whose suffix polynomials are proportional,
+k_l times that of one of them (x_i and x_i* in a polynomial of x_i - x_i*,
+with k = -1): the group is one product, (sum of k_l Y_l) times that one
+value, and the other subtries are never evaluated.  The classes come from
+one bottom-up pass over the trie with int arithmetic only.  So s4 of
+x_i - x_i* on M_3 evaluates 65 of its 633 trie nodes, in 4.0 ms instead of
+14.9 ms, and s4 of x_i + x_i* in 7.0 ms instead of 19.2 ms; s4 and s6 of
+plain letters have no such siblings and take as long as before (2.8 ms,
+and about 0.19 s for s6 on M_3), minima on a 2-vCPU VM, Python 3.11.
 """
 
 import os
@@ -27,7 +35,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .certificates import parse_selector, psd_symmetric_rational
 from .errors import ParseError, ResourceLimitError, ShapeError
@@ -119,8 +127,11 @@ class NCPolynomial:
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.terms)
+        # a new word takes c itself: int 0 + Fraction c runs the slow
+        # reflected Fraction addition
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            prev = out.get(w)
+            out[w] = c if prev is None else prev + c
         return NCPolynomial(out)
 
     __radd__ = __add__
@@ -140,7 +151,9 @@ class NCPolynomial:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                prev = out.get(w)
+                out[w] = c if prev is None else prev + c
         return NCPolynomial(out)
 
     def __rmul__(self, other):
@@ -418,38 +431,162 @@ def _packed_images(f, n, star):
     return images, w
 
 
-def _packed_eval(f, images, n):
-    """Image of f as an n x n array of {packed monomial: coefficient} dicts
-    without zero coefficients, by the Horner recursion of `_eval_words`
-    over the same trie: each monomial of V(u l) is shifted into place by
-    one int addition and accumulated into V(u) in place."""
+def _packed_plan(f):
+    """(coeffs, plan) for the trie of f, whose coefficients are integers:
+    coeffs[u] is the int coefficient of the word u in f (0 if u is not a
+    term), and plan[u] lists the products that give the value V(u) of the
+    node u, or is None when no product needs V(u).  A step (l, child) adds
+    images[l] * V(child); a step (letters, child), letters a tuple of
+    (l, k) pairs, adds (sum of k * images[l]) * V(child) for a group of
+    siblings whose suffix polynomials are k times that of child.
+
+    The suffix polynomial P_u (the sum of c_(u w) w over the words w) is
+    scale[u] * C_u, with C_u primitive and positive at its first word: the
+    empty word if u is a term, else the first word of C_(u l) after the
+    least letter l of u's children.  The class of u is its key
+    (c_u / scale[u], ((l, scale[u l] / scale[u], class of u l) ...)), so
+    proportional nodes, and only they, share a class, found bottom-up with
+    ints alone.  A group of siblings of one class is evaluated through its
+    member of least |scale| when every other member's scale is a multiple
+    of that one's, and member by member otherwise."""
     coeffs, children = _word_trie(f)
-    values = [None] * len(coeffs)
+    coeffs = [0 if c is None else int(c) for c in coeffs]
+    count = len(coeffs)
+    scale = [0] * count
+    # class 0 is that of the leaves, C = 1; a node with one child has a
+    # flat key of its own shape, since it can be proportional only to
+    # another node with one child
+    cls = [0] * count
+    classes = {}
+    for node in reversed(range(count)):
+        kids = children[node]
+        c = coeffs[node]
+        if not kids:
+            scale[node] = c
+            continue
+        if len(kids) == 1:
+            (l, child), = kids.items()
+            s = scale[child]
+            g = gcd(c, s)
+            if (c or s) < 0:
+                g = -g
+            key = (c // g, l, s // g, cls[child])
+        else:
+            kids = sorted(kids.items())
+            g = gcd(c, *[scale[child] for _, child in kids])
+            if (c or scale[kids[0][1]]) < 0:
+                g = -g
+            key = (c // g, tuple([(l, scale[child] // g, cls[child]) for l, child in kids]))
+        scale[node] = g
+        cls[node] = classes.setdefault(key, len(classes) + 1)
+    plan = [None] * count
+    plan[0] = []
+    # a child is created after its parent, so its plan is started first
+    for node, steps in enumerate(plan):
+        if steps is None:
+            continue
+        kids = children[node]
+        if len(kids) == 1:
+            (l, child), = kids.items()
+            steps.append((l, child))
+            plan[child] = []
+            continue
+        groups = {}
+        for l, child in kids.items():
+            groups.setdefault(cls[child], []).append((l, child))
+        for members in groups.values():
+            if len(members) > 1:
+                rep = min([child for _, child in members], key=lambda child: abs(scale[child]))
+                g = scale[rep]
+                if all(scale[child] % g == 0 for _, child in members):
+                    steps.append((tuple([(l, scale[child] // g) for l, child in members]), rep))
+                    plan[rep] = []
+                    continue
+            for l, child in members:
+                steps.append((l, child))
+                plan[child] = []
+    return coeffs, plan
+
+
+def _combined_image(letters, images, n):
+    """The sum of k * images[l] over the (l, k) pairs of letters as an
+    n x n array of tuples of (coefficient, packed variable), without the
+    variables whose coefficients cancel (the diagonal of Y - Y^t)."""
     span = range(n)
-    for node in reversed(range(len(coeffs))):
+    out = []
+    for i in span:
+        row = []
+        for j in span:
+            entry = {}
+            for l, k in letters:
+                s, var = images[l][i][j]
+                entry[var] = entry.get(var, 0) + s * k
+            row.append(tuple((k, var) for var, k in entry.items() if k))
+        out.append(row)
+    return out
+
+
+def _packed_eval(f, images, n):
+    """Image of f, whose coefficients are integers, as an n x n array of
+    {packed monomial: coefficient} dicts without zero coefficients, by the
+    Horner recursion of `_eval_words` over the same trie, following
+    `_packed_plan`: each monomial of a child's value is shifted into place
+    by one int addition (and multiplied by k for a group's sum of images)
+    and accumulated into V(u) in place.  The values are the true V(u), and
+    each is freed when its parent has used it."""
+    span = range(n)
+    coeffs, plan = _packed_plan(f)
+    combined = {}
+    values = [None] * len(plan)
+    for node in reversed(range(len(plan))):
+        steps = plan[node]
+        if steps is None:
+            continue
         value = [[{} for _ in span] for _ in span]
         coeff = coeffs[node]
-        if coeff is not None:
-            coeff = coeff.numerator if coeff.denominator == 1 else coeff
+        if coeff:
             for i in span:
                 value[i][i][0] = coeff
-        kids = children[node]
-        for l, child in kids.items():
+        for letters, child in steps:
             below = values[child]
             values[child] = None
-            for image_row, out_row in zip(images[l], value):
-                for (s, var), below_row in zip(image_row, below):
-                    for out, src in zip(out_row, below_row):
-                        get = out.get
-                        if s > 0:
-                            for m, c in src.items():
-                                m += var
-                                out[m] = get(m, 0) + c
-                        else:
-                            for m, c in src.items():
-                                m += var
-                                out[m] = get(m, 0) - c
-        if kids:
+            # a single letter keeps its own loop: through the combined one,
+            # with its extra loop per entry, commutator-M2 took 15% longer
+            if type(letters) is int:
+                for image_row, out_row in zip(images[letters], value):
+                    for (s, var), below_row in zip(image_row, below):
+                        for out, src in zip(out_row, below_row):
+                            get = out.get
+                            if s > 0:
+                                for m, c in src.items():
+                                    m += var
+                                    out[m] = get(m, 0) + c
+                            else:
+                                for m, c in src.items():
+                                    m += var
+                                    out[m] = get(m, 0) - c
+                continue
+            image = combined.get(letters)
+            if image is None:
+                image = combined[letters] = _combined_image(letters, images, n)
+            for image_row, out_row in zip(image, value):
+                for entry, below_row in zip(image_row, below):
+                    for k, var in entry:
+                        for out, src in zip(out_row, below_row):
+                            get = out.get
+                            if k == 1:
+                                for m, c in src.items():
+                                    m += var
+                                    out[m] = get(m, 0) + c
+                            elif k == -1:
+                                for m, c in src.items():
+                                    m += var
+                                    out[m] = get(m, 0) - c
+                            else:
+                                for m, c in src.items():
+                                    m += var
+                                    out[m] = get(m, 0) + k * c
+        if steps:
             value = [[{m: c for m, c in out.items() if c} for out in row] for row in value]
         values[node] = value
     return values[0]
@@ -473,7 +610,8 @@ def _integral_image(f, n, J, max_degree):
     denominators: d*f vanishes (or is a nonzero scalar) exactly when f
     does, and its image has int coefficients."""
     _check_limits(f.degree(), n, max_degree)
-    f = f * lcm(*(c.denominator for c in f.terms.values()))
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    f = NCPolynomial({w: c.numerator * (d // c.denominator) for w, c in f.terms.items()})
     images, _ = _packed_images(f, n, GenericMatrixContext(n, (), J).star)
     return _packed_eval(f, images, n)
 

@@ -305,6 +305,17 @@ def standard_polynomial(k):
     return NCPolynomial(terms)
 
 
+def standard_of(letters):
+    """s_k at the given k polynomials, expanded into words."""
+    out = NCPolynomial.zero()
+    for p in itertools.permutations(range(len(letters))):
+        term = NCPolynomial.const((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+        for i in p:
+            term = term * letters[i]
+        out = out + term
+    return out
+
+
 def unpack(value, f, n, w):
     """A packed image as `ZPolynomial` entries: slot k*n*n + i*n + j holds
     z<i+1>_<j+1>_<l> for the k-th letter l of f, in a field of w bits."""
@@ -395,6 +406,91 @@ class TestPackedKernel:
         # s6 vanishes on M_3 (Amitsur-Levitzki), s5 does not
         assert is_identity_mod_a(standard_polynomial(6), 3)
         assert not is_identity_mod_a(standard_polynomial(5), 3)
+
+    @staticmethod
+    def packed_and_naive(f, n, J):
+        """f's packed image, through `unpack`, and the word-by-word image."""
+        ctx = GenericMatrixContext(n, f.variables(), J)
+        images = {}
+        for i, m in ctx.matrices.items():
+            images[i] = m
+            images[-i] = ctx.star(m)
+        packed, w = ncpoly._packed_images(f, n, ctx.star)
+        got = unpack(ncpoly._packed_eval(f, packed, n), f, n, w)
+        return got, naive_eval(f, images, n, as_scalar(0), as_scalar(1))
+
+    @staticmethod
+    def evaluated(f):
+        """How many trie nodes the packed kernel evaluates, and how many
+        the trie has."""
+        _, plan = ncpoly._packed_plan(f)
+        return sum(steps is not None for steps in plan), len(plan)
+
+    @pytest.mark.parametrize("J, n", [("orthogonal", 2), ("orthogonal", 3),
+                                      ("symplectic", 2)])
+    def test_symmetric_and_skew_letters(self, J, n):
+        # s3 and s4 of x_i + x_i* and of x_i - x_i*: every node's children
+        # x_i and x_i* have proportional suffix polynomials, with ratio -1
+        # or 1, so each pair is one product of Y_i -+ Y_i*
+        for sign in (1, -1):
+            letters = [x(i) + sign * xs(i) for i in range(1, 5)]
+            for k in (3, 4):
+                f = standard_of(letters[:k])
+                got, want = self.packed_and_naive(f, n, J)
+                assert got == want
+                done, nodes = self.evaluated(f)
+                assert done < nodes
+
+    def test_s4_of_skew_letters_evaluates_65_of_633_nodes(self):
+        # one representative per sibling pair: 1 + 4 + 4*3 + 4*3*2 + 4*3*2
+        f = standard_of([x(i) - xs(i) for i in range(1, 5)])
+        assert len(f.terms) == 384
+        assert self.evaluated(f) == (65, 633)
+        assert is_identity_mod_a(f, 3)
+        assert not is_identity_mod_a(standard_of([x(i) + xs(i) for i in range(1, 5)]), 3)
+
+    def test_non_integral_ratios_split_the_group(self):
+        # a x_i + b x_i*: the children x_i and x_i* have suffix polynomials
+        # in the ratio a : b, one product for both only when b / a is an
+        # integer (or a / b), and one each for 2 : 3
+        rng = random.Random(311)
+        for (a, b), grouped in (((2, 3), False), ((3, -2), False), ((1, 2), True),
+                                ((-3, 1), True), ((2, -2), True)):
+            letters = [a * x(i) + b * xs(i) for i in range(1, 4)]
+            f = standard_of(letters)
+            done, nodes = self.evaluated(f)
+            assert (done < nodes) is grouped
+            for J, n in (("orthogonal", 2), ("orthogonal", 3), ("symplectic", 2)):
+                got, want = self.packed_and_naive(f, n, J)
+                assert got == want
+        # random coefficients on random letters, groups or not
+        for _ in range(6):
+            letters = [rng.choice((-3, -2, -1, 1, 2, 3)) * x(i)
+                       + rng.choice((-3, -2, -1, 1, 2, 3)) * xs(i) for i in range(1, 4)]
+            f = standard_of(letters) + rng.randint(-3, 3) * x(1) * letters[1]
+            for J, n in (("orthogonal", 2), ("symplectic", 2)):
+                got, want = self.packed_and_naive(f, n, J)
+                assert got == want
+
+    def test_negative_leaves_zero_constant_and_negation(self):
+        f = -3 * x(1) * x(2) + 3 * x(1) * xs(2) - 5 * xs(1) * x(2) + 5 * xs(1) * xs(2)
+        # x2 and x2* under x1 (leaves -3 and 3) and under x1* (-5 and 5),
+        # and the two subtrees, in the ratio 3 : 5, are not merged
+        assert self.evaluated(f) == (5, 7)
+        # x1 and x2 below the root lead to one letter x3 each, and differ
+        # only further down, or only in being terms themselves
+        chains = [x(1) * x(3) * x(4) + 2 * x(2) * x(3) * x(5)
+                  + x(1) * x(3) * (x(2) + x(1)) + x(2) * x(3) * (x(2) + x(4)),
+                  x(1) + x(1) * x(3) + 2 * x(2) * x(3)]
+        cases = [NCPolynomial.zero(), NCPolynomial.const(-4), NCPolynomial.const(6),
+                 f, *chains, standard_of([x(1) - xs(1), x(2) + xs(2), x(3)])]
+        for g in cases:
+            for h in (g, -g, 3 * g):
+                for J, n in (("orthogonal", 1), ("orthogonal", 2), ("symplectic", 2)):
+                    got, want = self.packed_and_naive(h, n, J)
+                    assert got == want
+        assert is_identity_mod_a(NCPolynomial.zero(), 3)
+        assert is_central_nonvanishing(NCPolynomial.const(-4), 3)
 
 
 class TestIdentities:
