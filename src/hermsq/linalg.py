@@ -4,7 +4,10 @@ Matrices are lists of row lists.  The product, transpose, sum, negation,
 equality and identity take entries that are Fraction, RationalFunction,
 ZPolynomial (generic and symbolic entries) or QuatElem; they need only
 + - * and test zero by truth value, which all four support, and the ones
-that create entries take the ring's zero (and one) from the caller.
+that create entries take the ring's zero (and one) from the caller.  A
+product over Q(X, Y), every entry a RationalFunction, reduces each output
+entry once: its products are summed over a common denominator
+(`scalars.rf_dot`) instead of reducing after every + and *.
 
 The eliminations are over Z[X, Y]: `Congruence` is a fraction-free
 (Bareiss) congruence reducer on `Polynomial` entries, and
@@ -15,14 +18,19 @@ which reduces each entry once.
 
 from functools import reduce
 
-from .scalars import ZERO, Polynomial, RationalFunction, poly_divexact, poly_lcm
+from .scalars import ZERO, Polynomial, RationalFunction, poly_divexact, poly_lcm, rf_dot
 
 _ZERO_POLY = Polynomial()
 _ONE_POLY = Polynomial.one()
 
 
 def mat_mul(x, y, zero):
-    """x * y, skipping zero factors."""
+    """x * y, skipping zero factors.  When every entry is a RationalFunction,
+    an entry of two or more products is one `rf_dot`, reduced once, and an
+    entry of one product is that product."""
+    if all(type(v) is RationalFunction for m in (x, y) for row in m for v in row):
+        cols = list(zip(*y))
+        return [[_rf_entry(row, col, zero) for col in cols] for row in x]
     rows, inner, cols = len(x), len(y), len(y[0])
     out = [[zero for _ in range(cols)] for _ in range(rows)]
     for i in range(rows):
@@ -35,6 +43,17 @@ def mat_mul(x, y, zero):
                 if b:
                     out[i][j] = out[i][j] + a * b
     return out
+
+
+def _rf_entry(row, col, zero):
+    """The entry row * col of a product over Q(X, Y)."""
+    pairs = [(a, b) for a, b in zip(row, col) if a.num.terms and b.num.terms]
+    if not pairs:
+        return zero
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        return a * b
+    return rf_dot(pairs)
 
 
 def transpose(x):

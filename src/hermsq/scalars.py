@@ -26,6 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, isqrt, prod
 from operator import or_
 
@@ -340,10 +341,17 @@ def _divide(f, h):
     room_y = max([m >> _W & _MASK for m in f], default=0) - ly
     tail = [(m, c) for m, c in h.items() if m != lm]
     rem = dict(f)
+    # a max-heap of rem's monomials (negated), with lazy deletion: a
+    # monomial that cancels stays in the heap and is skipped when it comes
+    # up, and one that enters rem again is pushed again
+    heap = [-m for m in rem]
+    heapify(heap)
     q = {}
-    while rem:
-        m = max(rem)
-        c = rem.pop(m)
+    while heap:
+        m = -heappop(heap)
+        c = rem.pop(m, 0)
+        if not c:
+            continue
         if not (0 <= (m & _MASK) - lx <= room_x and 0 <= (m >> _W & _MASK) - ly <= room_y):
             return None
         k, r = divmod(c, lc)
@@ -353,11 +361,14 @@ def _divide(f, h):
         q[d] = k
         for hm, hv in tail:
             t = hm + d
-            v = rem.get(t, 0) - k * hv
-            if v:
-                rem[t] = v
-            else:
+            v = rem.get(t)
+            if v is None:
+                rem[t] = -k * hv
+                heappush(heap, -t)
+            elif v == k * hv:
                 del rem[t]
+            else:
+                rem[t] = v - k * hv
     return q
 
 
@@ -794,6 +805,50 @@ def _as_rf(x):
     if isinstance(x, Polynomial):
         return RationalFunction(x)
     return NotImplemented
+
+
+def _join(run, d):
+    """(L, L/run, L/d) for L a common multiple of a running denominator run
+    and a denominator d, None standing for a cofactor 1.  A d equal to run
+    or to 1 costs no gcd, and two constants join through their int lcm."""
+    if d.terms == run.terms:
+        return run, None, None
+    if d.terms == {0: 1}:
+        return run, None, run
+    if run.terms == {0: 1}:
+        return d, d, None
+    if run.is_constant() and d.is_constant():
+        r, c = run.terms[0], d.terms[0]
+        g = _int_gcd(r, c)
+        return Polynomial({0: r // g * c}), Polynomial({0: c // g}), Polynomial({0: r // g})
+    # run = h * cr and d = h * cd
+    _, cr, cd = _gcd_cofactors(run, d)
+    return run * cd, cd, cr
+
+
+def _times(f, g):
+    """f * g, None standing for 1."""
+    return f * g if f and g else f or g
+
+
+def rf_dot(pairs):
+    """The sum of a * b over pairs of nonzero RationalFunctions a, b, reduced
+    once: the numerators are summed over Dx * Dy, where Dx joins the
+    denominators of the a's and Dy those of the b's as they come (`_join`),
+    and the sum is reduced at the end."""
+    dx = dy = _INT_ONE
+    num = Polynomial()
+    for a, b in pairs:
+        dx, sx, fa = _join(dx, a.den)
+        dy, sy, fb = _join(dy, b.den)
+        # the sum so far and a.num * b.num, each over the new Dx * Dy
+        s, f = _times(sx, sy), _times(fa, fb)
+        if s and num.terms:
+            num = num * s
+        num = num + (a.num * b.num * f if f else a.num * b.num)
+    if not num.terms:
+        return RationalFunction(num)
+    return RationalFunction(num, dx * dy)
 
 
 def as_scalar(x):

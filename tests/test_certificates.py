@@ -252,6 +252,20 @@ class TestSymplectic:
             assert verify_hermsq(cert)
             assert calls[before:] == [4]
 
+    def test_perturbed_witness_refused(self):
+        # sigma(W) W = -I fails once W[0][0] moves by 1/X, for a polynomial
+        # and an integer S
+        zero, one, two = as_scalar(0), as_scalar(1), as_scalar(2)
+        for s in ([[zero, zero, one, X], [zero, zero, Y, one],
+                   [-one, -Y, zero, zero], [-X, -one, zero, zero]],
+                  [[zero, two, one, -one], [-two, zero, one, two],
+                   [-one, -one, zero, one], [one, -two, -one, zero]]):
+            cert = symplectic_minus_one(s)
+            assert verify_hermsq(cert)
+            w = [list(row) for row in cert.witnesses[0]]
+            w[0][0] = w[0][0] + 1 / X
+            assert not verify_hermsq(HermSqCertificate(cert.algebra, cert.target, [w]))
+
     def test_thm47_scenario_verifies_once(self, monkeypatch):
         # symplectic_minus_one verifies its certificate before returning it,
         # and the scenario reports that result instead of checking again

@@ -10,7 +10,7 @@ import pytest
 from hermsq import linalg, scalars
 from hermsq.errors import (HermsqError, NotMonomialError, ResourceLimitError,
                            ShapeError, SingularMatrixError)
-from hermsq.qforms import (DiagonalForm, GramForm, WeakRepresentation,
+from hermsq.qforms import (DiagonalForm, Diagonalization, GramForm, WeakRepresentation,
                            diagonalize, four_squares, hilbert_symbol,
                            is_isotropic_Q, is_weakly_isotropic_Q,
                            springer_residues, weak_isotropy_witness,
@@ -152,6 +152,27 @@ class TestDiagonalize:
                 continue
             done += 1
             assert result.verify(g)
+
+    def test_verify_refuses_wrong_data(self):
+        # T^t G T = D is checked entry by entry: a perturbed T, a changed D
+        # and a T^t G T with a nonzero entry off the diagonal all fail
+        g = gram([["X", "1", "Y"], ["1", "X*Y + 1", "1/X"], ["Y", "1/X", "Y^2 - 1"]])
+        result = diagonalize(g)
+        assert result.verify(g)
+        n = len(g)
+        for i, j in ((0, 0), (1, 2), (2, 1)):
+            t = [list(row) for row in result.transform]
+            t[i][j] = t[i][j] + 1 / X
+            assert not Diagonalization(result.form, t).verify(g)
+        for k in range(n):
+            d = list(result.form.entries)
+            d[k] = d[k] + 1
+            assert not Diagonalization(DiagonalForm(d), result.transform).verify(g)
+        # T^t diag(X, Y) T = [[X, X], [X, X + Y]]: the diagonal matches D
+        one, zero = as_scalar(1), as_scalar(0)
+        g = GramForm([[X, zero], [zero, Y]])
+        shear = Diagonalization(DiagonalForm([X, X + Y]), [[one, one], [zero, one]])
+        assert not shear.verify(g)
 
 
 def gram(rows):

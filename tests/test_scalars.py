@@ -203,6 +203,33 @@ class TestGcd:
             with pytest.raises(HermsqError):
                 poly_divexact(f, g)
 
+    def test_divexact_by_several_terms(self):
+        # a divisor of two or more terms divides through a heap of the
+        # remainder's monomials
+        x = Polynomial.variable("X")
+        y = Polynomial.variable("Y")
+        q = (x + y + 1) ** 40
+        assert poly_divexact(q * (x + 1), x + 1) == q
+        assert poly_divexact(q * (x * y - 2 * y + 3), x * y - 2 * y + 3) == q
+        for f, g in ((q * (x + 1) + y, x + 1), (q * (x + 1) + 1, x + 1),
+                     (x ** 3 + y ** 3, x + 2 * y), (3 * x + 3, 2 * x + 2),
+                     (x * y + 1, x * x + y)):
+            with pytest.raises(HermsqError):
+                poly_divexact(f, g)
+
+    def test_divexact_term_that_cancels_and_reappears(self):
+        # dividing f by h, the remainder's X*Y term cancels and then comes
+        # back from a later quotient term, so it must enter the heap again
+        x = Polynomial.variable("X")
+        y = Polynomial.variable("Y")
+        h = 2 * x * y + 2 * x + 1
+        q = x * y - 2 * y + 2
+        f = h * q
+        assert f == (2 * x ** 2 * y ** 2 - 4 * x * y ** 2 + 2 * x ** 2 * y + x * y
+                     - 2 * y + 4 * x + 2)
+        assert poly_divexact(f, h) == q
+        assert poly_divexact(f, q) == h
+
     def test_gcd_basic(self):
         x = Polynomial.variable("X")
         y = Polynomial.variable("Y")
