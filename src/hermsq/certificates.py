@@ -2,6 +2,8 @@
 
 A certificate is data whose correctness is re-checked by exact expansion;
 construction and verification are deliberately independent code paths.
+Every function here that returns a certificate verifies it once and raises
+CertificateError if that fails, so callers do not check it again.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +34,12 @@ def verify_hermsq(cert):
     for w in cert.witnesses:
         total = alg.add(total, alg.mul(alg.involution(w), w))
     return alg.equal(total, cert.target)
+
+
+def _verified(cert):
+    if not verify_hermsq(cert):
+        raise CertificateError("constructed certificate failed verification")
+    return cert
 
 
 _BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
@@ -89,26 +97,29 @@ def rewrite_weighted_to_pure(cert, weight_certs):
 
     weight_certs maps each weight alpha (used with a 1 bit) to a certificate
     for alpha * identity in the same algebra; alpha * sigma(x)x then equals
-    sum_k sigma(y_k x)(y_k x).
+    sum_k sigma(y_k x)(y_k x).  Each weight certificate is checked once,
+    however many terms use it, and so is the result.
     """
     alg = cert.algebra
     weights = [as_scalar(w) for w in cert.weights]
     m = len(weights)
+    checked = {}
     witnesses = []
     for eps, xs in cert.terms.items():
-        eps = parse_selector(eps, m)
         current = list(xs)
-        for bit, w in zip(eps, weights):
+        for bit, w in zip(parse_selector(eps, m), weights):
             if not bit:
                 continue
-            wc = weight_certs.get(w)
-            if wc is None:
-                raise CertificateError(f"no hermitian-square certificate for weight {w}")
-            if not verify_hermsq(wc) or not alg.equal(wc.target, alg.scalar(w)):
-                raise CertificateError(f"invalid certificate supplied for weight {w}")
-            current = [alg.mul(y, x) for x in current for y in wc.witnesses]
+            if w not in checked:
+                wc = weight_certs.get(w)
+                if wc is None:
+                    raise CertificateError(f"no hermitian-square certificate for weight {w}")
+                if not verify_hermsq(wc) or not alg.equal(wc.target, alg.scalar(w)):
+                    raise CertificateError(f"invalid certificate supplied for weight {w}")
+                checked[w] = wc.witnesses
+            current = [alg.mul(y, x) for x in current for y in checked[w]]
         witnesses.extend(current)
-    return HermSqCertificate(alg, cert.target, witnesses)
+    return _verified(HermSqCertificate(alg, cert.target, witnesses))
 
 
 def prop41_certificates(quat, sigma):
@@ -132,15 +143,9 @@ def prop41_certificates(quat, sigma):
                   (-s.nrd(), s), (-su.nrd(), su)]
     else:
         raise ShapeError("expected conjugation or an Int(u) twist of it")
-    out = []
-    two = as_scalar(2)
-    for c, w in pieces:
-        entry = two * c
-        cert = HermSqCertificate(alg, alg.scalar(entry), [[[w]], [[w]]])
-        if not verify_hermsq(cert):
-            raise CertificateError("constructed certificate failed verification")
-        out.append((entry, cert))
-    return out
+    entries = [(as_scalar(2) * c, w) for c, w in pieces]
+    return [(e, _verified(HermSqCertificate(alg, alg.scalar(e), [[[w]], [[w]]])))
+            for e, w in entries]
 
 
 def _anticommuting_pure(quat, u):
@@ -164,7 +169,8 @@ def _anticommuting_pure(quat, u):
 
 
 def tensor_certificates(c1, c2):
-    """Certificate for beta1*beta2 in the tensor product of the algebras."""
+    """Certificate for beta1*beta2 in the tensor product of the algebras,
+    verified there: a false factor raises CertificateError."""
     sa1, conv1 = structure_algebra(c1.algebra)
     sa2, conv2 = structure_algebra(c2.algebra)
     b1 = sa1.scalar_part(conv1(c1.target))
@@ -174,7 +180,7 @@ def tensor_certificates(c1, c2):
     sa = sa1.tensor(sa2)
     witnesses = [tuple(p * q for p in conv1(x) for q in conv2(y))
                  for x in c1.witnesses for y in c2.witnesses]
-    return HermSqCertificate(sa, sa.scalar(b1 * b2), witnesses)
+    return _verified(HermSqCertificate(sa, sa.scalar(b1 * b2), witnesses))
 
 
 # -- the -1 certificate under Int(S) o transpose ----------------------------
@@ -204,12 +210,10 @@ def symplectic_minus_one(s):
     y, y_num, y_den = block_congruence(*alg.skew_pd, 1, 1)
     s_den, s_num = clear_denominators(s)
     w = divide(mat_mul(s_num, y_num, Polynomial()), [s_den * y_den] * n)
-    cert = HermSqCertificate(alg, alg.scalar(-1), [w],
-                             details={"P": divide(*alg.skew_pd), "B": _blocks(n, -1),
-                                      "X": _blocks(n, 1), "Y": y, "S": s})
-    if not verify_hermsq(cert):
-        raise CertificateError("symplectic construction failed verification")
-    return cert
+    return _verified(HermSqCertificate(alg, alg.scalar(-1), [w],
+                                       details={"P": divide(*alg.skew_pd),
+                                                "B": _blocks(n, -1), "X": _blocks(n, 1),
+                                                "Y": y, "S": s}))
 
 
 # -- counterexample pipelines ----------------------------------------------
@@ -228,6 +232,7 @@ class TotalPositivityWitness:
 
 @dataclass
 class CounterexampleReport:
+    """counterexample_pipeline's findings; it has verified positivity_witness."""
     algebra: object
     element: object
     positivity_witness: TotalPositivityWitness
@@ -242,10 +247,11 @@ def counterexample_pipeline(alpha, beta, base="F"):
     """Check whether alpha*beta is totally positive yet not a hermitian-square sum.
 
     The algebra is M_3 over F or over the given quaternion algebra, with the
-    adjoint involution of <alpha, beta, alpha*beta>.  The verdict is true
-    when the trace witness for alpha*beta verifies, the trace form is
-    definite at some monomial ordering, and <alpha, beta, alpha*beta> does
-    not weakly represent 1 (the (3,3)-entry obstruction).
+    adjoint involution of <alpha, beta, alpha*beta>.  The trace witness for
+    alpha*beta is verified once, and CertificateError raised if it fails.
+    The verdict is true when the trace form is definite at some monomial
+    ordering and <alpha, beta, alpha*beta> does not weakly represent 1 (the
+    (3,3)-entry obstruction).
     """
     alpha, beta = as_scalar(alpha), as_scalar(beta)
     monomial_square_class(alpha)
@@ -270,12 +276,14 @@ def counterexample_pipeline(alpha, beta, base="F"):
     else:
         b = alg.unit(0, 1, alpha)
     positivity = TotalPositivityWitness(alg, target, witness=b)
+    if not positivity.verify():
+        raise CertificateError("trace witness for alpha*beta failed verification")
     diag = diagonalize(alg.trace_form()).form
     signatures = {p: diag.signature(p) for p in ORDERINGS}
     dim = len(diag.entries)
     orderings = [p for p in ORDERINGS if signatures[p] == dim]
     weak = weakly_represents_one(q)
-    verdict = positivity.verify() and bool(orderings) and not weak.represents
+    verdict = bool(orderings) and not weak.represents
     return CounterexampleReport(alg, target, positivity, signatures, orderings,
                                 entry_form, weak, verdict)
 

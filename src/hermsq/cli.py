@@ -221,16 +221,15 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser, dest, table, path, every_name=False):
+def _add_commands(parser, dest, table, path):
     """Add `table`'s commands under `parser`: only the one that path[0] names,
-    or all of them when it names none.  With `every_name` the others are
-    added too, bare, so that the parser's usage line still lists them."""
-    sub = parser.add_subparsers(dest=dest, required=True)
+    listing all in the usage line through the metavar, or all of them when it
+    names none, with no metavar, so that errors call the argument `dest`."""
     chosen = path[0] if path and path[0] in table else None
+    metavar = None if chosen is None else "{" + ",".join(table) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name, (help_text, *body) in table.items():
         if chosen not in (None, name):
-            if every_name:
-                sub.add_parser(name, help=help_text)
             continue
         p = sub.add_parser(name, help=help_text)
         if isinstance(body[0], dict):
@@ -249,7 +248,7 @@ def build_parser(argv=None):
     Only the parsers on that path can print, and each prints what the full
     tree prints: a group is built whole unless argv names one of its leaves,
     and the top level, which reports unrecognized arguments under its own
-    usage line, always lists every group."""
+    usage line, always lists every group in it, through the metavar."""
     parser = argparse.ArgumentParser(
         prog="hermsq",
         description="Exact quadratic-form, involution-algebra and "
@@ -257,7 +256,7 @@ def build_parser(argv=None):
         epilog="Scalar grammar: integers, p/q, X, Y, "
                "operators + - * / ^ and parentheses. NC grammar: sums of "
                "terms 'c x1 x2* ...'. Forms as JSON: {\"entries\": [...]}.")
-    _add_commands(parser, "command", _COMMANDS, argv or (), every_name=True)
+    _add_commands(parser, "command", _COMMANDS, argv or ())
     return parser
 
 

@@ -136,6 +136,36 @@ class TestRewriteToPure:
         with pytest.raises(CertificateError):
             rewrite_weighted_to_pure(wc, {})
 
+    def test_weight_cert_checked_once(self, monkeypatch):
+        # the weight 2 is used by four factors over three terms, and its
+        # certificate is checked once; the result is checked once too
+        h = QuaternionAlgebra(-1, -1)
+        alg = AlgebraWithInvolution(h, 1, InvolutionSpec.quat_conjugation())
+        one, two = [[h.one()]], as_scalar(2)
+        two_cert = HermSqCertificate(alg, alg.scalar(two), [one, one])
+        wc = WeightedCertificate(alg, alg.scalar(8), [two, two],
+                                 {"11": [one], "10": [one], "01": [one]})
+        calls = []
+
+        def counted(cert, verify=certificates.verify_hermsq):
+            calls.append(cert)
+            return verify(cert)
+        monkeypatch.setattr(certificates, "verify_hermsq", counted)
+        pure = rewrite_weighted_to_pure(wc, {two: two_cert})
+        assert len(pure.witnesses) == 8
+        assert [c is two_cert for c in calls] == [True, False]
+        assert calls[1] is pure
+
+    def test_false_weighted_certificate_refused(self):
+        # the weight certificate holds, but the weighted target is wrong
+        h = QuaternionAlgebra(-1, -1)
+        alg = AlgebraWithInvolution(h, 1, InvolutionSpec.quat_conjugation())
+        one, two = [[h.one()]], as_scalar(2)
+        two_cert = HermSqCertificate(alg, alg.scalar(two), [one, one])
+        wc = WeightedCertificate(alg, alg.scalar(3), [two], {"1": [one]})
+        with pytest.raises(CertificateError):
+            rewrite_weighted_to_pure(wc, {two: two_cert})
+
     def test_invalid_weight_cert_refused(self):
         wc = TestWeightedCertificates().make_weighted()
         alg = wc.algebra
@@ -189,6 +219,17 @@ class TestTensorComposition:
         assert verify_hermsq(t)
         assert t.algebra.scalar_part(t.target) == as_scalar(8)
         assert len(t.witnesses) == 8
+
+    def test_false_factor_refused(self):
+        # sigma(1) 1 = 1, not 2: the composition with a false factor raises
+        # instead of returning a false certificate
+        quat = QuaternionAlgebra(-1, -1)
+        alg = AlgebraWithInvolution(quat, 1, InvolutionSpec.quat_conjugation())
+        bad = HermSqCertificate(alg, alg.scalar(2), [[[quat.one()]]])
+        assert not verify_hermsq(bad)
+        for c1, c2 in ((bad, bad), (bad, self.base_cert()), (self.base_cert(), bad)):
+            with pytest.raises(CertificateError):
+                tensor_certificates(c1, c2)
 
     def test_non_scalar_target_rejected(self):
         alg = thm32_algebra()
@@ -266,20 +307,6 @@ class TestSymplectic:
             w[0][0] = w[0][0] + 1 / X
             assert not verify_hermsq(HermSqCertificate(cert.algebra, cert.target, [w]))
 
-    def test_thm47_scenario_verifies_once(self, monkeypatch):
-        # symplectic_minus_one verifies its certificate before returning it,
-        # and the scenario reports that result instead of checking again
-        calls = []
-
-        def counted(cert, verify=certificates.verify_hermsq):
-            calls.append(cert)
-            return verify(cert)
-        monkeypatch.setattr(certificates, "verify_hermsq", counted)
-        monkeypatch.setattr(scenarios, "verify_hermsq", counted)
-        result = scenarios.run_scenario("thm4.7", n=8, seed=1)
-        assert result["confirmed"] is True
-        assert len(calls) == 1
-
     def test_singular_rejected(self):
         zero = as_scalar(0)
         s = [[zero, zero], [zero, zero]]
@@ -325,6 +352,48 @@ class TestPipelines:
     def test_non_monomial_rejected(self):
         with pytest.raises(HermsqError):
             counterexample_pipeline(X + 1, Y, "F")
+
+    @pytest.mark.parametrize("base", ["F", QuaternionAlgebra(-1, -1)], ids=["F", "H"])
+    def test_failed_positivity_witness_raises(self, monkeypatch, base):
+        monkeypatch.setattr(TotalPositivityWitness, "verify", lambda self: False)
+        with pytest.raises(CertificateError):
+            counterexample_pipeline(X, Y, base)
+
+
+class TestScenarioChecks:
+    """Each certificate a scenario reports is verified once, inside the
+    function that builds it; the scenario does not check it again."""
+
+    # scenario: (options, verify_hermsq calls, positivity witness checks)
+    CHECKS = {
+        "thm4.7": ({"n": 8, "seed": 1}, 1, 0),
+        # three quaternion cases, four entry certificates each
+        "prop4.1": ({}, 12, 0),
+        # the factor's four entry certificates, then one per composition
+        "cor4.3": ({}, 6, 0),
+        "thm3.2": ({}, 0, 1),
+        "thm3.3": ({}, 0, 1),
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_checks_per_run(self, monkeypatch, name):
+        options, hermsq_checks, positivity_checks = self.CHECKS[name]
+        calls = []
+
+        def counted(cert, verify=certificates.verify_hermsq):
+            calls.append("hermsq")
+            return verify(cert)
+
+        def counted_positivity(witness, verify=TotalPositivityWitness.verify):
+            calls.append("positivity")
+            return verify(witness)
+        monkeypatch.setattr(certificates, "verify_hermsq", counted)
+        monkeypatch.setattr(TotalPositivityWitness, "verify", counted_positivity)
+        result = scenarios.run_scenario(name, **options)
+        assert result["confirmed"] is True
+        assert calls.count("hermsq") == hermsq_checks
+        assert calls.count("positivity") == positivity_checks
+        assert not hasattr(scenarios, "verify_hermsq")
 
 
 class TestPsdRational:

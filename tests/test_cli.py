@@ -611,6 +611,16 @@ class TestPathParser:
             leaf for leaf in LEAVES if leaf[0] == "qf"}
         assert built_leaves(cli.build_parser(["bogus"])) == set(LEAVES)
 
+    @pytest.mark.parametrize("argv, wording", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice"),
+    ], ids=["(none)", "bogus"])
+    def test_top_level_error_names_the_command_argument(self, capsys, argv, wording):
+        # the full tree's own wording, which the comparison above cannot
+        # check: a metavar on the top level would rename the argument
+        code, _, err = outcome(capsys, argv)
+        assert code == 2 and wording in err
+
 
 class TestRepeatedMain:
     """Two main() calls in one process share no state: every call starts
