@@ -1,24 +1,30 @@
 """Finite-dimensional algebras with involution given by structure constants.
 
-This is the common carrier for tensor products of algebras with involution:
-a basis, the products of basis elements (each computed on first use and
-cached), and the involution as a linear map on coordinates.  Elements are
-coordinate tuples over Q(X,Y).  Tensor products of two such algebras are
+This is the common carrier for tensor products of algebras with involution.
+Elements are coordinate tuples over Q(X,Y).  The constants are sparse maps
+{basis index: nonzero coefficient}: the unit, the involution image of each
+basis element, and the product of each pair of basis elements, computed on
+first use and cached.  A matrix algebra with involution supplies all three
+from its own basis layout; the tensor product of two such algebras is
 again of this shape, with the involution acting factorwise, which is all
 the formal tensor-certificate composition needs.
 """
 
-from .errors import ShapeError
 from .scalars import as_scalar
 
 
+def _kron(u, v, d2):
+    """The sparse coordinates of u (x) v, for v over a factor of dimension d2."""
+    return {i * d2 + j: p * q for i, p in u.items() for j, q in v.items()}
+
+
 class StructureAlgebra:
-    def __init__(self, dim, unit, inv_images, prod_fn):
-        self.dim = dim
-        self.unit = tuple(unit)
+    def __init__(self, unit, inv_images, prod_fn):
+        self.dim = len(inv_images)
+        self.unit = unit
+        self.inv_images = inv_images
         self.prod_fn = prod_fn
         self._prod_cache = {}
-        self.inv_images = [tuple(v) for v in inv_images]
 
     def _prod(self, i, j):
         value = self._prod_cache.get((i, j))
@@ -26,87 +32,51 @@ class StructureAlgebra:
             value = self._prod_cache[i, j] = self.prod_fn(i, j)
         return value
 
-    def elem(self, coords):
-        if len(coords) != self.dim:
-            raise ShapeError("coordinate vector has the wrong length")
-        return tuple(as_scalar(c) for c in coords)
+    def _combine(self, terms):
+        """sum of c * image over the (c, sparse image) pairs of terms."""
+        out = [as_scalar(0)] * self.dim
+        for c, image in terms:
+            for t, s in image.items():
+                out[t] = out[t] + c * s
+        return tuple(out)
 
     def zero(self):
-        return tuple(as_scalar(0) for _ in range(self.dim))
+        return (as_scalar(0),) * self.dim
 
     def scalar(self, c):
-        c = as_scalar(c)
-        return tuple(c * u for u in self.unit)
-
-    def identity(self):
-        return self.unit
+        return self._combine([(as_scalar(c), self.unit)])
 
     def add(self, x, y):
         return tuple(p + q for p, q in zip(x, y))
 
     def mul(self, x, y):
-        out = [as_scalar(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                c = xi * yj
-                for t, s in enumerate(self._prod(i, j)):
-                    if not s.is_zero():
-                        out[t] = out[t] + c * s
-        return tuple(out)
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        return self._combine((xi * yj, self._prod(i, j))
+                             for i, xi in enumerate(x) if xi for j, yj in ys)
 
     def involution(self, x):
-        out = [as_scalar(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for t, s in enumerate(self.inv_images[i]):
-                if not s.is_zero():
-                    out[t] = out[t] + xi * s
-        return tuple(out)
+        return self._combine((xi, self.inv_images[i]) for i, xi in enumerate(x) if xi)
 
     def equal(self, x, y):
         return all(p == q for p, q in zip(x, y))
 
     def scalar_part(self, x):
         """c with x = c * 1, or None if x is not central-scalar."""
-        idx = next(i for i, u in enumerate(self.unit) if not u.is_zero())
-        c = x[idx] * self.unit[idx].inverse()
+        idx, u = next(iter(self.unit.items()))
+        c = x[idx] * u.inverse()
         return c if self.equal(x, self.scalar(c)) else None
 
     def tensor(self, other):
         """Tensor product with factorwise multiplication and involution."""
-        dim = self.dim * other.dim
-
-        def flat(u, v):
-            return tuple(p * q for p in u for q in v)
-
-        unit = flat(self.unit, other.unit)
         d2 = other.dim
 
         def prod(r, s):
-            return flat(self._prod(r // d2, s // d2),
-                        other._prod(r % d2, s % d2))
+            return _kron(self._prod(r // d2, s // d2),
+                         other._prod(r % d2, s % d2), d2)
 
-        inv_images = [flat(self.inv_images[i], other.inv_images[j])
-                      for i in range(self.dim) for j in range(other.dim)]
-        return StructureAlgebra(dim, unit, inv_images, prod)
-
-
-def _flatten(algebra, x):
-    """Coordinates of a matrix-algebra element in the basis() order."""
-    from .involutions import QuatElem
-    coords = []
-    for row in x:
-        for v in row:
-            if isinstance(v, QuatElem):
-                coords.extend(v.coords)
-            else:
-                coords.append(v)
-    return tuple(coords)
+        inv_images = [_kron(a, b, d2) for a in self.inv_images
+                      for b in other.inv_images]
+        return StructureAlgebra(_kron(self.unit, other.unit, d2), inv_images, prod)
 
 
 def structure_algebra(algebra):
@@ -117,12 +87,6 @@ def structure_algebra(algebra):
     """
     if isinstance(algebra, StructureAlgebra):
         return algebra, lambda x: x
-    basis = algebra.basis()
-    unit = _flatten(algebra, algebra.identity())
-    inv_images = [_flatten(algebra, algebra.involution(e)) for e in basis]
-
-    def prod(i, j):
-        return _flatten(algebra, algebra.mul(basis[i], basis[j]))
-
-    sa = StructureAlgebra(len(basis), unit, inv_images, prod)
-    return sa, lambda x: _flatten(algebra, x)
+    sa = StructureAlgebra(algebra.sparse_coordinates(algebra.identity()),
+                          algebra.involution_images(), algebra.basis_product)
+    return sa, algebra.coordinates

@@ -5,10 +5,15 @@ Supported involutions: transpose, adjoint of a diagonal quadratic form
 conjugation, adjoint of a diagonal hermitian form over a quaternion algebra,
 the standard symplectic involution, and Int(S) composed with transpose for a
 nonsingular skew-symmetric S.
+
+This module alone knows the basis layout of an algebra with involution:
+`coordinates` lists an element in the basis order, and the involution and
+the products of basis elements are given on those coordinates, sparsely.
+The involution trace form and `fdalgebra.structure_algebra` both read them.
 """
 
 from . import linalg
-from .errors import DivisionByZeroError, ShapeError, SingularMatrixError
+from .errors import DivisionByZeroError, HermsqError, ShapeError, SingularMatrixError
 # perfbench/tracing.py wraps the product under this name
 from .linalg import mat_mul as _mat_mul
 from .scalars import ORDERINGS, as_scalar
@@ -108,7 +113,10 @@ class QuatElem:
 
     def __eq__(self, other):
         if not isinstance(other, QuatElem):
-            other = self._coerce(other)
+            try:
+                other = self._coerce(other)
+            except HermsqError:
+                return NotImplemented
         return self.algebra == other.algebra and self.coords == other.coords
 
     def __hash__(self):
@@ -264,6 +272,8 @@ class AlgebraWithInvolution:
     """
 
     def __init__(self, base, n, sigma):
+        if n < 1:
+            raise ShapeError(f"matrix size must be positive, got {n}")
         self.base = base
         self.n = n
         self.sigma = sigma
@@ -315,7 +325,9 @@ class AlgebraWithInvolution:
         return [[self.coerce_entry(v) for v in row] for row in rows]
 
     def zero(self):
-        return [[self.zero_entry() for _ in range(self.n)] for _ in range(self.n)]
+        # entries are immutable, so the rows share one zero
+        z = self.zero_entry()
+        return [[z] * self.n for _ in range(self.n)]
 
     def scalar(self, c):
         return linalg.identity(self.n, self.zero_entry(), self.coerce_entry(c))
@@ -380,38 +392,60 @@ class AlgebraWithInvolution:
     def is_symmetric(self, x):
         return self.equal(self.involution(x), x)
 
-    def _cells(self):
-        """(i, j, w) of each basis element E_ij w, in basis order."""
-        units = self.base.basis() if self._is_quat() else [as_scalar(1)]
-        return [(i, j, w) for i in range(self.n) for j in range(self.n)
-                for w in units]
+    # -- the basis and coordinates -----------------------------------------
+
+    def _units(self):
+        return self.base.basis() if self._is_quat() else [as_scalar(1)]
 
     def basis(self):
-        """Standard F-basis: matrix units, times 1,i,j,k for quaternion base."""
-        return [self.unit(i, j, w) for i, j, w in self._cells()]
+        """Standard F-basis E_ij w: the matrix units E_ij, in row-major order,
+        times the base units w (1 over F; 1, i, j, k over a quaternion base),
+        w running fastest."""
+        return [self.unit(i, j, w) for i in range(self.n) for j in range(self.n)
+                for w in self._units()]
+
+    def coordinates(self, x):
+        """Coordinates of x in the basis() order, as a tuple of scalars."""
+        if self._is_quat():
+            return tuple(c for row in x for v in row for c in v.coords)
+        return tuple(v for row in x for v in row)
+
+    def sparse_coordinates(self, x):
+        """The nonzero coordinates of x, as {basis index: coefficient}."""
+        return {t: c for t, c in enumerate(self.coordinates(x)) if c}
+
+    def involution_images(self):
+        """sigma(e_r) for each basis element e_r, in sparse coordinates."""
+        return [self.sparse_coordinates(self.involution(e)) for e in self.basis()]
+
+    def basis_product(self, r, s):
+        """e_r e_s in sparse coordinates: (E_ij w)(E_kl w') = delta_jk E_il (w w')."""
+        units = self._units()
+        m = len(units)
+        (i, j), (k, l) = divmod(r // m, self.n), divmod(s // m, self.n)
+        if j != k:
+            return {}
+        return self.sparse_coordinates(self.unit(i, l, units[r % m] * units[s % m]))
 
     def trace_form(self):
         """Gram matrix of the involution trace form T(x, y) = Trd(sigma(x)y).
 
-        Every supported involution is of the first kind, so Trd o sigma = Trd
-        and Trd(sigma(y)x) = Trd(sigma(sigma(y)x)) = Trd(sigma(x)y): T is
-        symmetric and equal to its symmetrisation entry by entry.  A basis
-        element is E_ij w, a matrix unit times a base unit w, and
-        Trd(a E_ij w) = trd(a[j][i] w) for any matrix a, so each entry is
-        one product of base elements, none when sigma(x)[j][i] is zero."""
-        cells = self._cells()
-        sigmas = [self.involution(self.unit(i, j, w)) for i, j, w in cells]
-        quat = self._is_quat()
+        For basis elements, Trd(e_t e_s) is nonzero only when e_s = E_ij w
+        and e_t = E_ji w, where it is trd(w^2): 2 w^2 for a quaternion unit
+        w, and 1 over F.  So T(e_r, e_s) is the coefficient of E_ji w in
+        sigma(e_r) times trd(w^2), one scalar product, and only the nonzero
+        coefficients of sigma(e_r) give nonzero entries.  Every supported
+        involution is of the first kind, so Trd o sigma = Trd and T is
+        symmetric; GramForm checks that it is."""
+        n, units = self.n, self._units()
+        m = len(units)
+        weights = [(w * w).trd() for w in units] if self._is_quat() else units
         zero = as_scalar(0)
-        gram = [[None] * len(cells) for _ in cells]
-        for r, a in enumerate(sigmas):
-            for s, (i, j, w) in enumerate(cells[:r + 1]):
-                v = a[j][i]
-                if not v:
-                    v = zero
-                elif quat:
-                    v = (v * w).trd()
-                gram[r][s] = gram[s][r] = v
+        gram = [[zero] * (n * n * m) for _ in range(n * n * m)]
+        for r, image in enumerate(self.involution_images()):
+            for t, v in image.items():
+                (j, i), c = divmod(t // m, n), t % m
+                gram[r][(i * n + j) * m + c] = v * weights[c]
         return GramForm(gram)
 
 

@@ -220,6 +220,20 @@ class TestTensorComposition:
         assert t.algebra.scalar_part(t.target) == as_scalar(8)
         assert len(t.witnesses) == 8
 
+    def test_matrix_and_twisted_quaternion_factors(self):
+        # M_2(F) with the transpose, 2 = W^t W for W = [[1, 1], [1, -1]],
+        # times the first entry 2 of the (-1,-1) Int(i) twist
+        alg = AlgebraWithInvolution("F", 2, InvolutionSpec.transpose())
+        w = alg.elem([[1, 1], [1, -1]])
+        matrix = HermSqCertificate(alg, alg.scalar(2), [w])
+        quat = QuaternionAlgebra(-1, -1)
+        twist = prop41_certificates(quat, InvolutionSpec.int_u_conj(quat.i()))[0][1]
+        for c1, c2 in ((matrix, twist), (twist, matrix)):
+            t = tensor_certificates(c1, c2)
+            assert t.algebra.dim == 16
+            assert t.algebra.scalar_part(t.target) == as_scalar(4)
+            assert len(t.witnesses) == 2
+
     def test_false_factor_refused(self):
         # sigma(1) 1 = 1, not 2: the composition with a false factor raises
         # instead of returning a false certificate

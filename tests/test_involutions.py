@@ -8,6 +8,7 @@ import pytest
 
 from hermsq import linalg
 from hermsq.errors import HermsqError, ShapeError, SingularMatrixError
+from hermsq.fdalgebra import structure_algebra
 from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
                                 QuatElem, QuaternionAlgebra, apply_involution,
                                 entry_33_constraint, hermitian_square,
@@ -17,6 +18,7 @@ from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
 from hermsq.qforms import DiagonalForm, diagonalize
 from hermsq.scalars import (ORDERINGS, MonomialOrdering, Polynomial, X, Y,
                             as_scalar, parse_scalar, sign_at)
+from hermsq.zpoly import ZPolynomial
 
 
 def random_quat(rng, algebra, span=5):
@@ -122,6 +124,18 @@ class TestQuaternionAlgebra:
         assert (h.zero() * Fraction(1, 2)).is_zero()
         with pytest.raises(HermsqError):
             h.i() * "X"
+
+    def test_equality_with_non_scalars(self):
+        # a non-scalar operand is unequal, as for RationalFunction, not an error
+        h = QuaternionAlgebra(-1, -1)
+        q = h.i()
+        assert not q == None  # noqa: E711
+        assert q != None  # noqa: E711
+        assert q not in [None, 1]
+        assert h.one() in [None, 1]
+        assert q != ZPolynomial.variable("z")
+        assert q != "i"
+        assert h.elem(3) == 3
 
     def test_predicates(self):
         h = QuaternionAlgebra(-1, -1)
@@ -424,6 +438,27 @@ class TestTraceFormAllKinds:
                 assert got == want
                 assert got.num.terms == want.num.terms
                 assert got.den.terms == want.den.terms
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("alg", all_kind_algebras(),
+                             ids=lambda a: f"{a.sigma.kind}-n{a.n}")
+    def test_match_full_matrices(self, alg):
+        # the sparse constants, read through StructureAlgebra, against the
+        # coordinates of full matrix products and involutions
+        sa, convert = structure_algebra(alg)
+        basis = alg.basis()
+        coords = [convert(e) for e in basis]
+        assert sa.dim == len(basis)
+        assert sa.equal(sa.scalar(1), convert(alg.identity()))
+        for e, c in zip(basis, coords):
+            assert sa.equal(sa.involution(c), convert(alg.involution(e)))
+        pairs = [(r, s) for r in range(sa.dim) for s in range(sa.dim)]
+        if sa.dim > 16:
+            pairs = random.Random(101).sample(pairs, 256)
+        for r, s in pairs:
+            assert sa.equal(sa.mul(coords[r], coords[s]),
+                            convert(alg.mul(basis[r], basis[s])))
 
 
 class TestTraceFormThm33:

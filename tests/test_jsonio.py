@@ -88,6 +88,14 @@ class TestAlgebras:
                                "involution": {"kind": "int_u_conj",
                                               "u": ["0", "1", "0", "0"]}})
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_size_rejected(self, n):
+        # n < 1 used to give an algebra whose trace form is empty, so all
+        # four orderings were sigma-orderings and an empty certificate verified
+        doc = {"base": "F", "n": n, "involution": {"kind": "symplectic_standard"}}
+        with pytest.raises(ShapeError, match=f"matrix size must be positive, got {n}"):
+            algebra_from_json(doc)
+
     @pytest.mark.parametrize("doc", [
         {"base": "F"},
         {"base": 5, "n": 2, "involution": {"kind": "transpose"}},
