@@ -120,6 +120,9 @@ class QuatElem:
         return self.algebra == other.algebra and self.coords == other.coords
 
     def __hash__(self):
+        # a scalar equals its scalar part, so it hashes as that
+        if self.is_scalar():
+            return hash(self.coords[0])
         return hash((self.algebra, self.coords))
 
     def __repr__(self):
@@ -362,11 +365,12 @@ class AlgebraWithInvolution:
         if kind == "int_u_conj":
             return [[self.sigma.param * x[0][0].conj() * self._u_inv]]
         if kind in ("adjoint_diag", "adjoint_hermitian"):
-            if kind == "adjoint_hermitian":
-                x = [[v.conj() for v in row] for row in x]
-            f = self._factors
-            return [[f[i][j] * x[j][i] for j in range(self.n)]
-                    for i in range(self.n)]
+            # sigma(x)_ij = f_ij x_ji, conjugated over a quaternion base; a
+            # zero entry is its own image
+            f, conj = self._factors, kind == "adjoint_hermitian"
+            return [[f[i][j] * (v.conj() if conj else v) if v else v
+                     for j, v in enumerate(column)]
+                    for i, column in enumerate(zip(*x))]
         if kind == "symplectic_standard":
             m = self.n // 2
             tl = [[x[m + j][m + i] for j in range(m)] for i in range(m)]

@@ -40,6 +40,7 @@ from math import gcd, lcm
 from .certificates import parse_selector, psd_symmetric_rational
 from .errors import ParseError, ResourceLimitError, ShapeError
 from .linalg import add, identity, mat_mul, transpose
+from .scalars import TermMap
 from .involutions import AlgebraWithInvolution, InvolutionSpec
 from .zpoly import ZPolynomial
 
@@ -71,6 +72,15 @@ MAX_FALSIFY_N = 8
 MAX_FALSIFY_TRIALS = 1000
 MAX_FALSIFY_BOUND = 10 ** 6
 MAX_EVAL_WORK = 350_000
+# the cap of positivstellensatz_conditions on the word products of its
+# expansion of h* g h minus the weighted squares, checked before the first
+# product.  Timed on a 2-vCPU VM (Python 3.11): with p the sum of the first
+# k words of lengths 1 to 4 over x1, x1*, x2, x2*, x3, x3*, the certificate
+# g = h = 1 with the one square p* p took 8.5 s and 255 MB at k = 800
+# (640000 word products), all before the degree cap refused the result.  The
+# largest accepted one, k = 387 (149771 word products), takes 0.82 s with
+# unit coefficients, 0.92 s with 6-digit and 1.2 s with 30-digit fractions.
+MAX_EXPANSION_WORK = 150_000
 
 
 def degree_cap(max_degree=None):
@@ -93,10 +103,22 @@ def _check_limits(degree, n, max_degree=None):
         raise ResourceLimitError(f"matrix size {n} exceeds the cap {DEFAULT_MAX_N}")
 
 
-class NCPolynomial:
+def _as_nc(x):
+    """x as an NCPolynomial: a constant from anything Fraction accepts, and
+    NotImplemented for anything else."""
+    if isinstance(x, NCPolynomial):
+        return x
+    try:
+        return NCPolynomial.const(x)
+    except (TypeError, ValueError, ArithmeticError):
+        return NotImplemented
+
+
+class NCPolynomial(TermMap):
     """Element of the free *-algebra Q<x1, x1*, x2, x2*, ...>."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _coerce = staticmethod(_as_nc)
 
     def __init__(self, terms):
         self.terms = {w: c for w, c in terms.items() if c != 0}
@@ -119,34 +141,10 @@ class NCPolynomial:
             raise ShapeError("variable index must be positive")
         return cls({(-i if star else i,): Fraction(1)})
 
-    def _coerce(self, other):
-        if isinstance(other, NCPolynomial):
-            return other
-        return NCPolynomial.const(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        # a new word takes c itself: int 0 + Fraction c runs the slow
-        # reflected Fraction addition
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-        return NCPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NCPolynomial({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _as_nc(other)
+        if other is NotImplemented:
+            return NotImplemented
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -157,7 +155,10 @@ class NCPolynomial:
         return NCPolynomial(out)
 
     def __rmul__(self, other):
-        return self._coerce(other) * self
+        other = _as_nc(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
 
     def __pow__(self, k):
         out = NCPolynomial.one()
@@ -165,20 +166,9 @@ class NCPolynomial:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, NCPolynomial):
-            other = self._coerce(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def star(self):
         return NCPolynomial({tuple(-l for l in reversed(w)): c
                              for w, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def is_symmetric(self):
         return self == self.star()
@@ -676,8 +666,36 @@ class PositivstellensatzCertificate:
     terms: dict
 
 
+def _check_expansion(cert, terms):
+    """Refuse a certificate whose expansion of h* g h and of the weighted
+    sums of squares, terms as (selector bits, squares) pairs, would take
+    more than MAX_EXPANSION_WORK word products.  The bound counts
+    |u| |v| for each product u v the expansion forms, each size bounded by
+    the products of the sizes it comes from."""
+    h, g = len(cert.h.terms), len(cert.g.terms)
+    work = h * g * (1 + h)
+    sizes = [len(a.terms) for a in cert.weights]
+    for bits, ps in terms:
+        # the bound on the size of the product of the chosen weights, 0
+        # while none is chosen
+        coeff = 0
+        for bit, size in zip(bits, sizes):
+            if bit:
+                work += coeff * size
+                coeff = coeff * size if coeff else size
+        work += sum(len(p.terms) ** 2 for p in ps) * (1 + coeff)
+    if work > MAX_EXPANSION_WORK:
+        raise ResourceLimitError(
+            f"expansion work {work} (word products) exceeds the cap {MAX_EXPANSION_WORK}")
+
+
 def positivstellensatz_conditions(cert, max_degree=None):
-    """Per-condition report; keys are condition names, values booleans."""
+    """Per-condition report; keys are condition names, values booleans.
+    The expansion's bound on word products is checked first, before any
+    product (`_check_expansion`)."""
+    m = len(cert.weights)
+    terms = [(parse_selector(eps, m), ps) for eps, ps in cert.terms.items()]
+    _check_expansion(cert, terms)
     report = {}
     report["h_central_nonvanishing"] = is_central_nonvanishing(
         cert.h, cert.n, cert.J, max_degree)
@@ -685,18 +703,16 @@ def positivstellensatz_conditions(cert, max_degree=None):
     report["weights_central_nonvanishing"] = all(
         is_central_nonvanishing(a, cert.n, cert.J, max_degree)
         for a in cert.weights)
-    m = len(cert.weights)
     rhs = NCPolynomial.zero()
-    for eps, ps in cert.terms.items():
-        eps = parse_selector(eps, m)
-        coeff = NCPolynomial.one()
-        for bit, a in zip(eps, cert.weights):
+    for bits, ps in terms:
+        coeff = None
+        for bit, a in zip(bits, cert.weights):
             if bit:
-                coeff = coeff * a
+                coeff = a if coeff is None else coeff * a
         part = NCPolynomial.zero()
         for p in ps:
             part = part + p.star() * p
-        rhs = rhs + coeff * part
+        rhs = rhs + (part if coeff is None else coeff * part)
     delta = cert.h.star() * cert.g * cert.h - rhs
     report["congruence"] = is_identity_mod_a(delta, cert.n, cert.J, max_degree)
     return report

@@ -17,7 +17,9 @@ of `evaluate`, `as_fraction` and `monomial_parts`.  A
 rational function is a coprime pair of int polynomials num/den, den with a
 positive graded-lex leading coefficient and integer content 1 over num and
 den together, so equal fractions have identical representations (p/q is p
-over q, zero is 0 over 1).
+over q, zero is 0 over 1).  `TermMap` is the sparse term map that
+`Polynomial`, `zpoly.ZPolynomial` and `ncpoly.NCPolynomial` share: their
+sum, difference and equality are written there once.
 """
 
 from __future__ import annotations
@@ -80,10 +82,92 @@ def _scaled(p, k):
     return p if k == 1 else Polynomial({m: c * k for m, c in p.terms.items()})
 
 
-class Polynomial:
-    """Sparse polynomial over Z in X and Y."""
+class TermMap:
+    """A sparse map {monomial: coefficient} without zero coefficients: the
+    additive group and equality shared by `Polynomial`, `zpoly.ZPolynomial`
+    and `ncpoly.NCPolynomial`.  A subclass gives `_coerce`, which returns an
+    operand as an instance of the subclass or NotImplemented, and a
+    constructor that takes a term dict; each result here is built as
+    type(self)(terms).  A constant's monomial is falsy in every subclass (0
+    or the empty tuple), and a constant hashes as its coefficient, so it
+    hashes as the equal int or Fraction."""
 
     __slots__ = ("terms",)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __eq__(self, other):
+        # the common case, two of one class, skips the coercion call
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        terms = self.terms
+        if len(terms) == 1:
+            (m, c), = terms.items()
+            if not m:
+                return hash(c)
+        return hash(frozenset(terms.items())) if terms else hash(0)
+
+
+def _as_poly(x):
+    if isinstance(x, Polynomial):
+        return x
+    if isinstance(x, int):
+        return Polynomial.const(x)
+    return NotImplemented
+
+
+class Polynomial(TermMap):
+    """Sparse polynomial over Z in X and Y."""
+
+    __slots__ = ()
+    _coerce = staticmethod(_as_poly)
 
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
@@ -118,9 +202,6 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
@@ -153,41 +234,6 @@ class Polynomial:
         return _unpack(mono), coeff
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -230,18 +276,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def __eq__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
 
@@ -269,14 +303,6 @@ class Polynomial:
         if _leading(self)[1] < 0:
             c = -c
         return c, self if c == 1 else Polynomial({m: v // c for m, v in self.terms.items()})
-
-
-def _as_poly(x):
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, int):
-        return Polynomial.const(x)
-    return NotImplemented
 
 
 def _leading(p):
@@ -779,6 +805,12 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # num/1 hashes as num, and a constant as its Fraction, like the
+        # values it equals
+        if self.den.terms == {0: 1}:
+            return hash(self.num)
+        if self.is_constant():
+            return hash(self.as_fraction())
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -5,16 +5,16 @@ and of the symbolic elements of an algebra.
 A monomial is a tuple of (name, exponent) pairs sorted by name, and a
 `ZPolynomial` is a dict {monomial: coefficient} without zero
 coefficients; a coefficient is an int, a Fraction or a RationalFunction.
-Only the ring operations are defined.  A scalar of F on the left of + - *
-works through the reflected operators, since the scalar classes return
+The sum, difference and equality come from `scalars.TermMap`; only the
+product is defined here.  A scalar of F on the left of + - * works
+through the reflected operators, since the scalar classes return
 NotImplemented for operands they do not know.  Equal values compare
-equal; the class is unhashable, because a coefficient of F can be an int
-or an equal RationalFunction.
+equal; the class is unhashable.
 """
 
 from fractions import Fraction
 
-from .scalars import RationalFunction
+from .scalars import RationalFunction, TermMap
 
 _SCALARS = (int, Fraction, RationalFunction)
 
@@ -45,11 +45,12 @@ def _as_zpoly(x):
     return ZPolynomial({(): x} if x else {})
 
 
-class ZPolynomial:
+class ZPolynomial(TermMap):
     """Sparse polynomial over Q(X,Y) in named commuting indeterminates."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     __hash__ = None
+    _coerce = staticmethod(_as_zpoly)
 
     def __init__(self, terms=None):
         self.terms = terms if terms is not None else {}
@@ -57,50 +58,6 @@ class ZPolynomial:
     @classmethod
     def variable(cls, name):
         return cls({((name, 1),): 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = _as_zpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return ZPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _as_zpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_zpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _as_zpoly(other)
@@ -120,12 +77,6 @@ class ZPolynomial:
         return ZPolynomial({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _as_zpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:

@@ -166,6 +166,17 @@ class TestRewriteToPure:
         with pytest.raises(CertificateError):
             rewrite_weighted_to_pure(wc, {two: two_cert})
 
+    def test_int_weight_key(self):
+        # the weight certificates are looked up by value: an int key finds
+        # the weight 2 of Q(X, Y)
+        h = QuaternionAlgebra(-1, -1)
+        alg = AlgebraWithInvolution(h, 1, InvolutionSpec.quat_conjugation())
+        one, two = [[h.one()]], as_scalar(2)
+        two_cert = HermSqCertificate(alg, alg.scalar(two), [one, one])
+        wc = WeightedCertificate(alg, alg.scalar(4), [two], {"1": [one], "0": [one, one]})
+        pure = rewrite_weighted_to_pure(wc, {2: two_cert})
+        assert verify_hermsq(pure) and len(pure.witnesses) == 4
+
     def test_invalid_weight_cert_refused(self):
         wc = TestWeightedCertificates().make_weighted()
         alg = wc.algebra

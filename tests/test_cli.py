@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hermsq
-from hermsq import cli, jsonio
+from hermsq import cli, jsonio, ncpoly
 from hermsq.cli import main
 from hermsq.jsonio import dumps
 
@@ -353,6 +353,28 @@ class TestNcCommands:
         code, out, err = run(capsys, "nc", "verify-cert", str(path))
         assert code == 2 and out == ""
         assert "word of degree 7" in err
+
+    def test_verify_cert_expansion_cap(self, capsys, tmp_path, monkeypatch):
+        # p* p for p the first 1500 words of lengths 1 to 4 over x1, x1*,
+        # x2, x2*, x3, x3*: 2.25M word products, all formed before the
+        # degree cap refused the result; the expansion cap refuses it
+        # before the first product
+        letters = ["x1", "x1*", "x2", "x2*", "x3", "x3*"]
+        words = [" ".join(w) for k in range(1, 5)
+                 for w in itertools.product(letters, repeat=k)][:1500]
+        doc = {"g": "1", "h": "1", "n": 2, "J": "orthogonal", "weights": [],
+               "terms": {"": [" + ".join(words)]}}
+        path = tmp_path / "cert.json"
+        path.write_text(dumps(doc))
+
+        def multiply(*args):
+            raise AssertionError("multiplied over the expansion cap")
+
+        monkeypatch.setattr(ncpoly.NCPolynomial, "__mul__", multiply)
+        code, out, err = run(capsys, "nc", "verify-cert", str(path))
+        assert code == 2 and out == ""
+        assert "expansion work 2250002" in err and "cap" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["identity", "--poly", "x1", "--n", "0"],

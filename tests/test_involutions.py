@@ -157,6 +157,24 @@ class TestInvolutions:
         sb = apply_involution(alg, b)
         assert alg.equal(sb, alg.unit(1, 0, Y))  # Y * E_21
 
+    def test_adjoint_visits_nonzero_entries(self, monkeypatch):
+        # the image of a basis element conjugates and scales its one entry;
+        # every zero entry is its own image
+        alg = thm33_algebra()
+        calls = []
+        conj = QuatElem.conj
+
+        def counted(q):
+            calls.append(q)
+            return conj(q)
+        monkeypatch.setattr(QuatElem, "conj", counted)
+        b = alg.unit(0, 1, alg.base.i())
+        image = alg.involution(b)
+        assert len(calls) == 1
+        assert alg.equal(image, alg.unit(1, 0, alg.base.i() * (Y / X) * -1))
+        assert all(image[i][j] is b[j][i] for i in range(3) for j in range(3)
+                   if (i, j) != (1, 0))
+
     def test_quat_conjugation_matrix(self):
         h = QuaternionAlgebra(-1, -1)
         alg = AlgebraWithInvolution(h, 1, InvolutionSpec.quat_conjugation())

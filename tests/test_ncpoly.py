@@ -64,6 +64,19 @@ class TestNCPolynomial:
         assert f.variables() == [1, 3]
         assert NCPolynomial.zero().degree() == 0
 
+    def test_constant_operands(self):
+        # anything Fraction reads is a constant; anything else is foreign
+        zero = NCPolynomial.zero()
+        assert (zero == "x") is False
+        assert zero + "1/2" == NCPolynomial.const(Fraction(1, 2))
+        assert zero + 1.5 == 1.5 + zero == NCPolynomial.const(Fraction(3, 2))
+        assert "1/2" - x(1) == NCPolynomial.const(Fraction(1, 2)) - x(1)
+        assert x(1) * "1/3" == Fraction(1, 3) * x(1)
+        with pytest.raises(TypeError):
+            zero + "x"
+        with pytest.raises(TypeError):
+            x(1) * as_scalar(2)
+
     def test_ring_axioms_random(self):
         rng = random.Random(101)
         for _ in range(100):

@@ -14,6 +14,9 @@ from hermsq.scalars import (MonomialOrdering, ORDERINGS, Polynomial,
                             factor_integer, monomial_square_class, parse_scalar,
                             poly_divexact, poly_gcd, sign_at, squarefree_part)
 from hermsq import scalars
+from hermsq.involutions import QuaternionAlgebra
+from hermsq.ncpoly import NCPolynomial
+from hermsq.zpoly import ZPolynomial
 
 
 def random_poly(rng, nterms=3, maxdeg=3, maxc=6, names=("X", "Y")):
@@ -1059,3 +1062,73 @@ class TestGrammar:
         # under the caps
         assert parse_scalar("(X+Y+1)^20*(X+Y+1)^20") == (X + Y + 1) ** 40
         assert parse_scalar("X^32*X^32/X^64") == RationalFunction.one()
+
+
+class TestTermMaps:
+    """The three sparse term maps share one additive group and equality."""
+
+    def test_shared_methods_written_once(self):
+        shared = ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__eq__",
+                  "__bool__", "is_zero")
+        for cls in (Polynomial, ZPolynomial, NCPolynomial):
+            assert issubclass(cls, scalars.TermMap)
+            assert [name for name in shared if name in vars(cls)] == []
+
+    def test_unknown_operands(self):
+        for zero in (Polynomial(), ZPolynomial(), NCPolynomial.zero()):
+            assert not zero and zero.is_zero() and zero == 0
+            assert zero != "x" and zero != None  # noqa: E711
+            with pytest.raises(TypeError):
+                zero + None
+            with pytest.raises(TypeError):
+                None - zero
+
+
+def equal_value_family(rng):
+    """Values of different types that are all equal to one random scalar:
+    an int, a Fraction, a Polynomial, RationalFunctions built two ways, a
+    scalar QuatElem and an NCPolynomial, as far as the scalar allows."""
+    quat = QuaternionAlgebra(-1, -1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        value = rng.randint(-3, 3)
+    elif kind == 1:
+        value = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    else:
+        value = random_poly(rng, nterms=2, maxdeg=2, maxc=3)
+    family = [value]
+    if kind < 2:
+        family += [Fraction(value), NCPolynomial.const(value)]
+        if Fraction(value).denominator == 1:
+            family += [int(value), Polynomial.const(int(value))]
+    else:
+        family.append(RationalFunction(value))
+    k = rng.choice([1, -2, 3])
+    r = as_scalar(value)
+    family += [r, RationalFunction(r.num * k, r.den * k), quat.elem(r)]
+    return family
+
+
+class TestEqualValuesHashEqual:
+    def test_equal_implies_equal_hash(self):
+        rng = random.Random(211)
+        quat = QuaternionAlgebra(-1, -1)
+        values = []
+        for _ in range(40):
+            values += equal_value_family(rng)
+        # values equal to no scalar
+        values += [quat.elem(1, 1), quat.elem(X, 0, Y), X / (X + 1),
+                   NCPolynomial.variable(1) + 2, Polynomial.variable("X") + 1]
+        pairs = 0
+        for a, b in itertools.product(values, repeat=2):
+            if a == b:
+                pairs += type(a) is not type(b)
+                assert hash(a) == hash(b), (a, b)
+        assert pairs > 200
+
+    def test_set_membership(self):
+        assert 2 in {as_scalar(2)} and as_scalar(2) in {2}
+        assert Fraction(1, 2) in {as_scalar(Fraction(1, 2))}
+        assert 3 in {Polynomial.const(3)} and 2 in {NCPolynomial.const(2)}
+        assert X in {RationalFunction(X.num)} and X.num in {X}
+        assert 2 in {QuaternionAlgebra(-1, -1).elem(2)}
