@@ -28,6 +28,30 @@ x_i - x_i* on M_3 evaluates 65 of its 633 trie nodes, in 4.0 ms instead of
 14.9 ms, and s4 of x_i + x_i* in 7.0 ms instead of 19.2 ms; s4 and s6 of
 plain letters have no such siblings and take as long as before (2.8 ms,
 and about 0.19 s for s6 on M_3), minima on a 2-vCPU VM, Python 3.11.
+
+Before the expansion, the decisions try one integer point.  The same
+bottom-up pass computes, for each new class C, the int vector C(M) v at
+fixed int matrices M_l and a fixed int vector v, and so d*f(M) v.  The
+point comes from the slot numbers: the variable of slot number s takes
+2^s mod 101, less 50, so the entries of the star of M_l are the same
+values moved and negated, and v_i takes the number -i.  A nonzero d*f(M) v
+proves that f is not a *-identity, and one that is not a multiple of v
+that f is not central: f(M) v is the value at an integer point of the
+generic image applied to v, and a polynomial with a nonzero value is not
+zero (the easy half of the Schwartz-Zippel lemma).  Then the decision
+returns False, and the plan's top-down loop, the packed images and the
+expansion are skipped.  There is one point and one try, the same on every
+run.  A miss, a vector of 0 or a multiple of v, proves nothing either way:
+the expansion decides, as it would without the screen, so every True, and
+every False the point misses, still comes from the expansion, and every
+answer stays exact.  On the refutations of the benchmark the screen
+answers alone, s4 on M_3 in 0.23 ms instead of 3.3 ms and s4 of
+x_i + x_i* in 1.5 ms instead of 8.4 ms; an identity pays for one
+matrix-vector product per child of each new class, which the cached int
+matrices of the letters (`_letter_matrices`) and the kernel's cheaper
+removal of cancelled monomials pay back (minima, one process, the two
+versions alternating).  The expansion itself is capped, from the finished
+plan, at MAX_KERNEL_WORK.
 """
 
 import os
@@ -35,7 +59,10 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .certificates import parse_selector, psd_symmetric_rational
 from .errors import ParseError, ResourceLimitError, ShapeError
@@ -81,6 +108,21 @@ MAX_EVAL_WORK = 350_000
 # largest accepted one, k = 387 (149771 word products), takes 0.82 s with
 # unit coefficients, 0.92 s with 6-digit and 1.2 s with 30-digit fractions.
 MAX_EXPANSION_WORK = 150_000
+# the cap of is_identity_mod_a and is_central_nonvanishing on the work of
+# the packed kernel, checked on the finished plan, after the screen and
+# before the first product: the sum over the plan's steps of n^3 times the
+# step's letters times a bound on the monomials in an entry of the value
+# below it.  Timed on a 2-vCPU VM (Python 3.11) with the screen off, whose
+# speed states differ by up to 1.6x: s6 on M_3 (2371680 units) takes 0.21
+# to 0.36 s, and sums of k copies of s6 over different 6-subsets of
+# x1..x7 take 0.43 to 0.69 s at k = 2 (4539240 units) and 0.94 to 1.08 s
+# at k = 3 (7048944 units, refused); a unit costs 90 to 180 ns on inputs
+# this large, the width of the packed ints (from 6 to 18 letters) included,
+# so the largest accepted input takes about 1 s.  The bound counts a
+# product's monomials as distinct, so it overcounts repeated letters: the
+# 256 words of length 8 over x1, x1* on M_3 (6046650 units, under a raised
+# degree cap) take 38 ms.
+MAX_KERNEL_WORK = 6_000_000
 
 
 def degree_cap(max_degree=None):
@@ -403,26 +445,71 @@ class GenericMatrixContext:
 # total degree at most deg f < 2^w, so no field carries into the next one
 # and the product of monomials is the sum of their ints.
 
-def _packed_images(f, n, star):
-    """(images, w): images[l] and images[-l] are Y_l and its star as n x n
-    arrays of (sign, packed variable) for each letter l of f, and w is the
-    field width.  The star is applied to the int matrix of the slot numbers
-    s + 1: an involution of either type only moves and negates entries, so
-    the sign and the slot of each entry come straight out of its int."""
-    w = max(f.degree().bit_length(), 1)
+@lru_cache(maxsize=256)
+def _letter_matrices(n, J, count):
+    """The int matrices of the first `count` letters of a polynomial on
+    n x n matrices of type J, and the screen's vector, as
+    ([(Y, Y*, M, M*) for each letter], v).  Y is the matrix of the slot
+    numbers s + 1 of the letter's variables and Y* the involution applied
+    to it: an involution of either type only moves and negates entries, so
+    the sign and the slot of each entry of the star come straight out of its
+    int.  M and M* are Y and Y* with each slot number s replaced by
+    _screen_value(s), its sign kept, so M* is the star of the screen's M;
+    v_i is _screen_value(-i), numbers that no slot has.  Cached, as
+    tuples."""
+    star = GenericMatrixContext(n, (), J).star
+    value = _screen_value
     span = range(n)
-    images = {}
-    for k, l in enumerate(f.variables()):
+
+    def at_point(m):
+        return tuple(tuple(value(s) if s > 0 else -value(-s) for s in row) for row in m)
+
+    out = []
+    for k in range(count):
         first = k * n * n + 1
-        slots = [[first + i * n + j for j in span] for i in span]
-        for key, m in ((l, slots), (-l, star(slots))):
-            images[key] = [[(1, 1 << w * (v - 1)) if v > 0 else (-1, 1 << w * (-v - 1))
-                            for v in row] for row in m]
+        y = [[first + i * n + j for j in span] for i in span]
+        y_star = star(y)
+        out.append((tuple(map(tuple, y)), tuple(map(tuple, y_star)), at_point(y), at_point(y_star)))
+    return tuple(out), tuple(value(-i) for i in span)
+
+
+def _generic_letters(f, n, J):
+    """(slots, point, v) for the letters l of f on n x n matrices of type J:
+    slots[l] and slots[-l] are Y and Y* of `_letter_matrices`, point[l] and
+    point[-l] the screen's M and M*, and v the screen's vector."""
+    letters = f.variables()
+    matrices, v = _letter_matrices(n, J, len(letters))
+    slots, point = {}, {}
+    for l, (y, y_star, m, m_star) in zip(letters, matrices):
+        slots[l], slots[-l], point[l], point[-l] = y, y_star, m, m_star
+    return slots, point, v
+
+
+def _packed_images(slots, degree):
+    """(images, w): images[l] is slots[l] as an n x n array of (sign,
+    packed variable), and w is the field width for images of degree at
+    most `degree`."""
+    w = max(degree.bit_length(), 1)
+    images = {l: [[(1, 1 << w * (v - 1)) if v > 0 else (-1, 1 << w * (-v - 1))
+                   for v in row] for row in m]
+              for l, m in slots.items()}
     return images, w
 
 
-def _packed_plan(f):
-    """(coeffs, plan) for the trie of f, whose coefficients are integers:
+def _screen_value(number):
+    """The screen's integer for a slot number: 2^number mod 101, less 50."""
+    return pow(2, number, 101) - 50
+
+
+def _not_parallel(u, v):
+    """Whether the int vector u is not a multiple of v: some 2 x 2 minor of
+    the columns u, v is nonzero."""
+    return any(a * d != b * c for (a, c), (b, d) in combinations(zip(u, v), 2))
+
+
+def _packed_plan(f, mats, v, refutes):
+    """(coeffs, plan) for the trie of f, whose coefficients are integers,
+    or None when refutes(u, v) for u = f(M) v, M_l = mats[l]:
     coeffs[u] is the int coefficient of the word u in f (0 if u is not a
     term), and plan[u] lists the products that give the value V(u) of the
     node u, or is None when no product needs V(u).  A step (l, child) adds
@@ -436,18 +523,32 @@ def _packed_plan(f):
     least letter l of u's children.  The class of u is its key
     (c_u / scale[u], ((l, scale[u l] / scale[u], class of u l) ...)), so
     proportional nodes, and only they, share a class, found bottom-up with
-    ints alone.  A group of siblings of one class is evaluated through its
-    member of least |scale| when every other member's scale is a multiple
-    of that one's, and member by member otherwise."""
+    ints alone.  The same pass gives each new class C of a node u its vector
+    C(M) v = (c_u / scale[u]) v
+             + sum over u's children u l of (scale[u l] / scale[u]) M_l C_(u l)(M) v,
+    so f(M) v = scale[root] C_root(M) v costs one matrix-vector product per
+    child of a class, and a bound on the monomials of an entry of C's
+    image.  When refutes(u, v), nothing more is done.  Otherwise a group
+    of siblings of one class is evaluated through its member of least
+    |scale| when every other member's scale is a multiple of that one's,
+    and member by member otherwise; and a plan whose work, n^3 times the
+    letters of each step times the bound below it, exceeds
+    MAX_KERNEL_WORK raises ResourceLimitError."""
     coeffs, children = _word_trie(f)
     coeffs = [0 if c is None else int(c) for c in coeffs]
     count = len(coeffs)
+    n = len(v)
     scale = [0] * count
     # class 0 is that of the leaves, C = 1; a node with one child has a
     # flat key of its own shape, since it can be proportional only to
     # another node with one child
     cls = [0] * count
     classes = {}
+    # vecs[k] is C(M) v and sizes[k] bounds the monomials in an entry of
+    # the image of C, for the class k; a leaf child's C is 1, whose image
+    # is the identity, so Y_l times it has one monomial per entry
+    vecs = [v]
+    sizes = [1]
     for node in reversed(range(count)):
         kids = children[node]
         c = coeffs[node]
@@ -468,9 +569,27 @@ def _packed_plan(f):
                 g = -g
             key = (c // g, tuple([(l, scale[child] // g, cls[child]) for l, child in kids]))
         scale[node] = g
-        cls[node] = classes.setdefault(key, len(classes) + 1)
+        k = classes.get(key)
+        if k is None:
+            k = classes[key] = len(vecs)
+            a = key[0]
+            vec = [a * x for x in v] if a else None
+            size = 1 if a else 0
+            for l, t, below in ((key[1:],) if len(key) == 4 else key[1]):
+                w = vecs[below]
+                term = [t * sum(map(mul, row, w)) for row in mats[l]]
+                vec = term if vec is None else [x + y for x, y in zip(vec, term)]
+                size += n * sizes[below] if below else 1
+            vecs.append(vec)
+            sizes.append(size)
+        cls[node] = k
+    if refutes([scale[0] * x for x in vecs[cls[0]]], v):
+        return None
     plan = [None] * count
     plan[0] = []
+    # the work of the kernel, in units of an entry's monomials moved by one
+    # entry of an image
+    work = 0
     # a child is created after its parent, so its plan is started first
     for node, steps in enumerate(plan):
         if steps is None:
@@ -480,11 +599,13 @@ def _packed_plan(f):
             (l, child), = kids.items()
             steps.append((l, child))
             plan[child] = []
+            work += sizes[cls[child]]
             continue
         groups = {}
         for l, child in kids.items():
             groups.setdefault(cls[child], []).append((l, child))
-        for members in groups.values():
+        for k, members in groups.items():
+            work += len(members) * sizes[k]
             if len(members) > 1:
                 rep = min([child for _, child in members], key=lambda child: abs(scale[child]))
                 g = scale[rep]
@@ -495,6 +616,11 @@ def _packed_plan(f):
             for l, child in members:
                 steps.append((l, child))
                 plan[child] = []
+    work *= n ** 3
+    if work > MAX_KERNEL_WORK:
+        raise ResourceLimitError(
+            f"kernel work {work} (n^3 x the letters of each step of the plan x the "
+            f"monomials of an entry below it) exceeds the cap {MAX_KERNEL_WORK}")
     return coeffs, plan
 
 
@@ -516,16 +642,16 @@ def _combined_image(letters, images, n):
     return out
 
 
-def _packed_eval(f, images, n):
-    """Image of f, whose coefficients are integers, as an n x n array of
-    {packed monomial: coefficient} dicts without zero coefficients, by the
-    Horner recursion of `_eval_words` over the same trie, following
-    `_packed_plan`: each monomial of a child's value is shifted into place
-    by one int addition (and multiplied by k for a group's sum of images)
-    and accumulated into V(u) in place.  The values are the true V(u), and
-    each is freed when its parent has used it."""
+def _packed_eval(coeffs, plan, images, n):
+    """Image of the polynomial of `_packed_plan`'s (coeffs, plan) as an
+    n x n array of {packed monomial: coefficient} dicts without zero
+    coefficients, by the Horner recursion of `_eval_words` over the same
+    trie, following the plan: each monomial of a child's value is shifted
+    into place by one int addition (and multiplied by k for a group's sum
+    of images) and accumulated into V(u) in place.  The values are the true
+    V(u), and each is freed when its parent has used it; the monomials that
+    cancel are deleted from the entries where some did."""
     span = range(n)
-    coeffs, plan = _packed_plan(f)
     combined = {}
     values = [None] * len(plan)
     for node in reversed(range(len(plan))):
@@ -577,7 +703,11 @@ def _packed_eval(f, images, n):
                                     m += var
                                     out[m] = get(m, 0) + k * c
         if steps:
-            value = [[{m: c for m, c in out.items() if c} for out in row] for row in value]
+            for row in value:
+                for out in row:
+                    if 0 in out.values():
+                        for m in [m for m, c in out.items() if not c]:
+                            del out[m]
         values[node] = value
     return values[0]
 
@@ -595,25 +725,38 @@ def generic_eval(f, ctx):
     return _eval_words(f, images, ctx.n, ZPolynomial())
 
 
-def _integral_image(f, n, J, max_degree):
+def _integral_image(f, n, J, max_degree, refutes):
     """The packed generic-matrix image of d*f, d the lcm of f's coefficient
-    denominators: d*f vanishes (or is a nonzero scalar) exactly when f
-    does, and its image has int coefficients."""
-    _check_limits(f.degree(), n, max_degree)
+    denominators, or None when the screen refutes it: refutes(u, v) for
+    u = d*f(M) v at the screen's point (`_letter_matrices`).  d*f vanishes (or
+    is a nonzero scalar) exactly when f does, and its image has int
+    coefficients.  The kernel's work is checked against its cap only when
+    the screen does not refute."""
+    degree = f.degree()
+    _check_limits(degree, n, max_degree)
     d = lcm(*(c.denominator for c in f.terms.values()))
     f = NCPolynomial({w: c.numerator * (d // c.denominator) for w, c in f.terms.items()})
-    images, _ = _packed_images(f, n, GenericMatrixContext(n, (), J).star)
-    return _packed_eval(f, images, n)
+    slots, point, v = _generic_letters(f, n, J)
+    planned = _packed_plan(f, point, v, refutes)
+    if planned is None:
+        return None
+    images, _ = _packed_images(slots, degree)
+    return _packed_eval(*planned, images, n)
 
 
 def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):
-    """Exact membership of f in the *-identity ideal for degree-n algebras."""
-    return not any(entry for row in _integral_image(f, n, J, max_degree) for entry in row)
+    """Exact membership of f in the *-identity ideal for degree-n algebras:
+    False as soon as f(M) v is nonzero at the screen's point."""
+    value = _integral_image(f, n, J, max_degree, lambda u, v: any(u))
+    return value is not None and not any(entry for row in value for entry in row)
 
 
 def is_central_nonvanishing(h, n, J="orthogonal", max_degree=None):
-    """True iff the generic-matrix image of h is a nonzero scalar matrix."""
-    value = _integral_image(h, n, J, max_degree)
+    """True iff the generic-matrix image of h is a nonzero scalar matrix:
+    False as soon as h(M) v is not a multiple of v at the screen's point."""
+    value = _integral_image(h, n, J, max_degree, _not_parallel)
+    if value is None:
+        return False
     c = value[0][0]
     return bool(c) and all(entry == (c if i == j else {})
                            for i, row in enumerate(value) for j, entry in enumerate(row))

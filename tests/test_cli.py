@@ -32,11 +32,12 @@ def run_process(*argv, timeout=60):
                           capture_output=True, text=True, timeout=timeout, env=env)
 
 
-def standard_poly_text(k):
-    """s_k in the NC grammar: sign(p) x_p(1) ... x_p(k) over permutations p."""
+def standard_poly_text(k, letters=None):
+    """s_k in the NC grammar: sign(p) x_p(1) ... x_p(k) over permutations p
+    of the letters, 1..k by default."""
     return " + ".join(("-" if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else "")
                       + " ".join(f"x{i}" for i in p)
-                      for p in itertools.permutations(range(1, k + 1)))
+                      for p in itertools.permutations(letters or range(1, k + 1)))
 
 
 def run_json(capsys, *argv):
@@ -374,6 +375,48 @@ class TestNcCommands:
         code, out, err = run(capsys, "nc", "verify-cert", str(path))
         assert code == 2 and out == ""
         assert "expansion work 2250002" in err and "cap" in err
+        assert "Traceback" not in err
+
+    def test_verify_cert_refuted_at_the_point(self, capsys, tmp_path, monkeypatch):
+        # g = h = 1 with p the 258 words of lengths 1 to 3 over x1, x1*,
+        # x2, x2*, x3, x3*, at n = 3: a false certificate whose congruence
+        # (66566 word products) the screen refutes, so only the constant h
+        # reaches the packed kernel (the congruence alone took about 3.7 s
+        # there)
+        letters = ["x1", "x1*", "x2", "x2*", "x3", "x3*"]
+        words = [" ".join(w) for k in range(1, 4) for w in itertools.product(letters, repeat=k)]
+        assert len(words) == 258
+        doc = {"g": "1", "h": "1", "n": 3, "J": "orthogonal", "weights": [],
+               "terms": {"": [" + ".join(words)]}}
+        path = tmp_path / "cert.json"
+        path.write_text(dumps(doc))
+        calls = []
+        kernel = ncpoly._packed_eval
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(ncpoly, "_packed_eval", counted)
+        code, out, err = run(capsys, "nc", "verify-cert", str(path))
+        assert code == 1 and "congruence: False" in out
+        assert "h_central_nonvanishing: True" in out
+        assert len(calls) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["identity", "central"])
+    def test_kernel_cap(self, capsys, monkeypatch, command):
+        # three copies of s6 over different 6-subsets of x1..x7, an
+        # identity on M_3, pass the screen and are refused before the first
+        # product of the packed kernel
+        def expand(*args):
+            raise AssertionError("expanded over the cap")
+
+        monkeypatch.setattr(ncpoly, "_packed_eval", expand)
+        poly = " + ".join(standard_poly_text(6, sub)
+                          for sub in list(itertools.combinations(range(1, 8), 6))[:3])
+        code, out, err = run(capsys, "nc", command, "--poly", poly, "--n", "3")
+        assert code == 2 and out == ""
+        assert "kernel work 7048944" in err and "cap" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

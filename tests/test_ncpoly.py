@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -329,7 +330,22 @@ def standard_of(letters):
     return out
 
 
-def unpack(value, f, n, w):
+def packed_plan(f, n, J="orthogonal"):
+    """The packed kernel's (coeffs, plan) for f on n x n matrices of type
+    J, whatever the screen finds."""
+    _, point, v = ncpoly._generic_letters(f, n, J)
+    return ncpoly._packed_plan(f, point, v, lambda u, v: False)
+
+
+def packed_image(f, n, J="orthogonal"):
+    """f's image through the packed kernel, unscreened, and its field
+    width."""
+    slots, _, _ = ncpoly._generic_letters(f, n, J)
+    images, w = ncpoly._packed_images(slots, f.degree())
+    return ncpoly._packed_eval(*packed_plan(f, n, J), images, n), w
+
+
+def unpack(value, w, f, n):
     """A packed image as `ZPolynomial` entries: slot k*n*n + i*n + j holds
     z<i+1>_<j+1>_<l> for the k-th letter l of f, in a field of w bits."""
     names = [f"z{i}_{j}_{l}" for l in f.variables()
@@ -361,8 +377,7 @@ class TestPackedKernel:
         for k in (1, 3, 4, 7, 8, 9):
             for f in (x(1) ** k, (x(1) * xs(1)) ** ((k + 1) // 2)):
                 want = naive_eval(f, images, n, as_scalar(0), as_scalar(1))
-                packed, w = ncpoly._packed_images(f, n, ctx.star)
-                assert unpack(ncpoly._packed_eval(f, packed, n), f, n, w) == want
+                assert unpack(*packed_image(f, n), f, n) == want
                 d = f.degree()
                 assert not is_identity_mod_a(f, n, max_degree=d)
                 assert is_central_nonvanishing(f, n, max_degree=d) is (n == 1)
@@ -428,15 +443,14 @@ class TestPackedKernel:
         for i, m in ctx.matrices.items():
             images[i] = m
             images[-i] = ctx.star(m)
-        packed, w = ncpoly._packed_images(f, n, ctx.star)
-        got = unpack(ncpoly._packed_eval(f, packed, n), f, n, w)
+        got = unpack(*packed_image(f, n, J), f, n)
         return got, naive_eval(f, images, n, as_scalar(0), as_scalar(1))
 
     @staticmethod
     def evaluated(f):
         """How many trie nodes the packed kernel evaluates, and how many
         the trie has."""
-        _, plan = ncpoly._packed_plan(f)
+        _, plan = packed_plan(f, 1)
         return sum(steps is not None for steps in plan), len(plan)
 
     @pytest.mark.parametrize("J, n", [("orthogonal", 2), ("orthogonal", 3),
@@ -576,6 +590,124 @@ class TestIdentities:
                 del os.environ["HERMSQ_MAX_DEGREE"]
             else:
                 os.environ["HERMSQ_MAX_DEGREE"] = old
+
+
+class TestScreen:
+    """The one-point screen: d*f(M) v at the fixed integer point, from the
+    class pass, refutes before the packed expansion."""
+
+    @staticmethod
+    def count_expansions(monkeypatch):
+        calls = []
+        kernel = ncpoly._packed_eval
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(ncpoly, "_packed_eval", counted)
+        return calls
+
+    @staticmethod
+    def screen_vector(f, n, J):
+        """The vector the class pass computes for f, whose coefficients are
+        integers, on n x n matrices of type J."""
+        _, point, v = ncpoly._generic_letters(f, n, J)
+        seen = []
+        ncpoly._packed_plan(f, point, v, lambda u, v: seen.append(u) or True)
+        return seen[0]
+
+    @pytest.mark.parametrize("J, n", [("orthogonal", 1), ("orthogonal", 2),
+                                      ("orthogonal", 3), ("symplectic", 2)])
+    def test_vector_matches_fraction_evaluation(self, J, n):
+        # the point by the documented layout: letter k of f has the slot
+        # numbers k*n*n + i*n + j + 1, v_i the number -i; its star through
+        # the involution on Fraction matrices
+        value = ncpoly._screen_value
+        ctx = GenericMatrixContext(n, (), J)
+        rng = random.Random(409 + n)
+        letters = [rng.choice((-3, -1, 1, 2)) * x(i) + rng.choice((-2, -1, 1, 3)) * xs(i)
+                   for i in range(1, 5)]
+        corpus = [NCPolynomial.zero(), NCPolynomial.const(-4),
+                  standard_of([x(i) + xs(i) for i in range(1, 4)]),
+                  standard_of([x(i) - xs(i) for i in range(1, 4)]),
+                  standard_of(letters[:3]), commutator(letters[0], letters[3]) ** 2]
+        for _ in range(12):
+            f = trie_nc(rng, 4, rng.randint(1, 10), 5)
+            d = lcm(*(c.denominator for c in f.terms.values()))
+            corpus.append(f * d)
+        for f in corpus:
+            letters_of_f = f.variables()
+            mats = [[[Fraction(value(k * n * n + i * n + j + 1)) for j in range(n)]
+                     for i in range(n)] for k in range(len(letters_of_f))]
+            if J == "orthogonal":
+                image = ncpoly._eval_at(f, letters_of_f, mats, n)
+            else:
+                images = {}
+                for l, m in zip(letters_of_f, mats):
+                    images[l] = m
+                    images[-l] = ctx.star(m)
+                image = naive_eval(f, images, n, Fraction(0), Fraction(1))
+            v = [value(-i) for i in range(n)]
+            want = [sum(image[i][j] * v[j] for j in range(n)) for i in range(n)]
+            assert self.screen_vector(f, n, J) == want
+
+    def test_refutations_skip_the_expansion(self, monkeypatch):
+        calls = self.count_expansions(monkeypatch)
+        hall = commutator(commutator(x(1), x(2)) ** 2, x(3))
+        assert not is_identity_mod_a(hall, 3)
+        assert not is_identity_mod_a(standard_polynomial(5), 3)
+        assert not is_identity_mod_a(standard_of([x(i) + xs(i) for i in range(1, 5)]), 3)
+        assert not is_identity_mod_a(commutator(x(1) + xs(1), x(2)), 2)
+        assert calls == []
+        assert is_identity_mod_a(hall, 2)
+        assert len(calls) == 1
+
+    def test_non_central_refuted_by_the_parallel_test(self, monkeypatch):
+        # x1 and [x1, x2] are nonzero at the point, and h(M) v is not a
+        # multiple of v; the central [x1, x2]^2 and 3 still expand
+        calls = self.count_expansions(monkeypatch)
+        for h in (x(1), commutator(x(1), x(2)), x(1) * xs(1) + 2):
+            u = self.screen_vector(h, 2, "orthogonal")
+            assert any(u) and ncpoly._not_parallel(u, [ncpoly._screen_value(-i) for i in range(2)])
+            assert not is_central_nonvanishing(h, 2)
+        assert calls == []
+        assert is_central_nonvanishing(commutator(x(1), x(2)) ** 2, 2)
+        assert is_central_nonvanishing(NCPolynomial.const(3), 2)
+        assert len(calls) == 2
+
+    def test_miss_is_decided_by_the_expansion(self, monkeypatch):
+        # x1 - a, a the value of x1 at the point on M_1, vanishes there, so
+        # the screen cannot refute it; the expansion does
+        calls = self.count_expansions(monkeypatch)
+        a = ncpoly._screen_value(1)
+        f = x(1) - a
+        assert self.screen_vector(f, 1, "orthogonal") == [0]
+        assert not is_identity_mod_a(f, 1)
+        assert not is_central_nonvanishing(NCPolynomial.zero(), 2)
+        assert len(calls) == 2
+
+    def test_kernel_cap_after_the_screen(self, monkeypatch):
+        # three copies of s6 over different 6-subsets of x1..x7, an
+        # identity on M_3 that took about 1 s to expand, is refused before
+        # the first product; one copy (2371680 units) passes; the same sum
+        # plus s5 is not an identity, and the screen refutes it first
+        def expand(*args):
+            raise AssertionError("expanded over the cap")
+
+        subsets = list(itertools.combinations(range(1, 8), 6))[:3]
+        f = NCPolynomial.zero()
+        for sub in subsets:
+            f = f + standard_of([x(i) for i in sub])
+        monkeypatch.setattr(ncpoly, "_packed_eval", expand)
+        with pytest.raises(ResourceLimitError, match="kernel work 7048944 .* exceeds the cap"):
+            is_identity_mod_a(f, 3)
+        with pytest.raises(ResourceLimitError, match="kernel work 7048944"):
+            is_central_nonvanishing(f, 3)
+        assert not is_identity_mod_a(f + standard_polynomial(5), 3)
+        monkeypatch.setattr(ncpoly, "MAX_KERNEL_WORK", 2371679)
+        with pytest.raises(ResourceLimitError, match="kernel work 2371680"):
+            is_identity_mod_a(standard_polynomial(6), 3)
 
 
 class TestFalsify:
@@ -751,3 +883,36 @@ class TestPositivstellensatz:
             g_val = nc_eval(cert.g, mats)
             conj = mat_mul(mat_mul(transpose(h_val), g_val, zero), h_val, zero)
             assert psd_symmetric_rational(conj)
+
+
+@pytest.fixture
+def expansion_only(monkeypatch):
+    """The screen's point and vector at zero: f(M) v = 0 refutes nothing,
+    so every decision comes from the expansion, which must run."""
+    plan = ncpoly._packed_plan
+
+    def unscreened(*args):
+        planned = plan(*args)
+        assert planned is not None, "the screen refuted at the zero point"
+        return planned
+
+    monkeypatch.setattr(ncpoly, "_screen_value", lambda number: 0)
+    monkeypatch.setattr(ncpoly, "_packed_plan", unscreened)
+    ncpoly._letter_matrices.cache_clear()
+    yield
+    ncpoly._letter_matrices.cache_clear()
+
+
+@pytest.mark.usefixtures("expansion_only")
+class TestPackedKernelExpansionOnly(TestPackedKernel):
+    """TestPackedKernel's decisions with the screen's point at zero."""
+
+
+@pytest.mark.usefixtures("expansion_only")
+class TestIdentitiesExpansionOnly(TestIdentities):
+    """TestIdentities' decisions with the screen's point at zero."""
+
+
+@pytest.mark.usefixtures("expansion_only")
+class TestPositivstellensatzExpansionOnly(TestPositivstellensatz):
+    """TestPositivstellensatz's decisions with the screen's point at zero."""
