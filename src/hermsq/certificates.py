@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import CertificateError, ShapeError
 from .linalg import block_congruence, clear_denominators, divide, mat_mul
-from .scalars import ORDERINGS, Polynomial, RationalFunction, as_scalar, monomial_square_class
+from .scalars import ORDERINGS, RationalFunction, as_scalar, monomial_square_class
 from .qforms import DiagonalForm, diagonalize, weakly_represents_one
 # skew_congruence lives with the int_skew involution and is re-exported here
 from .involutions import (AlgebraWithInvolution, InvolutionSpec, QuaternionAlgebra,
@@ -201,15 +201,16 @@ def symplectic_minus_one(s):
     blocks; P comes from the algebra, which inverts S through it), X the
     blockwise antidiagonal satisfying X^t B X = B^{-1}, and Y = P X P^t,
     the witness W = S Y satisfies sigma(W) W = -I.  Y and W are formed over
-    Z[X, Y] from P's fraction-free form (P', d), and each entry is reduced
-    once.  The intermediate matrices are recorded under details.
+    Z[X, Y] (on ints for a constant S) from P's fraction-free form (P', d),
+    and each entry is reduced once.  The intermediate matrices are recorded
+    under details.
     """
     n = len(s)
     s = [[as_scalar(v) for v in row] for row in s]
     alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
     y, y_num, y_den = block_congruence(*alg.skew_pd, 1, 1)
     s_den, s_num = clear_denominators(s)
-    w = divide(mat_mul(s_num, y_num, Polynomial()), [s_den * y_den] * n)
+    w = divide(mat_mul(s_num, y_num, type(s_den)()), [s_den * y_den] * n)
     return _verified(HermSqCertificate(alg, alg.scalar(-1), [w],
                                        details={"P": divide(*alg.skew_pd),
                                                 "B": _blocks(n, -1), "X": _blocks(n, 1),

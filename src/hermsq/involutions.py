@@ -172,7 +172,8 @@ def reduced_norm_quat(x, algebra=None):
 
 def skew_congruence(s):
     """(P', d) with P^t S P equal to the standard skew block matrix B, for P
-    whose column j is column j of P' over d[j]; P' is over Z[X, Y].
+    whose column j is column j of P' over d[j]; P' and d are over Z[X, Y],
+    ints when S is constant.
 
     Greedy pivoting: the first nonzero entry of the current row becomes the
     (t, t+1) pivot of the block.  The elimination runs fraction-free on

@@ -10,27 +10,75 @@ entry once: its products are summed over a common denominator
 (`scalars.rf_dot`) instead of reducing after every + and *.
 
 The eliminations are over Z[X, Y]: `Congruence` is a fraction-free
-(Bareiss) congruence reducer on `Polynomial` entries, and
-`block_congruence` forms P K P^t from its output.  A matrix over
-Q(X, Y) enters through `clear_denominators` and leaves through `divide`,
-which reduces each entry once.
+(Bareiss) congruence reducer, and `block_congruence` forms P K P^t from
+its output.  A matrix over Q(X, Y) enters through `clear_denominators`
+and leaves through `divide`, which reduces each entry once.
+
+Between those two edges the entries are `Polynomial`s, or Python ints
+when every entry of the matrix is a constant: Z is a subring of
+Z[X, Y], and the kernels need only +, *, a truth value, exact division
+(`_divexact`) and the lcm of denominators (`_lcm`), with a zero taken
+from the entry type.  `clear_denominators` chooses the int lane and
+returns an int lcm; `divide` builds each entry from its int num and den
+with one gcd, the sign taken from a negative den (a pivot).  A product
+over Q(X, Y) of two constant matrices runs on ints between the same
+edges.
 """
 
 from functools import reduce
+from math import gcd, lcm as math_lcm
 
+from .errors import HermsqError
 from .scalars import ZERO, Polynomial, RationalFunction, poly_divexact, poly_lcm, rf_dot
 
-_ZERO_POLY = Polynomial()
 _ONE_POLY = Polynomial.one()
 
 
+def _divexact(f, g):
+    """f / g for f and nonzero g both int or both Polynomial, g dividing f."""
+    if type(g) is int:
+        q, r = divmod(f, g)
+        if r:
+            raise HermsqError("inexact integer division")
+        return q
+    return poly_divexact(f, g)
+
+
+def _lcm(f, g):
+    """The lcm of two nonzero denominators, both int or both Polynomial,
+    signed as `poly_lcm` signs constants."""
+    if type(f) is int:
+        return f if g == f or g == 1 else f * (g // gcd(f, g))
+    return poly_lcm(f, g)
+
+
+def _quotient(v, d):
+    """v / d as a RationalFunction, for nonzero d and v both int or both
+    Polynomial."""
+    return RationalFunction.from_ints(v, d) if type(d) is int else RationalFunction(v, d)
+
+
+def _constant(matrix):
+    return all(v.is_constant() for row in matrix for v in row)
+
+
 def mat_mul(x, y, zero):
-    """x * y, skipping zero factors.  When every entry is a RationalFunction,
-    an entry of two or more products is one `rf_dot`, reduced once, and an
-    entry of one product is that product."""
+    """x * y, skipping zero factors.  When every entry is a RationalFunction
+    and a constant, the product runs on ints between `clear_denominators`
+    and `divide`.  When every entry is a RationalFunction and one is not a
+    constant, an entry of two or more products is one `rf_dot`, reduced
+    once, and an entry of one product is that product."""
     if all(type(v) is RationalFunction for m in (x, y) for row in m for v in row):
+        if y and _constant(x) and _constant(y):
+            (lx, nx), (ly, ny) = _clear_ints(x), _clear_ints(y)
+            return divide(_loop_mul(nx, ny, 0), [lx * ly] * len(y[0]))
         cols = list(zip(*y))
         return [[_rf_entry(row, col, zero) for col in cols] for row in x]
+    return _loop_mul(x, y, zero)
+
+
+def _loop_mul(x, y, zero):
+    """x * y by the zero-skipping loop, for entries of any one ring."""
     rows, inner, cols = len(x), len(y), len(y[0])
     out = [[zero for _ in range(cols)] for _ in range(rows)]
     for i in range(rows):
@@ -78,20 +126,32 @@ def identity(n, zero, one):
 
 def clear_denominators(matrix):
     """(L, N) for a matrix over Q(X, Y): L is the lcm of its entries'
-    denominators and N = L * matrix, over Z[X, Y]."""
+    denominators and N = L * matrix, over Z[X, Y].  When every entry is a
+    constant, L and the entries of N are ints."""
+    if _constant(matrix):
+        return _clear_ints(matrix)
     cofactors = dict.fromkeys({v.den for row in matrix for v in row if v.num.terms})
     lcm = reduce(poly_lcm, cofactors, _ONE_POLY)
     for den in cofactors:
         cofactors[den] = poly_divexact(lcm, den)
-    return lcm, [[v.num * cofactors[v.den] if v.num.terms else _ZERO_POLY for v in row]
+    zero = Polynomial()
+    return lcm, [[v.num * cofactors[v.den] if v.num.terms else zero for v in row]
                  for row in matrix]
+
+
+def _clear_ints(matrix):
+    """clear_denominators of a matrix of constants, on ints (the dens of
+    canonical constants are positive)."""
+    lcm = math_lcm(*{v.den.terms[0] for row in matrix for v in row})
+    return lcm, [[v.num.terms[0] * (lcm // v.den.terms[0]) if v.num.terms else 0
+                  for v in row] for row in matrix]
 
 
 def divide(num, dens):
     """The matrix over Q(X, Y) whose entry (i, j) is num[i][j] / dens[j],
-    for num over Z[X, Y] and nonzero dens; each entry is reduced once."""
-    return [[RationalFunction(v, d) if v.terms else ZERO for v, d in zip(row, dens)]
-            for row in num]
+    for num over Z[X, Y] and nonzero dens, all ints or all Polynomials;
+    each entry is reduced once."""
+    return [[_quotient(v, d) if v else ZERO for v, d in zip(row, dens)] for row in num]
 
 
 class Congruence:
@@ -110,9 +170,11 @@ class Congruence:
 
     def __init__(self, matrix, sign):
         self.m = [list(row) for row in matrix]
-        self.t = identity(len(matrix), _ZERO_POLY, _ONE_POLY)
+        # ints or Polynomials, as the entries are
+        self.zero = type(matrix[0][0])() if matrix else 0
+        self.t = identity(len(matrix), self.zero, self.zero + 1)
         self.sign = sign
-        self.scale = _ONE_POLY
+        self.scale = self.zero + 1
 
     def swap(self, a, b):
         m = self.m
@@ -143,20 +205,20 @@ class Congruence:
         not exact raises.  A block whose rows are already clear is decoupled:
         nothing changes, and s stays.
         """
-        m, s, sign = self.m, self.scale, self.sign
+        m, s, sign, zero = self.m, self.scale, self.sign, self.zero
         n = len(m)
         rest = range(block[-1] + 1, n)
-        if not any(m[u][k].terms for u in block for k in rest):
+        if not any(m[u][k] for u in block for k in rest):
             return s
         terms = [(u, v, c) for u, row in zip(block, adj) for v, c in zip(block, row) if c]
-        unit = s.terms == {0: 1}
+        unit = s == 1
 
         def weights(row):
             """-(row_B adj) as (index in m, entry) pairs, zeros left out."""
             w = {}
             for u, v, c in terms:
                 if row[u]:
-                    w[v] = w.get(v, _ZERO_POLY) - c * row[u]
+                    w[v] = w.get(v, zero) - c * row[u]
             return [(v, x) for v, x in w.items() if x]
 
         def update(row, cols, first):
@@ -171,7 +233,7 @@ class Congruence:
                     if y:
                         v = v + x * y
                 if v and not unit:
-                    v = poly_divexact(v, s)
+                    v = _divexact(v, s)
                 row[l] = v
                 if first is not None:
                     # the entry below the diagonal, by symmetry or skew symmetry
@@ -183,7 +245,7 @@ class Congruence:
             update(row, rest, None)
         for u in block:
             for k in rest:
-                m[u][k] = m[k][u] = _ZERO_POLY
+                m[u][k] = m[k][u] = zero
         self.scale = pivot
         return s
 
@@ -192,23 +254,24 @@ def block_congruence(num, dens, upper, lower):
     """P K P^t for P whose column j is column j of num over dens[j], and K
     block diagonal with the 2 x 2 blocks [[0, upper], [lower, 0]], upper
     and lower each 1 or -1.  Returns (R, N, L): R = P K P^t over Q(X, Y),
-    and N over Z[X, Y] with R = N / L, where L is the lcm of the column
-    pairs' denominators dens[t] * dens[t + 1].  R is symmetric when
-    upper = lower and skew when upper = -lower, so only its upper triangle
-    is computed and reduced."""
+    and N over Z[X, Y] (ints when num and dens are) with R = N / L, where
+    L is the lcm of the column pairs' denominators dens[t] * dens[t + 1].
+    R is symmetric when upper = lower and skew when upper = -lower, so only
+    its upper triangle is computed and reduced."""
     n = len(num)
     pairs = [dens[t] * dens[t + 1] for t in range(0, n, 2)]
-    lcm = reduce(poly_lcm, pairs)
-    factors = [poly_divexact(lcm, d) for d in pairs]
+    lcm = reduce(_lcm, pairs)
+    factors = [_divexact(lcm, d) for d in pairs]
     sign = upper * lower
-    out = [[_ZERO_POLY] * n for _ in range(n)]
+    zero = type(lcm)()
+    out = [[zero] * n for _ in range(n)]
     reduced = [[ZERO] * n for _ in range(n)]
     for i, ri in enumerate(num):
         for k in range(i if sign > 0 else i + 1, n):
             rk = num[k]
-            total = _ZERO_POLY
+            total = zero
             for t, f in zip(range(0, n, 2), factors):
-                v = _ZERO_POLY
+                v = zero
                 if ri[t] and rk[t + 1]:
                     v = upper * (ri[t] * rk[t + 1])
                 if ri[t + 1] and rk[t]:
@@ -218,6 +281,6 @@ def block_congruence(num, dens, upper, lower):
             if total:
                 out[i][k] = total
                 out[k][i] = total if sign > 0 else -total
-                reduced[i][k] = entry = RationalFunction(total, lcm)
+                reduced[i][k] = entry = _quotient(total, lcm)
                 reduced[k][i] = entry if sign > 0 else -entry
     return reduced, out, lcm

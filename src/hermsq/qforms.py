@@ -177,7 +177,7 @@ def diagonalize(gram):
                 if i != p:
                     red.swap(p, i)
         scales.append(red.eliminate((p,), ((1,),), M[p][p]))
-    entries = [RationalFunction(M[k][k], s * lcm) for k, s in enumerate(scales)]
+    entries = divide([[M[k][k] for k in range(n)]], [s * lcm for s in scales])[0]
     return Diagonalization(DiagonalForm(entries), divide(red.t, scales))
 
 

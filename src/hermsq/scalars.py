@@ -17,7 +17,9 @@ of `evaluate`, `as_fraction` and `monomial_parts`.  A
 rational function is a coprime pair of int polynomials num/den, den with a
 positive graded-lex leading coefficient and integer content 1 over num and
 den together, so equal fractions have identical representations (p/q is p
-over q, zero is 0 over 1).  `TermMap` is the sparse term map that
+over q, zero is 0 over 1).  When both operands of `+` or `*` are
+constants p/q, the operation runs on the int pairs and builds the
+canonical pair with one gcd.  `TermMap` is the sparse term map that
 `Polynomial`, `zpoly.ZPolynomial` and `ncpoly.NCPolynomial` share: their
 sum, difference and equality are written there once.
 """
@@ -670,11 +672,19 @@ class RationalFunction:
 
     @classmethod
     def from_const(cls, c):
+        if type(c) is int:
+            return _pair(c, 1)
         c = Fraction(c)
-        out = object.__new__(cls)
-        out.num = Polynomial({0: c.numerator} if c else None)
-        out.den = _INT_ONE if c.denominator == 1 else Polynomial({0: c.denominator})
-        return out
+        return _pair(c.numerator, c.denominator)
+
+    @classmethod
+    def from_ints(cls, n, d):
+        """n/d for ints n and d, d nonzero: one gcd, and the sign of d moves
+        to n."""
+        if not d:
+            raise DivisionByZeroError("zero denominator")
+        g = _int_gcd(n, d)
+        return _pair(n // g, d // g) if d > 0 else _pair(-n // g, -d // g)
 
     @classmethod
     def variable(cls, name, exp=1):
@@ -695,7 +705,8 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
+        n, d = self.num.terms, self.den.terms
+        return len(d) == 1 and 0 in d and (not n or len(n) == 1 and 0 in n)
 
     def as_fraction(self):
         return Fraction(self.num.constant(), self.den.constant())
@@ -712,21 +723,30 @@ class RationalFunction:
     def _reduced(cls, num, den):
         """Build from coprime int polynomials num/den, den with a positive
         leading coefficient, removing only the integer content they share."""
-        out = object.__new__(cls)
         if not num.terms:
-            out.num, out.den = num, _INT_ONE
-            return out
+            return _canonical(num, _INT_ONE)
         c = _int_gcd(*den.terms.values(), *num.terms.values())
         if c != 1:
             num = Polynomial({m: v // c for m, v in num.terms.items()})
             den = Polynomial({m: v // c for m, v in den.terms.items()})
-        out.num, out.den = num, den
-        return out
+        return _canonical(num, den)
 
     def __add__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        n1, d1, n2, d2 = self.num.terms, self.den.terms, other.num.terms, other.den.terms
+        if not n1:
+            return other
+        if not n2:
+            return self
+        if len(n1) == len(n2) == len(d1) == len(d2) == 1 and 0 in n1 and 0 in n2 \
+                and 0 in d1 and 0 in d2:
+            # two constants p1/q1 + p2/q2, on their ints
+            q1, q2 = d1[0], d2[0]
+            n, d = n1[0] * q2 + n2[0] * q1, q1 * q2
+            g = _int_gcd(n, d)
+            return _pair(n // g, d // g)
         a, b = (self, other) if self.den.is_constant() else (other, self)
         if a.den.is_constant():
             # a's den is a unit and b's den is coprime to b's num, so only
@@ -745,7 +765,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._reduced(-self.num, self.den)
+        # a canonical pair with its num negated is canonical
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = _as_rf(other)
@@ -754,17 +775,27 @@ class RationalFunction:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_rf(other) + (-self)
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        n1, d1, n2, d2 = self.num.terms, self.den.terms, other.num.terms, other.den.terms
         # a zero factor is the canonical zero 0/1 already
-        if not self.num.terms:
+        if not n1:
             return self
-        if not other.num.terms:
+        if not n2:
             return other
+        if len(n1) == len(n2) == len(d1) == len(d2) == 1 and 0 in n1 and 0 in n2 \
+                and 0 in d1 and 0 in d2:
+            # two constants, on their ints
+            n, d = n1[0] * n2[0], d1[0] * d2[0]
+            g = _int_gcd(n, d)
+            return _pair(n // g, d // g)
         if self.den.is_constant() and other.den.is_constant():
             return RationalFunction._reduced(self.num * other.num, self.den * other.den)
         # cross-cancel so the product of two reduced fractions stays reduced
@@ -778,8 +809,9 @@ class RationalFunction:
         if self.is_zero():
             raise DivisionByZeroError("inverse of zero")
         # the swapped pair is canonical up to the sign of its den
-        sign = -1 if _leading(self.num)[1] < 0 else 1
-        return RationalFunction._reduced(_scaled(self.den, sign), _scaled(self.num, sign))
+        if _leading(self.num)[1] < 0:
+            return _canonical(-self.den, -self.num)
+        return _canonical(self.den, self.num)
 
     def __truediv__(self, other):
         other = _as_rf(other)
@@ -788,7 +820,10 @@ class RationalFunction:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _as_rf(other) * self.inverse()
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -829,9 +864,29 @@ class RationalFunction:
         return self.num.evaluate(values) / d
 
 
+def _canonical(num, den):
+    """The RationalFunction of a canonical pair num/den, as it stands."""
+    out = object.__new__(RationalFunction)
+    out.num, out.den = num, den
+    return out
+
+
+def _pair(n, d):
+    """The RationalFunction n/d for coprime ints n and d > 0."""
+    num = object.__new__(Polynomial)
+    num.terms = {0: n} if n else {}
+    if d == 1:
+        return _canonical(num, _INT_ONE)
+    den = object.__new__(Polynomial)
+    den.terms = {0: d}
+    return _canonical(num, den)
+
+
 def _as_rf(x):
     if isinstance(x, RationalFunction):
         return x
+    if type(x) is int:
+        return _pair(x, 1)
     if isinstance(x, (int, Fraction)):
         return RationalFunction.from_const(x)
     if isinstance(x, Polynomial):

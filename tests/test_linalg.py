@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from hermsq import linalg, scalars
+from hermsq import certificates, linalg, qforms, scalars
 from hermsq.certificates import symplectic_minus_one
+from hermsq.errors import SingularMatrixError
 from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec, entry_33_constraint,
-                                symbolic_elements)
-from hermsq.qforms import DiagonalForm
+                                skew_congruence, symbolic_elements)
+from hermsq.qforms import DiagonalForm, GramForm, diagonalize
 from hermsq.scalars import Polynomial, RationalFunction, X, Y, as_scalar
 from hermsq.zpoly import ZPolynomial
 
@@ -180,3 +181,165 @@ class TestOtherEntryTypes:
         else:
             x = [[poly(rng) for _ in range(3)] for _ in range(3)]
         assert linalg.mat_mul(x, x, zero) == reference_mul(x, x, zero)
+
+
+def skew(rng, n, symbolic=False):
+    """An integer skew matrix over Q(X, Y), with X at (0, 1) if symbolic."""
+    s = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = as_scalar(rng.randint(-9, 9))
+            s[i][j], s[j][i] = v, -v
+    if symbolic:
+        s[0][1], s[1][0] = X, -X
+    return s
+
+
+def as_polys(m):
+    return [[Polynomial.const(v) for v in row] for row in m]
+
+
+def force_polynomial_lane(monkeypatch):
+    """Make clear_denominators hand constant matrices to the kernels as
+    constant Polynomials, the lane every matrix took before ints."""
+    original = linalg.clear_denominators
+
+    def as_polynomials(matrix):
+        lcm, num = original(matrix)
+        if type(lcm) is int:
+            return Polynomial.const(lcm), as_polys(num)
+        return lcm, num
+    for module in (linalg, qforms, certificates):
+        monkeypatch.setattr(module, "clear_denominators", as_polynomials)
+
+
+def eliminate(red, n):
+    """Run red to the end, 1 x 1 pivots for sign 1 and 2 x 2 for sign -1."""
+    m, scales = red.m, []
+    if red.sign > 0:
+        for p in range(n):
+            scales.append(red.eliminate((p,), ((1,),), m[p][p]))
+    else:
+        for t in range(0, n, 2):
+            scales.append(red.eliminate((t, t + 1), ((0, -1), (1, 0)), m[t][t + 1]))
+    return scales
+
+
+def all_ints(*matrices):
+    return all(type(v) is int for m in matrices for row in m for v in row)
+
+
+# (name, matrix): the first pivot of "negative-pivot" is -2, and of
+# "negative-skew" -3, so their scales are negative and `divide` takes the sign
+# from the den
+INT_SYMMETRIC = {
+    "positive": [[2, 1, 0], [1, 3, -1], [0, -1, 5]],
+    "negative-pivot": [[-2, 4, 1], [4, 1, 3], [1, 3, -7]],
+    "zero-pivot": [[0, 2, 1], [2, 0, 3], [1, 3, 0]],
+}
+INT_SKEW = {
+    "negative-skew": [[0, -3, 1, 2], [3, 0, -4, 5], [-1, 4, 0, 6], [-2, -5, -6, 0]],
+    "positive-skew": [[0, 1, 2, 1], [-1, 0, 1, -3], [-2, -1, 0, 4], [-1, 3, -4, 0]],
+    "swap": [[0, 0, 2, 1], [0, 0, 1, -3], [-2, -1, 0, 4], [-1, 3, -4, 0]],
+}
+
+
+class TestIntLane:
+    """Constant matrices run the kernels on ints; the same matrix as constant
+    Polynomials must give equal outputs."""
+
+    @pytest.mark.parametrize("sign, rows", [(1, INT_SYMMETRIC["positive"]),
+                                            (1, INT_SYMMETRIC["negative-pivot"]),
+                                            (-1, INT_SKEW["negative-skew"]),
+                                            (-1, INT_SKEW["positive-skew"])])
+    def test_congruence_both_lanes(self, sign, rows):
+        n = len(rows)
+        ints, polys = linalg.Congruence(rows, sign), linalg.Congruence(as_polys(rows), sign)
+        int_scales, poly_scales = eliminate(ints, n), eliminate(polys, n)
+        assert all_ints(ints.m, ints.t, [int_scales]) and type(ints.scale) is int
+        assert ints.m == polys.m and ints.t == polys.t
+        assert int_scales == poly_scales and ints.scale == polys.scale
+
+    def test_block_congruence_both_lanes(self):
+        rng = random.Random(111)
+        for n in (2, 4, 6):
+            s = skew(rng, n)
+            try:
+                p, dens = skew_congruence(s)
+            except SingularMatrixError:
+                continue
+            assert all_ints(p, [dens])
+            for upper, lower in ((1, 1), (-1, 1), (1, -1)):
+                r, num, lcm = linalg.block_congruence(p, dens, upper, lower)
+                want_r, want_num, want_lcm = linalg.block_congruence(
+                    as_polys(p), [Polynomial.const(d) for d in dens], upper, lower)
+                assert type(lcm) is int and all_ints(num)
+                assert exact(r) == exact(want_r)
+                assert num == want_num and lcm == want_lcm
+
+    @pytest.mark.parametrize("name", sorted(INT_SYMMETRIC))
+    def test_diagonalize_both_lanes(self, name, monkeypatch):
+        g = GramForm([[as_scalar(v) for v in row] for row in INT_SYMMETRIC[name]])
+        assert type(linalg.clear_denominators(g.matrix)[0]) is int
+        got = diagonalize(g)
+        with monkeypatch.context() as m:
+            force_polynomial_lane(m)
+            want = diagonalize(g)
+        assert exact([got.form.entries]) == exact([want.form.entries])
+        assert exact(got.transform) == exact(want.transform)
+        assert got.verify(g)
+
+    @pytest.mark.parametrize("name", sorted(INT_SKEW))
+    def test_skew_congruence_both_lanes(self, name, monkeypatch):
+        s = [[as_scalar(Fraction(v, 2)) for v in row] for row in INT_SKEW[name]]
+        p, dens = skew_congruence(s)
+        with monkeypatch.context() as m:
+            force_polynomial_lane(m)
+            want_p, want_dens = skew_congruence(s)
+            want_w = symplectic_minus_one(s).witnesses[0]
+        assert all_ints(p, [dens])
+        assert p == want_p and dens == want_dens
+        if name == "negative-skew":
+            assert dens[1] < 0
+        assert exact(linalg.divide(p, dens)) == exact(linalg.divide(want_p, want_dens))
+        assert exact(symplectic_minus_one(s).witnesses[0]) == exact(want_w)
+
+    def test_divide_takes_the_sign_from_the_den(self):
+        got = linalg.divide([[6, -4, 0], [0, 9, -10 ** 20]], [-4, -6, 3])
+        want = [[Fraction(6, -4), Fraction(-4, -6), 0],
+                [0, Fraction(9, -6), Fraction(-10 ** 20, 3)]]
+        for row, want_row in zip(got, want):
+            for v, w in zip(row, want_row):
+                assert v.num.terms == ({0: w.numerator} if w else {})
+                assert v.den.terms == {0: w.denominator}
+
+    def test_constant_product_runs_on_ints(self, monkeypatch):
+        rng = random.Random(112)
+        s = skew(rng, 6)
+        f = [[as_scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for _ in range(6)]
+             for _ in range(6)]
+
+        def no_dot(pairs):
+            raise AssertionError("rf_dot on constant matrices")
+        monkeypatch.setattr(linalg, "rf_dot", no_dot)
+        for x, y in ((s, f), (f, s), (f, f)):
+            assert exact(linalg.mat_mul(x, y, ZERO)) == exact(reference_mul(x, y, ZERO))
+
+    def test_empty_constant_products(self):
+        # an empty matrix is vacuously constant; the int lane must not
+        # hand it back to the Q(X, Y) product
+        assert linalg.mat_mul([], [], ZERO) == []
+        assert linalg.mat_mul([[]], [], ZERO) == [[]]
+        assert linalg.mat_mul([], [[as_scalar(1)]], ZERO) == []
+
+    def test_one_symbolic_entry_keeps_polynomials(self):
+        rng = random.Random(113)
+        s = skew(rng, 4, symbolic=True)
+        lcm, num = linalg.clear_denominators(s)
+        assert type(lcm) is Polynomial
+        assert all(type(v) is Polynomial for row in num for v in row)
+        p, dens = skew_congruence(s)
+        assert all(type(v) is Polynomial for row in p for v in row + dens)
+        constant = skew(rng, 4)
+        assert_same_product(s, constant)
+        assert_same_product(constant, s)

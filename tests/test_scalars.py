@@ -765,6 +765,108 @@ class TestDenominatorOneFastPaths:
             assert a * b == RationalFunction(p * q, d)
 
 
+def constant_values(seed, count=60):
+    """Fractions for the constant lane: zero, small and large ints of both
+    signs, and ratios of small and of large ints."""
+    rng = random.Random(seed)
+    big = 10 ** 30
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(big + 7), Fraction(-3, 4)]
+    while len(out) < count:
+        span = rng.choice((9, 1000, big))
+        out.append(Fraction(rng.randint(-span, span), rng.choice((1, 1, rng.randint(1, span)))))
+    return out
+
+
+def assert_is_fraction(r, f):
+    """r has exactly the canonical terms of the Fraction f, and hashes as it."""
+    assert r.num.terms == ({0: f.numerator} if f else {})
+    assert r.den.terms == {0: f.denominator}
+    assert all(type(c) is int for c in (*r.num.terms.values(), *r.den.terms.values()))
+    assert hash(r) == hash(f)
+    assert r.as_fraction() == f
+
+
+class TestConstantLane:
+    """Two constant operands run on their int pairs; each result must be the
+    canonical pair of the Fraction, and mixed operands keep the general
+    path."""
+
+    def test_against_fraction(self):
+        values = constant_values(41)
+        for a, b in itertools.product(values[:12], values):
+            ra, rb = as_scalar(a), as_scalar(b)
+            assert_is_fraction(ra + rb, a + b)
+            assert_is_fraction(ra - rb, a - b)
+            assert_is_fraction(ra * rb, a * b)
+            assert_is_fraction(-rb, -b)
+            if b:
+                assert_is_fraction(ra / rb, a / b)
+                assert_is_fraction(rb.inverse(), 1 / b)
+
+    def test_int_operands_and_integers(self):
+        for a, b in itertools.product((0, 1, -1, 6, -10 ** 25), repeat=2):
+            for got, want in ((as_scalar(a) + b, a + b), (a + as_scalar(b), a + b),
+                              (a - as_scalar(b), a - b), (as_scalar(a) * b, a * b)):
+                assert_is_fraction(got, Fraction(want))
+                assert got.den.terms == {0: 1}
+        assert_is_fraction(RationalFunction.from_const(-7), Fraction(-7))
+        assert_is_fraction(RationalFunction.from_const(Fraction(6, -4)), Fraction(-3, 2))
+
+    def test_from_ints(self):
+        for n, d in ((6, -4), (-6, 4), (0, -5), (10 ** 30, 10 ** 29), (-3, -9)):
+            assert_is_fraction(RationalFunction.from_ints(n, d), Fraction(n, d))
+        with pytest.raises(DivisionByZeroError):
+            RationalFunction.from_ints(1, 0)
+
+    def test_zero_operand_returns_the_other(self):
+        f = parse_scalar("(X + 2)/(3*Y)")
+        zero = RationalFunction.zero()
+        assert f + zero is f and zero + f is f
+        assert f - zero == f
+
+    def test_no_polynomial_product_on_constants(self, monkeypatch):
+        a, b = as_scalar(Fraction(-6, 35)), as_scalar(Fraction(14, 9))
+
+        def no_product(self, other):
+            raise AssertionError("Polynomial product on two constants")
+        monkeypatch.setattr(Polynomial, "__mul__", no_product)
+        monkeypatch.setattr(Polynomial, "__rmul__", no_product)
+        assert_is_fraction(a + b, Fraction(-6, 35) + Fraction(14, 9))
+        assert_is_fraction(a * b, Fraction(-6, 35) * Fraction(14, 9))
+        assert_is_fraction(a / b, Fraction(-6, 35) / Fraction(14, 9))
+
+    def test_mixed_operands_take_the_general_path(self, monkeypatch):
+        symbolic = [parse_scalar(t) for t in ("X", "(X + 2)/(3*Y - X)", "X^2/6", "7/(2*Y)")]
+        cases = [(as_scalar(c), f) for c in constant_values(44, 12)[1:] for f in symbolic]
+        # what the general constructor builds from the same num/den pairs
+        want = [(RationalFunction(c.num * f.den + f.num * c.den, c.den * f.den),
+                 RationalFunction(c.num * f.num, c.den * f.den)) for c, f in cases]
+        calls = []
+        original = scalars._pair
+        monkeypatch.setattr(scalars, "_pair", lambda n, d: calls.append(1) or original(n, d))
+        for (c, f), (total, product) in zip(cases, want):
+            for got, w in ((c + f, total), (f + c, total), (c * f, product), (f * c, product)):
+                assert sorted(exact_terms(got.num)) == sorted(exact_terms(w.num))
+                assert sorted(exact_terms(got.den)) == sorted(exact_terms(w.den))
+        assert not calls
+
+    def test_foreign_operands(self):
+        three = as_scalar(3)
+        for foreign in (None, 1.5, "3"):
+            for op in (lambda: foreign - three, lambda: foreign / three,
+                       lambda: three - foreign, lambda: three / foreign,
+                       lambda: foreign + three, lambda: foreign * three):
+                with pytest.raises(TypeError) as err:
+                    op()
+                assert "NotImplementedType" not in str(err.value)
+            assert three.__rsub__(foreign) is NotImplemented
+            assert three.__rtruediv__(foreign) is NotImplemented
+        # a foreign operand over zero is a type error, not a division by zero
+        with pytest.raises(TypeError):
+            None / RationalFunction.zero()
+        assert RationalFunction.zero().__rtruediv__(None) is NotImplemented
+
+
 def rational_poly(rng, names=("X", "Y")):
     """A random polynomial with Fraction coefficients, as a RationalFunction
     with a constant den, and its text."""
