@@ -7,12 +7,11 @@ CertificateError if that fails, so callers do not check it again.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import CertificateError, ShapeError
-from .linalg import block_congruence, clear_denominators, divide, mat_mul
-from .scalars import ORDERINGS, RationalFunction, as_scalar, monomial_square_class
-from .qforms import DiagonalForm, diagonalize, weakly_represents_one
+from .linalg import Congruence, block_congruence, clear_denominators, divide, mat_mul
+from .scalars import ORDERINGS, as_scalar, monomial_square_class
+from .qforms import DiagonalForm, GramForm, diagonalize, weakly_represents_one
 # skew_congruence lives with the int_skew involution and is re-exported here
 from .involutions import (AlgebraWithInvolution, InvolutionSpec, QuaternionAlgebra,
                           skew_congruence)
@@ -291,33 +290,23 @@ def counterexample_pipeline(alpha, beta, base="F"):
 
 # -- exact PSD test over Q --------------------------------------------------
 
-def _as_fraction(v):
-    if isinstance(v, RationalFunction):
-        if not v.is_constant():
-            raise ShapeError("expected a rational constant")
-        return v.as_fraction()
-    return Fraction(v)
-
-
 def psd_symmetric_rational(m):
-    """Exact positive semidefiniteness of a symmetric rational matrix."""
-    a = [[_as_fraction(v) for v in row] for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ShapeError("matrix is not square")
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ShapeError("matrix is not symmetric")
-    while a:
-        pivot = a[0][0]
-        if pivot < 0:
+    """Exact positive semidefiniteness of a symmetric rational matrix.
+
+    The fraction-free congruence on the matrix times the lcm of its
+    denominators (positive, so signs are kept) takes 1 x 1 pivots in
+    order.  Its scale is the last nonzero pivot, positive here, so each
+    pivot has the sign of the Schur complement's corner (Sylvester's law
+    of inertia): the matrix is PSD unless a pivot is negative, or zero
+    with a row that is not clear.
+    """
+    g = GramForm(m).matrix
+    if not all(v.is_constant() for row in g for v in row):
+        raise ShapeError("expected a rational constant")
+    red = Congruence(clear_denominators(g)[1], 1)
+    for p, row in enumerate(red.m):
+        pivot = row[p]
+        if pivot < 0 or not pivot and any(row[p + 1:]):
             return False
-        if pivot == 0:
-            if any(v != 0 for v in a[0]):
-                return False
-            a = [row[1:] for row in a[1:]]
-            continue
-        a = [[a[i][j] - a[i][0] * a[0][j] / pivot
-              for j in range(1, len(a))] for i in range(1, len(a))]
+        red.eliminate((p,), ((1,),), pivot)
     return True

@@ -11,7 +11,10 @@ entry once: its products are summed over a common denominator
 
 The eliminations are over Z[X, Y]: `Congruence` is a fraction-free
 (Bareiss) congruence reducer, and `block_congruence` forms P K P^t from
-its output.  A matrix over Q(X, Y) enters through `clear_denominators`
+its output.  `Congruence` has three users: `qforms.diagonalize` and
+`involutions.skew_congruence` read its pivots and transform, and
+`certificates.psd_symmetric_rational` reads only the signs of its 1 x 1
+pivots.  A matrix over Q(X, Y) enters through `clear_denominators`
 and leaves through `divide`, which reduces each entry once.
 
 Between those two edges the entries are `Polynomial`s, or Python ints

@@ -65,7 +65,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .certificates import parse_selector, psd_symmetric_rational
-from .errors import ParseError, ResourceLimitError, ShapeError
+from .errors import HermsqError, ParseError, ResourceLimitError, ShapeError
 from .linalg import add, identity, mat_mul, transpose
 from .scalars import TermMap
 from .involutions import AlgebraWithInvolution, InvolutionSpec
@@ -203,6 +203,8 @@ class NCPolynomial(TermMap):
         return other * self
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise HermsqError("powers of a *-polynomial must be nonnegative integers")
         out = NCPolynomial.one()
         for _ in range(k):
             out = out * self

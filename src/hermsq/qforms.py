@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
-from .errors import HermsqError, NotMonomialError, SingularMatrixError
+from .errors import HermsqError, NotMonomialError, ShapeError, SingularMatrixError
 from .linalg import (Congruence, clear_denominators, divide, equal, identity, mat_mul,
                      transpose)
 from .scalars import (
@@ -119,11 +119,11 @@ class GramForm:
         n = len(m)
         for row in m:
             if len(row) != n:
-                raise HermsqError("Gram matrix must be square")
+                raise ShapeError("Gram matrix must be square")
         for i in range(n):
             for j in range(i):
                 if m[i][j] != m[j][i]:
-                    raise HermsqError("Gram matrix must be symmetric")
+                    raise ShapeError("Gram matrix must be symmetric")
         self.matrix = m
 
     def __len__(self):

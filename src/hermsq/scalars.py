@@ -674,7 +674,8 @@ class RationalFunction:
     def from_const(cls, c):
         if type(c) is int:
             return _pair(c, 1)
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         return _pair(c.numerator, c.denominator)
 
     @classmethod

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermsq import certificates, involutions, scenarios
+from hermsq import certificates, involutions, linalg, scenarios
 from hermsq.certificates import (CounterexampleReport, HermSqCertificate,
                                  TotalPositivityWitness, WeightedCertificate,
                                  counterexample_pipeline, prop41_certificates,
@@ -422,13 +422,35 @@ class TestScenarioChecks:
 
 
 class TestPsdRational:
-    def test_examples(self):
+    def test_examples(self, monkeypatch):
         assert psd_symmetric_rational([[2, 1], [1, 2]])
         assert not psd_symmetric_rational([[1, 2], [2, 1]])
         assert psd_symmetric_rational([[0, 0], [0, 0]])
         assert not psd_symmetric_rational([[0, 1], [1, 0]])
         assert psd_symmetric_rational([[Fraction(1, 2)]])
         assert not psd_symmetric_rational([[-1]])
+        assert psd_symmetric_rational([[0]])
+        assert psd_symmetric_rational([])
+        # a zero pivot that appears only after an elimination step: its row
+        # is clear (PSD), or it is not (not PSD)
+        assert psd_symmetric_rational([[1, 1], [1, 1]])
+        assert psd_symmetric_rational([[4, 2, 2], [2, 1, 1], [2, 1, 3]])
+        assert not psd_symmetric_rational([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        # constant RationalFunctions over different denominators
+        half, third, quarter, fifth = (as_scalar(Fraction(1, d)) for d in (2, 3, 4, 5))
+        assert psd_symmetric_rational([[half, third], [third, quarter]])
+        assert not psd_symmetric_rational([[half, third], [third, fifth]])
+        # the pivots are the congruence kernel's, one elimination per row
+        calls = []
+        eliminate = linalg.Congruence.eliminate
+
+        def counted(self, *args):
+            calls.append(args)
+            return eliminate(self, *args)
+
+        monkeypatch.setattr(linalg.Congruence, "eliminate", counted)
+        assert psd_symmetric_rational([[4, 2, 2], [2, 1, 1], [2, 1, 3]])
+        assert len(calls) == 3
 
     def test_gram_matrices_psd(self):
         rng = random.Random(89)
@@ -454,3 +476,6 @@ class TestPsdRational:
             psd_symmetric_rational([[1, 2], [3, 1]])
         with pytest.raises(ShapeError):
             psd_symmetric_rational([[X]])
+        # entries are what as_scalar takes; a float is refused
+        with pytest.raises(HermsqError):
+            psd_symmetric_rational([[1.5]])

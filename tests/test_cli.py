@@ -111,6 +111,15 @@ class TestQfCommands:
         code, out, err = run(capsys, "qf", "diag", "--json", str(path), "--output", "json")
         assert (code, out, err) == (0, want, "")
 
+    @pytest.mark.parametrize("matrix,word", [([["1", "2"], ["3", "1"]], "symmetric"),
+                                             ([["1", "2"]], "square")])
+    def test_diag_matrix_not_a_gram_is_input_error(self, capsys, tmp_path, matrix, word):
+        path = tmp_path / "gram.json"
+        path.write_text(dumps({"matrix": matrix}))
+        code, out, err = run(capsys, "qf", "diag", "--json", str(path))
+        assert (code, out) == (2, "")
+        assert word in err and "Traceback" not in err
+
     def test_diag_matrix_over_cap_is_input_error(self, capsys, tmp_path, monkeypatch):
         def diagonalize(*args):
             raise AssertionError("diagonalized over the cap")

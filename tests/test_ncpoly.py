@@ -9,8 +9,8 @@ from math import lcm
 
 import pytest
 
-from hermsq.errors import (CertificateError, ParseError, ResourceLimitError,
-                           ShapeError)
+from hermsq.errors import (CertificateError, HermsqError, ParseError,
+                           ResourceLimitError, ShapeError)
 from hermsq.scalars import as_scalar
 from hermsq.zpoly import ZPolynomial
 from hermsq import ncpoly
@@ -77,6 +77,15 @@ class TestNCPolynomial:
             zero + "x"
         with pytest.raises(TypeError):
             x(1) * as_scalar(2)
+
+    def test_powers(self):
+        assert x(1) ** 0 == NCPolynomial.one()
+        assert x(1) ** 3 == x(1) * x(1) * x(1)
+        # a negative exponent returned 1, and a non-int one raised a bare
+        # TypeError from range
+        for k in (-1, -3, Fraction(1, 2), 1.0, "2"):
+            with pytest.raises(HermsqError):
+                x(1) ** k
 
     def test_ring_axioms_random(self):
         rng = random.Random(101)

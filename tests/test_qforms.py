@@ -115,6 +115,13 @@ class TestDiagonalize:
             GramForm([[as_scalar(1), as_scalar(2)],
                       [as_scalar(3), as_scalar(1)]])
 
+    def test_shape_errors(self):
+        one, two = as_scalar(1), as_scalar(2)
+        with pytest.raises(ShapeError, match="square"):
+            GramForm([[one, two]])
+        with pytest.raises(ShapeError, match="symmetric"):
+            GramForm([[one, two], [one, one]])
+
     def test_random_rational_congruence(self):
         rng = random.Random(17)
         done = 0
