@@ -303,7 +303,13 @@ def psd_symmetric_rational(m):
     g = GramForm(m).matrix
     if not all(v.is_constant() for row in g for v in row):
         raise ShapeError("expected a rational constant")
-    red = Congruence(clear_denominators(g)[1], 1)
+    return _psd_integral(clear_denominators(g)[1])
+
+
+def _psd_integral(m):
+    """`psd_symmetric_rational` of a symmetric int matrix, which it does not
+    check: the pivot signs of its fraction-free congruence."""
+    red = Congruence(m, 1)
     for p, row in enumerate(red.m):
         pivot = row[p]
         if pivot < 0 or not pivot and any(row[p + 1:]):

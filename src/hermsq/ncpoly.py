@@ -6,14 +6,16 @@ its transpose; on generic matrices the star is the transpose (orthogonal
 type) or the standard symplectic involution (symplectic type).
 
 Every evaluator runs Horner's rule over the trie of f's words.
-`nc_eval` and `generic_eval` share one walk, `_eval_words`, over any ring
-of entries whose zero the caller passes: Fractions for rational matrices,
-`ZPolynomial`s for the matrices of a `GenericMatrixContext` and their
-stars.  The decisions run their own walk on packed entries.  On generic
-matrices every entry of Y_l and of its star is plus or minus one variable
-z<i>_<j>_<l>, so the image lies in M_n(Z[z]) once f is scaled by the lcm
-of its coefficient denominators, and nothing is ever divided.  There the
-entries are dicts {packed monomial: coefficient}, a packed monomial being
+`nc_eval`, `psd_falsify` and `generic_eval` share one walk, `_eval_words`,
+over any ring of entries whose zero the caller passes: Fractions for
+rational matrices, ints for the integer trials of `psd_falsify` (which
+scales f to int coefficients first), `ZPolynomial`s for the matrices of a
+`GenericMatrixContext` and their stars.  The decisions run their own walk
+on packed entries.  On generic matrices every entry of Y_l and of its
+star is plus or minus one variable z<i>_<j>_<l>, so the image lies in
+M_n(Z[z]) once f is scaled by the lcm of its coefficient denominators,
+and nothing is ever divided.  There the entries are dicts
+{packed monomial: coefficient}, a packed monomial being
 one int with a bit field per generic variable, so a monomial product is
 one int addition.  Y_l and its star come from the involution applied to
 the int matrix of the variables' slot numbers s + 1, which it only moves
@@ -64,7 +66,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .certificates import parse_selector, psd_symmetric_rational
+from .certificates import _psd_integral, parse_selector
 from .errors import HermsqError, ParseError, ResourceLimitError, ShapeError
 from .linalg import add, identity, mat_mul, transpose
 from .scalars import TermMap
@@ -86,10 +88,11 @@ DEFAULT_MAX_N = 3
 # 16 s, and 10 trials with entry bound 10^1000 took 84 s; `nc eval` of s6
 # (720 words) on an 8 x 8 tuple (2.2M units) took 4.2 s, and of the 126
 # words of degree 1 to 6 in x1, x1* on one 8 x 8 matrix of 100-bit
-# fractions (328704 units unscaled) 8.3 s.  A unit of falsification costs
-# 3.4 to 6 us, more for larger entries, so the largest accepted
-# falsification, 113 trials of (x1* x1)^3 at n = 8 (347136 units), takes
-# 1.7 to 1.9 s at bound 5 and 2.3 to 2.4 s at bound 10^6; a scaled unit of
+# fractions (328704 units unscaled) 8.3 s.  A unit of falsification cost
+# 3.4 to 6 us over Fractions; the trials run on ints, so the largest
+# accepted falsification, 113 trials of (x1* x1)^3 at n = 8 (347136
+# units), takes 0.06 s at bound 5 and 0.09 s at bound 10^6 (0.82 and
+# 0.87 s over Fractions, minima of 3 on one VM); a scaled unit of
 # nc_eval costs 2.9 to 4.4 us at b = 2 to 400, so six letters on 8 x 8
 # matrices of 85-bit fractions, the largest accepted, take 1.3 s, and the
 # 126 words above at b = 2 take 0.25 s.  Matrices stay at most
@@ -357,12 +360,15 @@ def _check_work(f, n, trials, bits=0):
 
 
 def _eval_at(f, letters, mats, n):
-    """f at the Fraction matrices mats of its letters, star as transpose."""
+    """f at the matrices mats of its letters, star as transpose, over the
+    ring of their entries: Fractions, or ints for f with int coefficients
+    (a Fraction matrix when there are no letters)."""
     images = {}
     for i, m in zip(letters, mats):
         images[i] = m
         images[-i] = transpose(m)
-    return _eval_words(f, images, n, Fraction(0))
+    zero = type(mats[0][0][0])() if mats else Fraction(0)
+    return _eval_words(f, images, n, zero)
 
 
 def _word_trie(f):
@@ -398,7 +404,7 @@ def _eval_words(f, images, n, zero):
     values = [None] * len(coeffs)
     for node in reversed(range(len(coeffs))):
         c = coeffs[node]
-        # zero + c brings the Fraction c into the ring
+        # zero + c brings the coefficient c into the ring
         value = None if c is None else identity(n, zero, zero + c)
         for l, child in children[node].items():
             term = mat_mul(images[l], values[child], zero)
@@ -727,6 +733,13 @@ def generic_eval(f, ctx):
     return _eval_words(f, images, ctx.n, ZPolynomial())
 
 
+def _integral(f):
+    """d*f with int coefficients, d > 0 the lcm of f's coefficient
+    denominators."""
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    return NCPolynomial({w: c.numerator * (d // c.denominator) for w, c in f.terms.items()})
+
+
 def _integral_image(f, n, J, max_degree, refutes):
     """The packed generic-matrix image of d*f, d the lcm of f's coefficient
     denominators, or None when the screen refutes it: refutes(u, v) for
@@ -736,8 +749,7 @@ def _integral_image(f, n, J, max_degree, refutes):
     the screen does not refute."""
     degree = f.degree()
     _check_limits(degree, n, max_degree)
-    d = lcm(*(c.denominator for c in f.terms.values()))
-    f = NCPolynomial({w: c.numerator * (d // c.denominator) for w, c in f.terms.items()})
+    f = _integral(f)
     slots, point, v = _generic_letters(f, n, J)
     planned = _packed_plan(f, point, v, refutes)
     if planned is None:
@@ -765,14 +777,18 @@ def is_central_nonvanishing(h, n, J="orthogonal", max_degree=None):
 
 
 def psd_falsify(g, n, trials, seed, bound=5):
-    """Search random rational tuples for a non-PSD value of g.
+    """Search random integer tuples for a non-PSD value of g.
 
     Entries are integers uniform in [-bound, bound]; trial t uses its own
     generator random.Random(seed * 1_000_003 + t) and draws one matrix per
     letter of g, in increasing index order, so results depend neither on
     evaluation order nor on the indices of the letters.  Returns the first
-    counterexample, the matrices of g's letters in increasing index order,
-    or None.
+    counterexample, the int matrices of g's letters in increasing index
+    order, or None.
+
+    Each trial runs on ints: the value V of d*g, d > 0 the lcm of g's
+    coefficient denominators, is symmetric because g = g*, and PSD exactly
+    when g's value is.
     """
     if not g.is_symmetric():
         raise ShapeError("falsification target must be symmetric (g = g*)")
@@ -789,13 +805,12 @@ def psd_falsify(g, n, trials, seed, bound=5):
     _check_work(g, n, trials)
     # a constant g still gets one matrix, so the counterexample fixes n
     letters = g.variables() or [1]
+    scaled = _integral(g)
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
-        mats = [[[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+        mats = [[[rng.randint(-bound, bound) for _ in range(n)]
                  for _ in range(n)] for _ in letters]
-        value = _eval_at(g, letters, mats, n)
-        sym = [[(value[i][j] + value[j][i]) / 2 for j in range(n)] for i in range(n)]
-        if not psd_symmetric_rational(sym):
+        if not _psd_integral(_eval_at(scaled, letters, mats, n)):
             return mats
     return None
 

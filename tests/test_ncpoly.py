@@ -39,6 +39,17 @@ def random_nc(rng, nvars=2, nterms=3, maxlen=3):
     return f
 
 
+def seeded_symmetric(seed, den):
+    """A symmetric polynomial in x1, x2 from `seed`, with h and k from
+    random_nc: h* h / den + k* k, PSD on every tuple, for an even seed, and
+    (h + h*) / den + k* k for an odd one."""
+    rng = random.Random(seed)
+    h, k = (random_nc(rng, nterms=4, maxlen=2) for _ in range(2))
+    if seed % 2 == 0:
+        return h.star() * h * Fraction(1, den) + k.star() * k
+    return (h + h.star()) * Fraction(1, den) + k.star() * k
+
+
 class TestNCPolynomial:
     def test_noncommutative_product(self):
         assert x(1) * x(2) != x(2) * x(1)
@@ -751,6 +762,40 @@ class TestFalsify:
         assert near is not None and len(near) == 1
         assert psd_falsify(x(2000) + xs(2000), 2, 10, 0) == near
 
+    # psd_falsify(seeded_symmetric(seed, den), n, 6, seed, 3) as the trials
+    # over Fractions found it, before they ran on ints; den = 3 gives
+    # coefficients in thirds, and seed 6 is a sum of hermitian squares
+    @pytest.mark.parametrize("seed, den, n, want", [
+        (1, 1, 2, None),
+        (1, 1, 3, [[[1, 2, -1], [1, -2, 1], [3, 3, -2]], [[0, 1, -2], [0, -2, -3], [2, 3, 3]]]),
+        (1, 3, 2, None),
+        (1, 3, 3, [[[1, 2, -1], [1, -2, 1], [3, 3, -2]], [[0, 1, -2], [0, -2, -3], [2, 3, 3]]]),
+        (3, 1, 2, [[[-3, -3], [1, 0]], [[-2, 3], [1, 0]]]),
+        (3, 1, 3, [[[1, 0, 2], [1, -3, 3], [2, 3, 1]], [[-2, 0, 1], [3, 1, -2], [3, 3, 0]]]),
+        (3, 3, 2, [[[1, 0], [2, 1]], [[-3, 3], [2, 3]]]),
+        (3, 3, 3, [[[1, 2, 2], [-2, -2, -2], [-1, -1, 0]],
+                   [[3, -2, 2], [0, -1, -3], [-2, 2, -3]]]),
+        (6, 1, 2, None),
+        (6, 1, 3, None),
+        (6, 3, 2, None),
+        (6, 3, 3, None),
+        (7, 1, 2, None),
+        (7, 1, 3, [[[-2, 2, 3], [-2, -1, 0], [0, 2, 2]], [[1, 2, -2], [-2, -2, 3], [1, -1, 0]]]),
+        (7, 3, 2, None),
+        (7, 3, 3, [[[-2, 2, 3], [-2, -1, 0], [0, 2, 2]], [[1, 2, -2], [-2, -2, 3], [1, -1, 0]]]),
+    ])
+    def test_seeded_results(self, seed, den, n, want):
+        from hermsq.certificates import psd_symmetric_rational
+        g = seeded_symmetric(seed, den)
+        found = psd_falsify(g, n, 6, seed, 3)
+        assert found == want
+        if found is not None:
+            letters = g.variables()
+            assert len(found) == len(letters)
+            value = nc_eval(g, [found[letters.index(i)] if i in letters else found[0]
+                                for i in range(1, letters[-1] + 1)])
+            assert not psd_symmetric_rational(value)
+
     def test_work_cap_boundary(self, monkeypatch):
         # work = trials x (sum of word lengths) x n^3: (x1* x1)^3 at n = 8
         # is 3072 a trial, so 113 trials fit the cap of 350000 and 114 do not
@@ -758,7 +803,7 @@ class TestFalsify:
 
         def evaluate(f, letters, mats, n):
             calls.append(n)
-            return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            return [[int(i == j) for j in range(n)] for i in range(n)]
 
         monkeypatch.setattr(ncpoly, "_eval_at", evaluate)
         g = (xs(1) * x(1)) ** 3
