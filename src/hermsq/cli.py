@@ -221,34 +221,27 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser, dest, table, path):
-    """Add `table`'s commands under `parser`: only the one that path[0] names,
-    listing all in the usage line through the metavar, or all of them when it
-    names none, with no metavar, so that errors call the argument `dest`."""
-    chosen = path[0] if path and path[0] in table else None
-    metavar = None if chosen is None else "{" + ",".join(table) + "}"
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+def _add_leaf(parser, handler, arguments):
+    """Give `parser` a leaf's arguments and its handler."""
+    for names, kwargs in arguments:
+        parser.add_argument(*names, **kwargs)
+    parser.set_defaults(func=handler)
+
+
+def _add_commands(parser, dest, table):
+    """Add all of `table`'s commands under `parser`, as the argument `dest`."""
+    sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, *body) in table.items():
-        if chosen not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         if isinstance(body[0], dict):
-            _add_commands(p, "subcommand", body[0], path[1:] if chosen else ())
+            _add_commands(p, "subcommand", body[0])
         else:
-            handler, arguments = body
-            for names, kwargs in arguments:
-                p.add_argument(*names, **kwargs)
-            p.set_defaults(func=handler)
+            _add_leaf(p, *body)
 
 
-def build_parser(argv=None):
-    """The parser for `argv`, built only along the path of commands that
-    argv's leading words name, or the full tree when argv is None.
-
-    Only the parsers on that path can print, and each prints what the full
-    tree prints: a group is built whole unless argv names one of its leaves,
-    and the top level, which reports unrecognized arguments under its own
-    usage line, always lists every group in it, through the metavar."""
+def build_parser():
+    """The full command tree.  main() builds it only for help and errors
+    above a leaf, and for arguments a leaf leaves over (see _parse)."""
     parser = argparse.ArgumentParser(
         prog="hermsq",
         description="Exact quadratic-form, involution-algebra and "
@@ -256,13 +249,42 @@ def build_parser(argv=None):
         epilog="Scalar grammar: integers, p/q, X, Y, "
                "operators + - * / ^ and parentheses. NC grammar: sums of "
                "terms 'c x1 x2* ...'. Forms as JSON: {\"entries\": [...]}.")
-    _add_commands(parser, "command", _COMMANDS, argv or ())
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
+def _parse(argv):
+    """argv parsed as the full tree parses it, with one parser when argv's
+    leading words name a leaf.
+
+    That parser is the leaf's, as the full tree builds it (same prog, same
+    arguments), and it gets the rest of argv, as in the tree; so its help,
+    errors and namespace are the tree's, less the tree's `command` and
+    `subcommand`, which nothing reads.  Any other argv goes to the full
+    tree: help or an error above a leaf, and arguments the leaf leaves over,
+    which the top level reports under its own usage line."""
+    table = _COMMANDS
+    for depth, word in enumerate(argv, 1):
+        if word not in table:
+            break
+        body = table[word][1:]
+        if isinstance(body[0], dict):
+            table = body[0]
+            continue
+        leaf = argparse.ArgumentParser(prog="hermsq " + " ".join(argv[:depth]))
+        _add_leaf(leaf, *body)
+        args, extras = leaf.parse_known_args(argv[depth:])
+        if not extras:
+            return args
+        break
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
+    """Run the command argv (sys.argv[1:] by default) names and return its
+    exit code; help and usage errors exit through argparse (0 and 2)."""
     argv = _quote_ordering(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (HermsqError, OSError) as exc:

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -599,91 +600,170 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def built_leaves(parser, path=()):
-    """The command paths under `parser` whose parsers got their arguments."""
-    found = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                found |= built_leaves(sub, (*path, name))
-        elif not isinstance(action, argparse._HelpAction):
-            found.add(path)
-    return found
-
-
 LEAVES = [("qf", "diag"), ("qf", "isotropy"), ("qf", "weak-rep-one"), ("qf", "signature"),
           ("nc", "eval"), ("nc", "identity"), ("nc", "central"), ("nc", "falsify"),
           ("nc", "verify-cert"), ("scenario",)]
 
+# the parsers build_parser() makes: the top level, each group and each leaf
+FULL_TREE = 1 + len({leaf[0] for leaf in LEAVES if len(leaf) > 1}) + len(LEAVES)
+
+
+def by_code(code, *argvs):
+    """argvs for the text comparison, each with the exit code main() gives it."""
+    return [pytest.param(argv, code, id=" ".join(argv) or "(none)") for argv in argvs]
+
+
+# argvs that parse, with the exit code of the command they run in a
+# directory that holds GRAM and CERT
+PARSED = [
+    (0, ["scenario", "thm4.7", "--n", "8", "--seed", "3", "--output", "json"]),
+    (0, ["scenario", "thm3.2"]),
+    (0, ["qf", "diag", "--json", "gram.json", "--output", "json"]),
+    (0, ["qf", "diag", "1", "X"]),
+    (1, ["qf", "isotropy", "--", "1", "1", "-3"]),
+    (2, ["qf", "isotropy", "--weak", "--output", "json", "--", "1", "-X"]),
+    (1, ["qf", "weak-rep-one", "--output", "json", "--", "X", "Y", "X*Y"]),
+    (0, ["qf", "signature", "--ordering=--", "--", "X", "Y"]),
+    (0, ["qf", "signature", "--ordering", "+-", "--output", "json", "X"]),
+    (0, ["nc", "eval", "--poly", "x1 x1", "--matrices", "[[[1]]]", "--output", "json"]),
+    (1, ["nc", "identity", "--poly", "x1 x2 - x2 x1", "--n", "2", "--type", "symplectic"]),
+    (1, ["nc", "central", "--poly", "x1", "--n", "2"]),
+    (0, ["nc", "falsify", "--poly", "x1* x1", "--n", "2", "--trials", "4", "--seed", "7",
+         "--output", "json"]),
+    (0, ["nc", "falsify", "--poly", "x1* x1", "--n", "2"]),
+    (1, ["nc", "verify-cert", "cert.json", "--output", "json"]),
+    # abbreviated options, and --output=json
+    (0, ["qf", "signature", "--ord", "++", "X", "Y"]),
+    (0, ["nc", "falsify", "--po", "x1* x1", "--n", "2", "--tri", "3"]),
+    (0, ["scenario", "thm3.2", "--output=json"]),
+    (0, ["qf", "diag", "--output=json", "--", "X", "-Y"]),
+    # the end-of-options marker before and after a leaf's options
+    (0, ["scenario", "--", "thm3.2"]),
+    (0, ["qf", "signature", "--ordering", "--", "1"]),
+    (0, ["qf", "isotropy", "--weak", "--", "1", "-1"]),
+    (2, ["qf", "isotropy", "--", "--weak", "1"]),
+    (2, ["qf", "isotropy", "1", "--", "-1", "--weak"]),
+    # a repeated option, whose last value counts
+    (0, ["scenario", "thm4.7", "--n", "2", "--n", "4"]),
+    (0, ["qf", "diag", "--output", "json", "--output", "text", "1"]),
+    (1, ["nc", "central", "--poly", "x1", "--poly", "x1 x2 - x2 x1", "--n", "2"]),
+    # a command's name as a value
+    (2, ["qf", "diag", "isotropy"]),
+    (2, ["nc", "eval", "--poly", "eval", "--matrices", "[[[1]]]"]),
+]
+
+GRAM = {"matrix": [["0", "X"], ["X", "0"]]}
+CERT = {"g": "1", "h": "x1", "n": 2, "J": "orthogonal", "weights": [], "terms": {"": ["x1"]}}
+
+
+@pytest.fixture
+def in_tmp_path(monkeypatch, tmp_path):
+    """Run in an empty directory holding GRAM as gram.json and CERT as cert.json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gram.json").write_text(json.dumps(GRAM))
+    (tmp_path / "cert.json").write_text(json.dumps(CERT))
+
 
 class TestPathParser:
-    """main() builds only the parsers on argv's path, and that parser prints
-    and parses exactly as the full tree, build_parser(), does.  The texts
-    are compared on the running interpreter, as argparse's wording differs
+    """main() parses a leaf's argv with the leaf's parser alone, and sends
+    anything else through the full tree, build_parser(); either way it
+    prints and parses exactly as the full tree does.  The texts are
+    compared on the running interpreter, as argparse's wording differs
     between Python versions."""
 
-    @pytest.mark.parametrize("argv", [
-        ["--help"], ["-h"], ["qf", "--help"], ["nc", "--help"],
-        *([*leaf, "--help"] for leaf in LEAVES),
+    @pytest.mark.parametrize("argv, code", [
+        # help at each level, spelled -h, --help and --he
+        *by_code(0, ["--help"], ["-h"], ["qf", "--help"], ["nc", "--help"], ["qf", "--he"],
+                 ["qf", "-h", "diag"],
+                 *([*leaf, flag] for flag in ("--help", "-h", "--he") for leaf in LEAVES)),
         # a missing, or an unknown, group, leaf or scenario
-        [], ["qf"], ["nc"], ["scenario"], ["bogus"], ["bogus", "diag"], ["qf", "bogus"],
-        ["nc", "bogus"], ["scenario", "nope"], ["--", "qf", "diag"], ["qf", "-h", "diag"],
+        *by_code(2, [], ["qf"], ["nc"], ["scenario"], ["bogus"], ["bogus", "diag"],
+                 ["qf", "bogus"], ["nc", "bogus"], ["scenario", "nope"], ["--", "qf", "diag"]),
+        # a leaf with no arguments
+        *by_code(2, *(list(leaf) for leaf in LEAVES if leaf != ("scenario",))),
         # an unknown option, at each level
-        ["--nosuch"], ["qf", "--nosuch"], ["qf", "isotropy", "1", "--weak", "--bad"],
-        ["nc", "falsify", "--poly", "x1", "--n", "2", "--nosuch"],
+        *by_code(2, ["--nosuch"], ["qf", "--nosuch"], ["qf", "isotropy", "1", "--weak", "--bad"],
+                 ["nc", "falsify", "--poly", "x1", "--n", "2", "--nosuch"],
+                 ["qf", "isotropy", "--we", "1", "-X"]),
         # a missing required option or value
-        ["qf", "signature", "1"], ["nc", "eval", "--poly", "x1"], ["nc", "identity", "--poly"],
-        ["qf", "signature", "1", "--ordering"],
+        *by_code(2, ["qf", "signature", "1"], ["nc", "eval", "--poly", "x1"],
+                 ["nc", "identity", "--poly"], ["qf", "signature", "1", "--ordering"]),
         # a bad choice or number
-        ["qf", "diag", "--output", "xml"], ["nc", "central", "--poly", "x1", "--n", "2",
-                                            "--type", "unitary"],
-        ["qf", "signature", "--ordering", "xx", "1"], ["qf", "signature", "--ordering=+x", "1"],
-        ["qf", "signature", "--ordering", "--", "1"], ["nc", "falsify", "--poly", "x1",
-                                                       "--n", "two"],
+        *by_code(2, ["qf", "diag", "--output", "xml"],
+                 ["nc", "central", "--poly", "x1", "--n", "2", "--type", "unitary"],
+                 ["qf", "signature", "--ordering", "xx", "1"],
+                 ["qf", "signature", "--ordering=+x", "1"],
+                 ["nc", "falsify", "--poly", "x1", "--n", "two"]),
         # an extra argument, after the end-of-options marker too
-        ["scenario", "thm3.2", "--", "extra"], ["nc", "verify-cert", "a", "--", "b"],
-        ["qf", "diag", "diag", "--json", "f", "--", "1"],
-    ], ids=lambda argv: " ".join(argv) or "(none)")
-    def test_same_text_as_full_tree(self, capsys, monkeypatch, argv):
-        got = outcome(capsys, argv)
-        full_tree = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda _argv: full_tree())
-        assert got == outcome(capsys, argv)
-        assert got[0] in (0, 2) and "Traceback" not in got[2]
+        *by_code(2, ["scenario", "thm3.2", "--", "extra"], ["nc", "verify-cert", "a", "--", "b"],
+                 ["qf", "diag", "diag", "--json", "f", "--", "1"],
+                 ["scenario", "thm3.2", "scenario"]),
+        *(param for code, argv in PARSED for param in by_code(code, argv)),
+    ])
+    def test_same_text_as_full_tree(self, capsys, monkeypatch, in_tmp_path, argv, code):
+        def text(argv):
+            code, out, err = outcome(capsys, argv)
+            return code, re.sub(r'seconds"?: [0-9.e-]+', "seconds", out), err
 
-    @pytest.mark.parametrize("argv", [
-        ["scenario", "thm4.7", "--n", "8", "--seed", "3", "--output", "json"],
-        ["scenario", "thm3.2"],
-        ["qf", "diag", "--json", "gram.json", "--output", "json"],
-        ["qf", "diag", "1", "X"],
-        ["qf", "isotropy", "--", "1", "1", "-3"],
-        ["qf", "isotropy", "--weak", "--output", "json", "--", "1", "-X"],
-        ["qf", "weak-rep-one", "--output", "json", "--", "X", "Y", "X*Y"],
-        ["qf", "signature", "--ordering=--", "--", "X", "Y"],
-        ["qf", "signature", "--ordering", "+-", "--output", "json", "X"],
-        ["nc", "eval", "--poly", "x1 x1", "--matrices", "[[[1]]]", "--output", "json"],
-        ["nc", "identity", "--poly", "x1 x2 - x2 x1", "--n", "2", "--type", "symplectic"],
-        ["nc", "central", "--poly", "x1", "--n", "2"],
-        ["nc", "falsify", "--poly", "x1* x1", "--n", "2", "--trials", "4", "--seed", "7",
-         "--output", "json"],
-        ["nc", "falsify", "--poly", "x1* x1", "--n", "2"],
-        ["nc", "verify-cert", "cert.json", "--output", "json"],
-    ], ids=" ".join)
+        got = text(argv)
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        assert got == text(argv)
+        assert got[0] == code and "Traceback" not in got[2]
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in PARSED], ids=" ".join)
     def test_same_namespace_as_full_tree(self, argv):
         argv = cli._quote_ordering(argv)
-        got = vars(cli.build_parser(argv).parse_args(argv))
-        assert got == vars(cli.build_parser().parse_args(argv))
+        got = vars(cli._parse(argv))
+        want = vars(cli.build_parser().parse_args(argv))
+        # only the tree names the command it went through, and nothing reads it
+        assert "command" not in got and "subcommand" not in got
+        assert got == {k: v for k, v in want.items() if k not in ("command", "subcommand")}
         assert callable(got["func"])
 
-    def test_builds_only_the_path(self):
-        assert built_leaves(cli.build_parser()) == set(LEAVES)
-        assert built_leaves(cli.build_parser(["scenario", "thm3.2"])) == {("scenario",)}
-        assert built_leaves(cli.build_parser(["qf", "isotropy", "1"])) == {("qf", "isotropy")}
-        assert built_leaves(cli.build_parser(["nc", "falsify"])) == {("nc", "falsify")}
-        # a group named without a known leaf is built whole, and nothing else
-        assert built_leaves(cli.build_parser(["qf", "-h"])) == {
-            leaf for leaf in LEAVES if leaf[0] == "qf"}
-        assert built_leaves(cli.build_parser(["bogus"])) == set(LEAVES)
+    def test_parsers_built_per_call(self, capsys, monkeypatch, in_tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+        def count(argv):
+            built.clear()
+            outcome(capsys, argv)
+            return len(built)
+
+        cli.build_parser()
+        assert len(built) == FULL_TREE
+        # the leaf argvs of TestRepeatedMain and of the golden output tests
+        scenarios = ["cor4.3", "ex-psd", "hall-identity", "lemma3.1", "prop4.1", "thm3.2",
+                     "thm3.3", "thm4.7", "ex-psd --n 3", "thm4.7 --n 6 --seed 1"]
+        for argv in [["scenario", "thm3.2", "--output", "json"], ["scenario", "thm3.2"],
+                     ["qf", "signature", "--ordering", "--", "--output", "json", "--", "X", "Y"],
+                     ["qf", "signature", "--ordering=+x", "X"], ["qf", "signature", "X"],
+                     *(["scenario", *name.split(), "--output", "json"] for name in scenarios),
+                     ["qf", "diag", "--json", "gram.json", "--output", "json"],
+                     ["qf", "weak-rep-one", "X/2", "3/Y", "2", "--output", "json"]]:
+            assert count(argv) == 1, built
+        # help and errors above a leaf, and a leaf's leftover arguments
+        assert count(["-h"]) == FULL_TREE
+        assert count(["qf", "-h"]) == FULL_TREE
+        assert count(["bogus"]) == FULL_TREE
+        assert count(["scenario", "thm3.2", "--", "extra"]) == 1 + FULL_TREE
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "thm3.2", "--", "extra"],
+        ["qf", "isotropy", "1", "--weak", "--bad"],
+        ["qf", "diag", "diag", "--json", "f", "--", "1"],
+    ], ids=" ".join)
+    def test_leftover_arguments_are_the_top_levels_error(self, capsys, argv):
+        # the leaf's parser alone would print its own usage line
+        code, out, err = outcome(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: hermsq [-h]")
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("argv, wording", [
         ([], "the following arguments are required: command"),
