@@ -232,3 +232,5 @@ def loads(text):
         raise ParseError(f"malformed JSON: {exc.msg}", exc.pos)
     except RecursionError:
         raise ParseError("malformed JSON: nested too deeply", 0) from None
+    except ValueError as exc:   # a number over sys.get_int_max_str_digits()
+        raise ParseError(f"malformed JSON: {exc}", 0) from None

@@ -21,15 +21,20 @@ one int addition.  Y_l and its star come from the involution applied to
 the int matrix of the variables' slot numbers s + 1, which it only moves
 and negates.  `is_identity_mod_a` and `is_central_nonvanishing` decide on
 that packed form directly and build no `ZPolynomial`.  The packed walk
-groups the children of a node whose suffix polynomials are proportional,
-k_l times that of one of them (x_i and x_i* in a polynomial of x_i - x_i*,
-with k = -1): the group is one product, (sum of k_l Y_l) times that one
-value, and the other subtries are never evaluated.  The classes come from
-one bottom-up pass over the trie with int arithmetic only.  So s4 of
-x_i - x_i* on M_3 evaluates 65 of its 633 trie nodes, in 4.0 ms instead of
-14.9 ms, and s4 of x_i + x_i* in 7.0 ms instead of 19.2 ms; s4 and s6 of
-plain letters have no such siblings and take as long as before (2.8 ms,
-and about 0.19 s for s6 on M_3), minima on a 2-vCPU VM, Python 3.11.
+evaluates primitive suffix classes.  The suffix polynomial of a trie node u
+(the sum of c_(u w) w over the words w) is scale[u] times a primitive C_u,
+scale[u] the gcd of u's coefficient and its children's scales, so a child
+u l enters C_u with the integer weight k_l = scale[u l] / scale[u], and the
+value of u is C_u at the generic matrices.  Children with one C (x_i and
+x_i* in a polynomial of x_i - x_i*, or of 2 x_i + 3 x_i*) form a class,
+and each class is one step, (sum of k_l Y_l) times the value of one
+member; the other members' subtries are never evaluated.  The root keeps
+its scale, so its value is the image of f.  The classes come from one
+bottom-up pass over the trie with int arithmetic only.  So s4 of x_i - x_i*
+on M_3 evaluates 65 of its 633 trie nodes, in 4.1 ms, and s4 of
+2 x_i + 3 x_i* as many, in 9.2 ms where evaluating the pair members one by
+one took 21 ms; s6 of plain letters has no such siblings and takes about
+0.19 s on M_3 (minima with the screen off, on a 2-vCPU VM, Python 3.11).
 
 Before the expansion, the decisions try one integer point.  The same
 bottom-up pass computes, for each new class C, the int vector C(M) v at
@@ -41,10 +46,10 @@ proves that f is not a *-identity, and one that is not a multiple of v
 that f is not central: f(M) v is the value at an integer point of the
 generic image applied to v, and a polynomial with a nonzero value is not
 zero (the easy half of the Schwartz-Zippel lemma).  Then the decision
-returns False, and the plan's top-down loop, the packed images and the
-expansion are skipped.  There is one point and one try, the same on every
-run.  A miss, a vector of 0 or a multiple of v, proves nothing either way:
-the expansion decides, as it would without the screen, so every True, and
+returns False, and the plan's top-down loop and the expansion are
+skipped.  There is one point and one try, the same on every run.  A
+miss, a vector of 0 or a multiple of v, proves nothing either way: the
+expansion decides, as it would without the screen, so every True, and
 every False the point misses, still comes from the expansion, and every
 answer stays exact.  On the refutations of the benchmark the screen
 answers alone, s4 on M_3 in 0.23 ms instead of 3.3 ms and s4 of
@@ -69,7 +74,7 @@ from operator import mul
 from .certificates import _psd_integral, parse_selector
 from .errors import HermsqError, ParseError, ResourceLimitError, ShapeError
 from .linalg import add, identity, mat_mul, transpose
-from .scalars import TermMap
+from .scalars import TermMap, _int_literal
 from .involutions import AlgebraWithInvolution, InvolutionSpec
 from .zpoly import ZPolynomial
 
@@ -256,9 +261,11 @@ _NC_TOKEN = re.compile(r"\s*(x\d+\*?|\d+/\d+|\d+|[-+])")
 
 def parse_nc(text, max_degree=None):
     """Sums of terms; a term is an optional rational followed by letters.
-    The terms are summed into one dict.  With max_degree, the first word
-    longer than it raises ResourceLimitError as it is read, before any
-    later term (and even if a later term would cancel it)."""
+    The terms are summed into one dict.  An integer literal over Python's
+    int/str conversion limit is refused as in the scalar grammar.  With
+    max_degree, the first word longer than it raises ResourceLimitError as
+    it is read, before any later term (and even if a later term would
+    cancel it)."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -291,7 +298,7 @@ def parse_nc(text, max_degree=None):
                 sign = -sign
         elif tok[0] == "x":
             star = tok.endswith("*")
-            idx = int(tok[1:-1] if star else tok[1:])
+            idx = _int_literal(tok[1:-1] if star else tok[1:], at)
             if idx < 1:
                 raise ParseError("variable index must be positive", at)
             word.append(-idx if star else idx)
@@ -303,10 +310,11 @@ def parse_nc(text, max_degree=None):
         else:
             if coeff is not None or word:
                 raise ParseError("coefficient must lead its term", at)
-            try:
-                coeff = Fraction(tok)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", at) from None
+            num, _, den = tok.partition("/")
+            den = _int_literal(den, at) if den else 1
+            if not den:
+                raise ParseError("zero denominator", at)
+            coeff = Fraction(_int_literal(num, at), den)
             pending = True
     # every other token sets pending, so only a sign can end without a term
     if tokens and tokens[-1][0] in "+-":
@@ -493,17 +501,6 @@ def _generic_letters(f, n, J):
     return slots, point, v
 
 
-def _packed_images(slots, degree):
-    """(images, w): images[l] is slots[l] as an n x n array of (sign,
-    packed variable), and w is the field width for images of degree at
-    most `degree`."""
-    w = max(degree.bit_length(), 1)
-    images = {l: [[(1, 1 << w * (v - 1)) if v > 0 else (-1, 1 << w * (-v - 1))
-                   for v in row] for row in m]
-              for l, m in slots.items()}
-    return images, w
-
-
 def _screen_value(number):
     """The screen's integer for a slot number: 2^number mod 101, less 50."""
     return pow(2, number, 101) - 50
@@ -517,31 +514,33 @@ def _not_parallel(u, v):
 
 def _packed_plan(f, mats, v, refutes):
     """(coeffs, plan) for the trie of f, whose coefficients are integers,
-    or None when refutes(u, v) for u = f(M) v, M_l = mats[l]:
-    coeffs[u] is the int coefficient of the word u in f (0 if u is not a
-    term), and plan[u] lists the products that give the value V(u) of the
-    node u, or is None when no product needs V(u).  A step (l, child) adds
-    images[l] * V(child); a step (letters, child), letters a tuple of
-    (l, k) pairs, adds (sum of k * images[l]) * V(child) for a group of
-    siblings whose suffix polynomials are k times that of child.
+    or None when refutes(u, v) for u = f(M) v, M_l = mats[l]: plan[u]
+    lists the steps that give the value of the node u, or is None when no
+    step needs it, and coeffs[u] is the int coefficient of that value.
 
     The suffix polynomial P_u (the sum of c_(u w) w over the words w) is
     scale[u] * C_u, with C_u primitive and positive at its first word: the
     empty word if u is a term, else the first word of C_(u l) after the
-    least letter l of u's children.  The class of u is its key
-    (c_u / scale[u], ((l, scale[u l] / scale[u], class of u l) ...)), so
-    proportional nodes, and only they, share a class, found bottom-up with
-    ints alone.  The same pass gives each new class C of a node u its vector
-    C(M) v = (c_u / scale[u]) v
-             + sum over u's children u l of (scale[u l] / scale[u]) M_l C_(u l)(M) v,
+    least letter l of u's children.  So scale[u] is the gcd of u's
+    coefficient c_u and its children's scales, and
+    C_u = c_u / scale[u] + sum over u's children u l of k_l x_l C_(u l),
+    with the integer weights k_l = scale[u l] / scale[u].  The class of u is
+    its key (c_u / scale[u], ((l, k_l, class of u l) ...)), so proportional
+    nodes, and only they, share a class, found bottom-up with ints alone.
+    The same pass gives each new class C of a node u its vector
+    C(M) v = (c_u / scale[u]) v + sum over u's children u l of k_l M_l C_(u l)(M) v,
     so f(M) v = scale[root] C_root(M) v costs one matrix-vector product per
     child of a class, and a bound on the monomials of an entry of C's
-    image.  When refutes(u, v), nothing more is done.  Otherwise a group
-    of siblings of one class is evaluated through its member of least
-    |scale| when every other member's scale is a multiple of that one's,
-    and member by member otherwise; and a plan whose work, n^3 times the
-    letters of each step times the bound below it, exceeds
-    MAX_KERNEL_WORK raises ResourceLimitError."""
+    image.  When refutes(u, v), nothing more is done.
+
+    Otherwise the value of a planned node u is C_u(Y), and coeffs[u] is
+    c_u / scale[u]; the root keeps its scale (it divides by 1), so its
+    value is f's image.  Each class of u's children is one step
+    (letters, child), letters the (l, k_l) pairs of its members and child
+    any one of them: the step adds (sum of k_l Y_l) * C_child(Y), and the
+    other members are never evaluated.  A plan whose work, n^3 times the
+    letters of each step times the bound below it, exceeds MAX_KERNEL_WORK
+    raises ResourceLimitError."""
     coeffs, children = _word_trie(f)
     coeffs = [0 if c is None else int(c) for c in coeffs]
     count = len(coeffs)
@@ -602,10 +601,12 @@ def _packed_plan(f, mats, v, refutes):
     for node, steps in enumerate(plan):
         if steps is None:
             continue
+        g = scale[node] if node else 1
+        coeffs[node] //= g
         kids = children[node]
         if len(kids) == 1:
             (l, child), = kids.items()
-            steps.append((l, child))
+            steps.append((((l, scale[child] // g),), child))
             plan[child] = []
             work += sizes[cls[child]]
             continue
@@ -613,17 +614,10 @@ def _packed_plan(f, mats, v, refutes):
         for l, child in kids.items():
             groups.setdefault(cls[child], []).append((l, child))
         for k, members in groups.items():
+            child = members[0][1]
+            steps.append((tuple([(l, scale[u] // g) for l, u in members]), child))
+            plan[child] = []
             work += len(members) * sizes[k]
-            if len(members) > 1:
-                rep = min([child for _, child in members], key=lambda child: abs(scale[child]))
-                g = scale[rep]
-                if all(scale[child] % g == 0 for _, child in members):
-                    steps.append((tuple([(l, scale[child] // g) for l, child in members]), rep))
-                    plan[rep] = []
-                    continue
-            for l, child in members:
-                steps.append((l, child))
-                plan[child] = []
     work *= n ** 3
     if work > MAX_KERNEL_WORK:
         raise ResourceLimitError(
@@ -632,35 +626,44 @@ def _packed_plan(f, mats, v, refutes):
     return coeffs, plan
 
 
-def _combined_image(letters, images, n):
-    """The sum of k * images[l] over the (l, k) pairs of letters as an
-    n x n array of tuples of (coefficient, packed variable), without the
-    variables whose coefficients cancel (the diagonal of Y - Y^t)."""
-    span = range(n)
+def _step_image(letters, slots, w):
+    """The sum of k * Y_l over the (l, k) pairs of letters, Y_l the generic
+    matrix of the slot numbers slots[l] packed in fields of w bits, as n
+    rows, row i the list of its terms (coefficient, packed variable,
+    column), without the variables whose coefficients cancel (the diagonal
+    of Y - Y^t)."""
+    if len(letters) == 1:
+        # a lone letter's entries are one variable each, with nothing to sum
+        (l, k), = letters
+        return [[(k if s > 0 else -k, 1 << w * (abs(s) - 1), t)
+                 for t, s in enumerate(row)] for row in slots[l]]
     out = []
-    for i in span:
-        row = []
-        for j in span:
+    for row in zip(*[slots[l] for l, _ in letters]):
+        terms = []
+        for t, entry_slots in enumerate(zip(*row)):
             entry = {}
-            for l, k in letters:
-                s, var = images[l][i][j]
-                entry[var] = entry.get(var, 0) + s * k
-            row.append(tuple((k, var) for var, k in entry.items() if k))
-        out.append(row)
+            for (_, k), s in zip(letters, entry_slots):
+                var = 1 << w * (abs(s) - 1)
+                entry[var] = entry.get(var, 0) + (k if s > 0 else -k)
+            terms += [(k, var, t) for var, k in entry.items() if k]
+        out.append(terms)
     return out
 
 
-def _packed_eval(coeffs, plan, images, n):
-    """Image of the polynomial of `_packed_plan`'s (coeffs, plan) as an
-    n x n array of {packed monomial: coefficient} dicts without zero
-    coefficients, by the Horner recursion of `_eval_words` over the same
-    trie, following the plan: each monomial of a child's value is shifted
-    into place by one int addition (and multiplied by k for a group's sum
-    of images) and accumulated into V(u) in place.  The values are the true
-    V(u), and each is freed when its parent has used it; the monomials that
-    cancel are deleted from the entries where some did."""
+def _packed_eval(coeffs, plan, slots, w, n):
+    """Value of the root of `_packed_plan`'s (coeffs, plan), the image of
+    f, as an n x n array of {packed monomial: coefficient} dicts without
+    zero coefficients, by the Horner recursion of `_eval_words` over the
+    same trie, following the plan: a node's value is coeffs[u] * I plus,
+    for each step (letters, child), the step's image (`_step_image`, over
+    the slots and field width w) times the child's value.  Each term
+    k * var of row i and column t of the image shifts each monomial of row
+    t of the child's value into place by one int addition, multiplies it
+    by k and accumulates it into row i in place.  Each value is freed when
+    its parent has used it; the monomials that cancel are deleted from the
+    entries where some did."""
     span = range(n)
-    combined = {}
+    images = {}
     values = [None] * len(plan)
     for node in reversed(range(len(plan))):
         steps = plan[node]
@@ -674,42 +677,25 @@ def _packed_eval(coeffs, plan, images, n):
         for letters, child in steps:
             below = values[child]
             values[child] = None
-            # a single letter keeps its own loop: through the combined one,
-            # with its extra loop per entry, commutator-M2 took 15% longer
-            if type(letters) is int:
-                for image_row, out_row in zip(images[letters], value):
-                    for (s, var), below_row in zip(image_row, below):
-                        for out, src in zip(out_row, below_row):
-                            get = out.get
-                            if s > 0:
-                                for m, c in src.items():
-                                    m += var
-                                    out[m] = get(m, 0) + c
-                            else:
-                                for m, c in src.items():
-                                    m += var
-                                    out[m] = get(m, 0) - c
-                continue
-            image = combined.get(letters)
+            image = images.get(letters)
             if image is None:
-                image = combined[letters] = _combined_image(letters, images, n)
-            for image_row, out_row in zip(image, value):
-                for entry, below_row in zip(image_row, below):
-                    for k, var in entry:
-                        for out, src in zip(out_row, below_row):
-                            get = out.get
-                            if k == 1:
-                                for m, c in src.items():
-                                    m += var
-                                    out[m] = get(m, 0) + c
-                            elif k == -1:
-                                for m, c in src.items():
-                                    m += var
-                                    out[m] = get(m, 0) - c
-                            else:
-                                for m, c in src.items():
-                                    m += var
-                                    out[m] = get(m, 0) + k * c
+                image = images[letters] = _step_image(letters, slots, w)
+            for terms, out_row in zip(image, value):
+                for k, var, t in terms:
+                    for out, src in zip(out_row, below[t]):
+                        get = out.get
+                        if k == 1:
+                            for m, c in src.items():
+                                m += var
+                                out[m] = get(m, 0) + c
+                        elif k == -1:
+                            for m, c in src.items():
+                                m += var
+                                out[m] = get(m, 0) - c
+                        else:
+                            for m, c in src.items():
+                                m += var
+                                out[m] = get(m, 0) + k * c
         if steps:
             for row in value:
                 for out in row:
@@ -754,8 +740,7 @@ def _integral_image(f, n, J, max_degree, refutes):
     planned = _packed_plan(f, point, v, refutes)
     if planned is None:
         return None
-    images, _ = _packed_images(slots, degree)
-    return _packed_eval(*planned, images, n)
+    return _packed_eval(*planned, slots, max(degree.bit_length(), 1), n)
 
 
 def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):

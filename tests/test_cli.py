@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hermsq
-from hermsq import cli, jsonio, ncpoly
+from hermsq import cli, jsonio, ncpoly, qforms
 from hermsq.cli import main
 from hermsq.jsonio import dumps
 
@@ -265,6 +265,26 @@ class TestQfCommands:
         assert proc.returncode == 0
         assert "weakly represents 1: True" in proc.stdout
 
+    def test_weak_rep_one_skips_a_with_no_three_squares(self, capsys):
+        # n = 47124799620434412028532003: the greedy four-squares search
+        # ran its inner loops to the end at each a with n - a^2 of the form
+        # 4^k (8m + 7), which no three squares sum to, for over 60 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "qf", "weak-rep-one", "--output", "json", "--",
+                             "1/47124799620434412028532003", "X", "Y")
+        assert time.perf_counter() - start < 5
+        assert code == 0 and err == ""
+        roots = [int(v[0]) for v in json.loads(out)["vectors"]]
+        assert sum(r * r for r in roots) == 47124799620434412028532003
+
+    def test_four_squares_over_the_cap_is_resource_error(self, capsys):
+        # the first odd integer over the bit cap, refused before the search
+        n = (1 << qforms.MAX_FOUR_SQUARES_BITS) + 1
+        code, out, err = run(capsys, "qf", "weak-rep-one", "--", f"1/{n}", "X", "Y")
+        assert code == 2 and out == ""
+        assert f"exceeds the cap of {qforms.MAX_FOUR_SQUARES_BITS} bits" in err
+        assert "Traceback" not in err
+
     def test_missing_form_is_input_error(self, capsys):
         code, _, err = run(capsys, "qf", "isotropy")
         assert code == 2
@@ -512,6 +532,16 @@ class TestNcCommands:
         assert code == 2 and out == ""
         assert "too long to print" in err and "Traceback" not in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on int to str conversion")
+    def test_index_over_the_digit_limit(self, capsys):
+        # int() on a 5000-digit variable index raised a ValueError, exit 1
+        # with a traceback
+        code, out, err = run(capsys, "nc", "identity", "--poly", "x" + "1" * 5000, "--n", "2")
+        assert code == 2 and out == ""
+        assert "integer literal of 5000 digits is too long to read" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n", [9, 60])
     def test_eval_matrix_size_cap(self, capsys, monkeypatch, n):
         # the size cap of falsify, checked before any product
@@ -581,6 +611,23 @@ class TestMalformedJson:
         code, out, err = run(capsys, *argv, str(path))
         assert code == 2 and out == ""
         assert "nested too deeply" in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on int to str conversion")
+    @pytest.mark.parametrize("argv", [["qf", "diag", "--json"], ["nc", "eval"]])
+    def test_number_over_the_digit_limit_is_input_error(self, capsys, tmp_path, argv):
+        # json.loads raises a bare ValueError on a number of more than 4300
+        # digits, which escaped with a traceback and exit 1
+        big = "1" * 5000
+        if argv[0] == "qf":
+            path = tmp_path / "doc.json"
+            path.write_text('{"entries": [%s]}' % big)
+            argv = argv + [str(path)]
+        else:
+            argv = argv + ["--poly", "x1", "--matrices", "[[[%s]]]" % big]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed JSON: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("matrices", ['{"a": 1}', "[[1, 2]]", '[[["1/0"]]]',
                                           '[[["x"]]]', "[[[true]]]", "[[]]"])

@@ -4,6 +4,7 @@ positivity."""
 import itertools
 import os
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -13,7 +14,7 @@ from hermsq.errors import (CertificateError, HermsqError, ParseError,
                            ResourceLimitError, ShapeError)
 from hermsq.scalars import as_scalar
 from hermsq.zpoly import ZPolynomial
-from hermsq import ncpoly
+from hermsq import jsonio, ncpoly
 from hermsq.ncpoly import (GenericMatrixContext, NCPolynomial,
                            PositivstellensatzCertificate, commutator,
                            format_nc, generic_eval, is_central_nonvanishing,
@@ -139,6 +140,24 @@ class TestGrammar:
         # repeated signs before a term still parse
         assert parse_nc("x1 + + x2") == parse_nc("x1 + x2")
         assert parse_nc("- - x1") == parse_nc("x1")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on int to str conversion")
+    @pytest.mark.parametrize("text", [
+        "x" + "1" * 5000, "x1 x" + "1" * 5000 + "*", "1" * 5000 + " x1",
+        "1" * 5000 + "/3 x1", "3/" + "1" * 5000 + " x1"])
+    def test_literal_over_the_digit_limit(self, text):
+        # a variable index or a coefficient over Python's int/str digit
+        # limit raised a bare ValueError from int() or Fraction(); it is
+        # refused as the scalar grammar refuses such a literal, also inside
+        # a certificate document
+        message = "integer literal of 5000 digits is too long to read"
+        with pytest.raises(ResourceLimitError, match=message):
+            parse_nc(text)
+        doc = {"g": "1", "h": "1", "n": 2, "J": "orthogonal", "weights": [],
+               "terms": {"": ["x1", text]}}
+        with pytest.raises(ResourceLimitError, match=message):
+            jsonio.psatz_cert_from_json(doc)
 
     def test_terms_summed_in_one_dict(self, monkeypatch):
         # adding each term through NCPolynomial.__add__ copies the whole
@@ -361,8 +380,8 @@ def packed_image(f, n, J="orthogonal"):
     """f's image through the packed kernel, unscreened, and its field
     width."""
     slots, _, _ = ncpoly._generic_letters(f, n, J)
-    images, w = ncpoly._packed_images(slots, f.degree())
-    return ncpoly._packed_eval(*packed_plan(f, n, J), images, n), w
+    w = max(f.degree().bit_length(), 1)
+    return ncpoly._packed_eval(*packed_plan(f, n, J), slots, w, n), w
 
 
 def unpack(value, w, f, n):
@@ -496,17 +515,15 @@ class TestPackedKernel:
         assert is_identity_mod_a(f, 3)
         assert not is_identity_mod_a(standard_of([x(i) + xs(i) for i in range(1, 5)]), 3)
 
-    def test_non_integral_ratios_split_the_group(self):
+    def test_any_integer_ratios_group_siblings(self):
         # a x_i + b x_i*: the children x_i and x_i* have suffix polynomials
-        # in the ratio a : b, one product for both only when b / a is an
-        # integer (or a / b), and one each for 2 : 3
+        # in the ratio a : b, one product for both at any ratio, 2 : 3 too,
+        # so s3 evaluates 1 + 3 + 3*2 + 3*2 of its 79 trie nodes
         rng = random.Random(311)
-        for (a, b), grouped in (((2, 3), False), ((3, -2), False), ((1, 2), True),
-                                ((-3, 1), True), ((2, -2), True)):
+        for a, b in ((2, 3), (3, -2), (1, 2), (-3, 1), (2, -2)):
             letters = [a * x(i) + b * xs(i) for i in range(1, 4)]
             f = standard_of(letters)
-            done, nodes = self.evaluated(f)
-            assert (done < nodes) is grouped
+            assert self.evaluated(f) == (16, 79)
             for J, n in (("orthogonal", 2), ("orthogonal", 3), ("symplectic", 2)):
                 got, want = self.packed_and_naive(f, n, J)
                 assert got == want
@@ -519,11 +536,27 @@ class TestPackedKernel:
                 got, want = self.packed_and_naive(f, n, J)
                 assert got == want
 
+    def test_non_multiple_weights_take_one_step_per_pair(self):
+        # s4 of 2 x_i + 3 x_i*: the children x_i and x_i* of each node have
+        # suffix polynomials in the ratio 2 : 3, neither a multiple of the
+        # other, and each pair is one step of the two letters
+        f = standard_of([2 * x(i) + 3 * xs(i) for i in range(1, 5)])
+        _, plan = packed_plan(f, 1)
+        steps = [letters for node in plan if node for letters, _ in node]
+        assert steps and all(len(letters) == 2 and letters[0][0] == -letters[1][0]
+                             for letters in steps)
+        assert self.evaluated(f) == (65, 633)
+        for J, n in (("orthogonal", 3), ("symplectic", 2)):
+            got, want = self.packed_and_naive(f, n, J)
+            assert got == want
+        assert not is_identity_mod_a(f, 3)
+
     def test_negative_leaves_zero_constant_and_negation(self):
         f = -3 * x(1) * x(2) + 3 * x(1) * xs(2) - 5 * xs(1) * x(2) + 5 * xs(1) * xs(2)
-        # x2 and x2* under x1 (leaves -3 and 3) and under x1* (-5 and 5),
-        # and the two subtrees, in the ratio 3 : 5, are not merged
-        assert self.evaluated(f) == (5, 7)
+        # x2 and x2* under x1 (leaves -3 and 3) and under x1* (-5 and 5):
+        # the two subtrees, in the ratio 3 : 5, are one step of the root,
+        # and each pair of leaves one step of its parent
+        assert self.evaluated(f) == (3, 7)
         # x1 and x2 below the root lead to one letter x3 each, and differ
         # only further down, or only in being terms themselves
         chains = [x(1) * x(3) * x(4) + 2 * x(2) * x(3) * x(5)

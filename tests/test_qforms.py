@@ -4,10 +4,11 @@ representation of 1."""
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from hermsq import linalg, scalars
+from hermsq import linalg, qforms, scalars
 from hermsq.errors import (HermsqError, NotMonomialError, ResourceLimitError,
                            ShapeError, SingularMatrixError)
 from hermsq.qforms import (DiagonalForm, Diagonalization, GramForm, WeakRepresentation,
@@ -364,6 +365,37 @@ class TestFourSquares:
             sq = four_squares(n)
             assert len(sq) == 4
             assert sum(s * s for s in sq) == n
+
+    def test_witnesses_unchanged(self):
+        # the greedy witnesses the search gave before it skipped what
+        # cannot succeed
+        for n, sq in ((0, (0, 0, 0, 0)), (1, (1, 0, 0, 0)), (2, (1, 1, 0, 0)),
+                      (7, (2, 1, 1, 1)), (30, (5, 2, 1, 0)), (1000, (30, 10, 0, 0)),
+                      (9999, (99, 14, 1, 1)),
+                      (7 * 4 ** 20, (2097152, 1048576, 1048576, 1048576))):
+            assert four_squares(n) == sq
+
+    def test_skips_what_cannot_succeed(self):
+        # the inner loops ran to the end for each a with n - a^2 of the
+        # form 4^k (8m + 7) (over 60 s here), and for n - a^2 = 3 * 4^19
+        # tried every b although only multiples of 2^19 can do
+        a = 2 ** 40 + 1
+        for n, first in ((47124799620434412028532003, 6864750514069),
+                         (a * a + 3 * 4 ** 19, a)):
+            start = time.perf_counter()
+            sq = four_squares(n)
+            assert time.perf_counter() - start < 1
+            assert sum(s * s for s in sq) == n and sq[0] == first
+
+    def test_bit_cap(self):
+        # checked on n with its factors of 4 taken out, before the search:
+        # k^2 + 1 has exactly the cap's bits, and 2^cap + 1 one more
+        bits = qforms.MAX_FOUR_SQUARES_BITS
+        k = isqrt(1 << bits) - 1
+        assert four_squares(k * k + 1) == (k, 1, 0, 0)
+        assert four_squares((k * k + 1) * 4 ** 10) == (k << 10, 1 << 10, 0, 0)
+        with pytest.raises(ResourceLimitError, match=f"of {bits + 1} bits .* cap of {bits} bits"):
+            four_squares((1 << bits) + 1)
 
     def test_negative_rejected(self):
         with pytest.raises(HermsqError):
