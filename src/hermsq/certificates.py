@@ -6,7 +6,7 @@ Every function here that returns a certificate verifies it once and raises
 CertificateError if that fails, so callers do not check it again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CertificateError, ShapeError
 from .linalg import Congruence, block_congruence, clear_denominators, divide, mat_mul
@@ -24,7 +24,6 @@ class HermSqCertificate:
     algebra: object
     target: object
     witnesses: list
-    details: dict = field(default_factory=dict)
 
 
 def verify_hermsq(cert):
@@ -184,15 +183,6 @@ def tensor_certificates(c1, c2):
 
 # -- the -1 certificate under Int(S) o transpose ----------------------------
 
-def _blocks(n, lower):
-    """Block diagonal matrix of n/2 blocks [[0, 1], [lower, 0]]."""
-    b = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
-    for t in range(0, n, 2):
-        b[t][t + 1] = as_scalar(1)
-        b[t + 1][t] = as_scalar(lower)
-    return b
-
-
 def symplectic_minus_one(s):
     """Single-witness certificate for -1 in (M_n(F), Int(S) o transpose).
 
@@ -201,19 +191,15 @@ def symplectic_minus_one(s):
     blockwise antidiagonal satisfying X^t B X = B^{-1}, and Y = P X P^t,
     the witness W = S Y satisfies sigma(W) W = -I.  Y and W are formed over
     Z[X, Y] (on ints for a constant S) from P's fraction-free form (P', d),
-    and each entry is reduced once.  The intermediate matrices are recorded
-    under details.
+    and only W's entries are reduced, each once.
     """
     n = len(s)
     s = [[as_scalar(v) for v in row] for row in s]
     alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
-    y, y_num, y_den = block_congruence(*alg.skew_pd, 1, 1)
+    y_num, y_den = block_congruence(*alg.skew_pd, 1, 1)
     s_den, s_num = clear_denominators(s)
     w = divide(mat_mul(s_num, y_num, type(s_den)()), [s_den * y_den] * n)
-    return _verified(HermSqCertificate(alg, alg.scalar(-1), [w],
-                                       details={"P": divide(*alg.skew_pd),
-                                                "B": _blocks(n, -1), "X": _blocks(n, 1),
-                                                "Y": y, "S": s}))
+    return _verified(HermSqCertificate(alg, alg.scalar(-1), [w]))
 
 
 # -- counterexample pipelines ----------------------------------------------

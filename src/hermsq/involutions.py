@@ -307,8 +307,9 @@ class AlgebraWithInvolution:
             if len(param) != n or any(len(r) != n for r in param):
                 raise ShapeError("skew matrix size must match n")
             # S^-1 = P B^-1 P^t, B^-1 with the blocks [[0, -1], [1, 0]]
-            self.skew_pd = p, dens = skew_congruence(param)
-            self._skew_inv = linalg.block_congruence(p, dens, -1, 1)[0]
+            self.skew_pd = skew_congruence(param)
+            num, lcm = linalg.block_congruence(*self.skew_pd, -1, 1)
+            self._skew_inv = linalg.divide(num, [lcm] * n)
 
     # -- element plumbing ------------------------------------------------
 
@@ -373,13 +374,12 @@ class AlgebraWithInvolution:
                      for j, v in enumerate(column)]
                     for i, column in enumerate(zip(*x))]
         if kind == "symplectic_standard":
+            # sigma(x)_ij = x[pi(j)][pi(i)] for pi(k) = (k + n/2) mod n,
+            # negated when i and j lie in different halves
             m = self.n // 2
-            tl = [[x[m + j][m + i] for j in range(m)] for i in range(m)]
-            tr = [[-x[j][m + i] for j in range(m)] for i in range(m)]
-            bl = [[-x[m + j][i] for j in range(m)] for i in range(m)]
-            br = [[x[j][i] for j in range(m)] for i in range(m)]
-            return ([tl[i] + tr[i] for i in range(m)]
-                    + [bl[i] + br[i] for i in range(m)])
+            pi = [(k + m) % self.n for k in range(self.n)]
+            return [[x[pj][pi[i]] if (i < m) == (j < m) else -x[pj][pi[i]]
+                     for j, pj in enumerate(pi)] for i in range(self.n)]
         # int_skew: S x^t S^-1
         return self.mul(self.mul(self.sigma.param, linalg.transpose(x)),
                         self._skew_inv)

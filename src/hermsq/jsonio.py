@@ -6,6 +6,7 @@ document is the identity.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimitError, ShapeError
@@ -225,6 +226,17 @@ def dumps(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _json_int(tok):
+    """The int of a JSON integer token; one over Python's int/str conversion
+    limit (sys.get_int_max_str_digits()) is refused, not a ValueError."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ResourceLimitError(
+            f"JSON number of {len(tok.lstrip('-'))} digits is too long to read "
+            f"(the limit is {sys.get_int_max_str_digits()} digits)") from None
+
+
 def loads(text):
     try:
         return json.loads(text)
@@ -232,5 +244,6 @@ def loads(text):
         raise ParseError(f"malformed JSON: {exc.msg}", exc.pos)
     except RecursionError:
         raise ParseError("malformed JSON: nested too deeply", 0) from None
-    except ValueError as exc:   # a number over sys.get_int_max_str_digits()
-        raise ParseError(f"malformed JSON: {exc}", 0) from None
+    except ValueError:
+        # a number over the digit limit: read again to name it
+        return json.loads(text, parse_int=_json_int)

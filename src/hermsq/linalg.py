@@ -11,10 +11,11 @@ entry once: its products are summed over a common denominator
 
 The eliminations are over Z[X, Y]: `Congruence` is a fraction-free
 (Bareiss) congruence reducer, and `block_congruence` forms P K P^t from
-its output.  `Congruence` has three users: `qforms.diagonalize` and
-`involutions.skew_congruence` read its pivots and transform, and
-`certificates.psd_symmetric_rational` reads only the signs of its 1 x 1
-pivots.  A matrix over Q(X, Y) enters through `clear_denominators`
+its output as one `mat_mul`, returning the fraction-free pair (N, L) for
+its callers to reduce or not.  `Congruence` has three users:
+`qforms.diagonalize` and `involutions.skew_congruence` read its pivots
+and transform, and `certificates.psd_symmetric_rational` reads only the
+signs of its 1 x 1 pivots.  A matrix over Q(X, Y) enters through `clear_denominators`
 and leaves through `divide`, which reduces each entry once.
 
 Between those two edges the entries are `Polynomial`s, or Python ints
@@ -256,34 +257,15 @@ class Congruence:
 def block_congruence(num, dens, upper, lower):
     """P K P^t for P whose column j is column j of num over dens[j], and K
     block diagonal with the 2 x 2 blocks [[0, upper], [lower, 0]], upper
-    and lower each 1 or -1.  Returns (R, N, L): R = P K P^t over Q(X, Y),
-    and N over Z[X, Y] (ints when num and dens are) with R = N / L, where
-    L is the lcm of the column pairs' denominators dens[t] * dens[t + 1].
-    R is symmetric when upper = lower and skew when upper = -lower, so only
-    its upper triangle is computed and reduced."""
+    and lower each 1 or -1.  Returns (N, L) with P K P^t = N / L: L is the
+    lcm of the column pairs' denominators dens[t] * dens[t + 1], and N is
+    over Z[X, Y] (ints when num and dens are)."""
     n = len(num)
     pairs = [dens[t] * dens[t + 1] for t in range(0, n, 2)]
     lcm = reduce(_lcm, pairs)
-    factors = [_divexact(lcm, d) for d in pairs]
-    sign = upper * lower
-    zero = type(lcm)()
-    out = [[zero] * n for _ in range(n)]
-    reduced = [[ZERO] * n for _ in range(n)]
-    for i, ri in enumerate(num):
-        for k in range(i if sign > 0 else i + 1, n):
-            rk = num[k]
-            total = zero
-            for t, f in zip(range(0, n, 2), factors):
-                v = zero
-                if ri[t] and rk[t + 1]:
-                    v = upper * (ri[t] * rk[t + 1])
-                if ri[t + 1] and rk[t]:
-                    v = v + lower * (ri[t + 1] * rk[t])
-                if v:
-                    total = total + f * v
-            if total:
-                out[i][k] = total
-                out[k][i] = total if sign > 0 else -total
-                reduced[i][k] = entry = _quotient(total, lcm)
-                reduced[k][i] = entry if sign > 0 else -entry
-    return reduced, out, lcm
+    # num K with column pair t times L / (dens[t] dens[t + 1]), so that
+    # N = scaled num^t
+    weights = [(lower * f, upper * f) for f in (_divexact(lcm, d) for d in pairs)]
+    scaled = [[v for t, (a, b) in zip(range(0, n, 2), weights)
+               for v in (a * row[t + 1], b * row[t])] for row in num]
+    return mat_mul(scaled, transpose(num), type(lcm)()), lcm

@@ -287,7 +287,9 @@ def _three_squares(m):
     4 are all even, so the triples of 4m are twice those of m, in the same
     order, and the search runs on m with its factors of 4 taken out: on
     4^k m every b but the multiples of 2^k would fail, each after a whole
-    loop over c."""
+    loop over c.  A b is skipped, too, when the odd part of m - b^2 is 3
+    mod 4: a prime 3 mod 4 then divides m - b^2 to an odd power, so no two
+    squares sum to it, and the loop over c would fail."""
     scale = 1
     while m and m % 4 == 0:
         m //= 4
@@ -296,6 +298,8 @@ def _three_squares(m):
         return None
     for b in range(isqrt(m), -1, -1):
         m1 = m - b * b
+        if m1 and (m1 >> (m1 & -m1).bit_length() - 1) % 4 == 3:
+            continue
         for c in range(isqrt(m1), -1, -1):
             m2 = m1 - c * c
             d = isqrt(m2)

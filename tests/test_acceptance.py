@@ -25,7 +25,7 @@ from hermsq.involutions import (AlgebraWithInvolution, InvolutionSpec,
                                 QuaternionAlgebra, entry_33_constraint,
                                 reduced_norm_quat, reduced_trace,
                                 symbolic_elements, trace_form)
-from hermsq.linalg import mat_mul as _mat_mul, transpose as _mat_transpose
+from hermsq.linalg import divide, mat_mul as _mat_mul, transpose as _mat_transpose
 from hermsq.ncpoly import (NCPolynomial, PositivstellensatzCertificate,
                            commutator, is_central_nonvanishing,
                            is_identity_mod_a, psd_falsify,
@@ -156,13 +156,21 @@ def test_criterion_05_symplectic_minus_one():
             except HermsqError:
                 continue
         ok = ok and verify_hermsq(cert)
-        p, b, y = cert.details["P"], cert.details["B"], cert.details["Y"]
+        # P^t S P = B and Y = P X P^t, for B and X block diagonal with the
+        # blocks [[0, 1], [-1, 0]] and [[0, 1], [1, 0]]
+        p = divide(*skew_congruence(s))
+        b, x = ([[zero] * n for _ in range(n)] for _ in range(2))
+        for t in range(0, n, 2):
+            b[t][t + 1] = x[t][t + 1] = x[t + 1][t] = as_scalar(1)
+            b[t + 1][t] = as_scalar(-1)
         ptsp = _mat_mul(_mat_mul(_mat_transpose(p), s, zero), p, zero)
         ok = ok and ptsp == b
+        y = _mat_mul(_mat_mul(p, x, zero), _mat_transpose(p), zero)
         ysy = _mat_mul(_mat_mul(_mat_transpose(y), s, zero), y, zero)
         prod = _mat_mul(s, ysy, zero)  # S * S^{-1}
         ok = ok and all(prod[i][j] == as_scalar(1 if i == j else 0)
                         for i in range(n) for j in range(n))
+        ok = ok and cert.witnesses == [_mat_mul(s, y, zero)]
         if not ok:
             break
     report(5, ok)

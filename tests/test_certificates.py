@@ -25,6 +25,14 @@ from hermsq.scalars import (MonomialOrdering, X, Y, as_scalar,
                             monomial_square_class, parse_scalar)
 
 
+def blocks(n, lower):
+    """The block diagonal matrix of n/2 blocks [[0, 1], [lower, 0]]."""
+    b = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
+    for t in range(0, n, 2):
+        b[t][t + 1], b[t + 1][t] = as_scalar(1), as_scalar(lower)
+    return b
+
+
 def thm32_algebra():
     q = DiagonalForm([X, Y, X * Y])
     return AlgebraWithInvolution("F", 3, InvolutionSpec.adjoint_diag(q))
@@ -274,6 +282,7 @@ class TestSymplectic:
         rng = random.Random(83)
         zero = as_scalar(0)
         for n in (2, 4, 6):
+            b, x = blocks(n, -1), blocks(n, 1)
             produced = 0
             while produced < 4:
                 s = [[zero] * n for _ in range(n)]
@@ -286,19 +295,16 @@ class TestSymplectic:
                 except SingularMatrixError:
                     continue
                 produced += 1
-                b = _mat_mul(_mat_mul(_mat_transpose(p), s, zero), p, zero)
-                for t in range(0, n, 2):
-                    assert b[t][t + 1] == as_scalar(1)
-                    assert b[t + 1][t] == as_scalar(-1)
+                assert _mat_mul(_mat_mul(_mat_transpose(p), s, zero), p, zero) == b
                 cert = symplectic_minus_one(s)
                 assert verify_hermsq(cert)
-                assert cert.details["B"] == b
-                # Y^t S Y = S^{-1}, checked via S * (Y^t S Y) = I
-                y = cert.details["Y"]
+                # Y = P X P^t, with Y^t S Y = S^{-1}, checked via S * (Y^t S Y) = I
+                y = _mat_mul(_mat_mul(p, x, zero), _mat_transpose(p), zero)
                 ysy = _mat_mul(_mat_mul(_mat_transpose(y), s, zero), y, zero)
                 prod = _mat_mul(s, ysy, zero)
                 assert all(prod[i][j] == as_scalar(1 if i == j else 0)
                            for i in range(n) for j in range(n))
+                assert cert.witnesses == [_mat_mul(s, y, zero)]
 
     def test_one_congruence_per_certificate(self, monkeypatch):
         # the algebra inverts S through P^t S P = B, and the certificate

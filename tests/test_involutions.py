@@ -193,6 +193,20 @@ class TestInvolutions:
         x = alg.elem([[1, 2], [3, 4]])
         assert alg.equal(alg.involution(x), alg.elem([[4, -2], [-3, 1]]))
 
+    def test_symplectic_standard_blocks(self):
+        # sigma([[A, B], [C, D]]) = [[D^t, -B^t], [-C^t, A^t]], block by block
+        rng = random.Random(29)
+        for n in (2, 4, 6):
+            alg = AlgebraWithInvolution("F", n, InvolutionSpec.symplectic_standard())
+            x = random_element(rng, alg)
+            m = n // 2
+            tl = [[x[m + j][m + i] for j in range(m)] for i in range(m)]
+            tr = [[-x[j][m + i] for j in range(m)] for i in range(m)]
+            bl = [[-x[m + j][i] for j in range(m)] for i in range(m)]
+            br = [[x[j][i] for j in range(m)] for i in range(m)]
+            want = [tl[i] + tr[i] for i in range(m)] + [bl[i] + br[i] for i in range(m)]
+            assert alg.involution(x) == want
+
     def test_symplectic_needs_even_n(self):
         with pytest.raises(HermsqError):
             AlgebraWithInvolution("F", 3, InvolutionSpec.symplectic_standard())

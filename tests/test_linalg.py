@@ -269,13 +269,19 @@ class TestIntLane:
             except SingularMatrixError:
                 continue
             assert all_ints(p, [dens])
+            q = linalg.divide(p, dens)
             for upper, lower in ((1, 1), (-1, 1), (1, -1)):
-                r, num, lcm = linalg.block_congruence(p, dens, upper, lower)
-                want_r, want_num, want_lcm = linalg.block_congruence(
+                num, lcm = linalg.block_congruence(p, dens, upper, lower)
+                want_num, want_lcm = linalg.block_congruence(
                     as_polys(p), [Polynomial.const(d) for d in dens], upper, lower)
                 assert type(lcm) is int and all_ints(num)
-                assert exact(r) == exact(want_r)
                 assert num == want_num and lcm == want_lcm
+                # N / L = P K P^t, K with the blocks [[0, upper], [lower, 0]]
+                k = [[ZERO] * n for _ in range(n)]
+                for t in range(0, n, 2):
+                    k[t][t + 1], k[t + 1][t] = as_scalar(upper), as_scalar(lower)
+                pkpt = linalg.mat_mul(linalg.mat_mul(q, k, ZERO), linalg.transpose(q), ZERO)
+                assert exact(linalg.divide(num, [lcm] * n)) == exact(pkpt)
 
     @pytest.mark.parametrize("name", sorted(INT_SYMMETRIC))
     def test_diagonalize_both_lanes(self, name, monkeypatch):

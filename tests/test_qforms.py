@@ -387,6 +387,27 @@ class TestFourSquares:
             assert time.perf_counter() - start < 1
             assert sum(s * s for s in sq) == n and sq[0] == first
 
+    def test_three_squares_against_the_unskipped_search(self):
+        # skipping each b whose m - b^2 has an odd part 3 mod 4 leaves the
+        # first triple of the search over every b unchanged
+        def unskipped(m):
+            scale = 1
+            while m and m % 4 == 0:
+                m //= 4
+                scale *= 2
+            if m % 8 == 7:
+                return None
+            for b in range(isqrt(m), -1, -1):
+                m1 = m - b * b
+                for c in range(isqrt(m1), -1, -1):
+                    d = isqrt(m1 - c * c)
+                    if d * d == m1 - c * c:
+                        return (scale * b, scale * c, scale * d)
+
+        rng = random.Random(29)
+        for m in list(range(600)) + [rng.randrange(1 << 40) for _ in range(400)]:
+            assert qforms._three_squares(m) == unskipped(m), m
+
     def test_bit_cap(self):
         # checked on n with its factors of 4 taken out, before the search:
         # k^2 + 1 has exactly the cap's bits, and 2^cap + 1 one more
