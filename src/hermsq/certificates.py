@@ -191,7 +191,9 @@ def symplectic_minus_one(s):
     blockwise antidiagonal satisfying X^t B X = B^{-1}, and Y = P X P^t,
     the witness W = S Y satisfies sigma(W) W = -I.  Y and W are formed over
     Z[X, Y] (on ints for a constant S) from P's fraction-free form (P', d),
-    and only W's entries are reduced, each once.
+    Y, which is symmetric, from its upper triangle only, and only W's
+    entries are reduced, each once.  sigma(W) = S W^t S^-1 reads the S^-1
+    of the algebra, reduced from its entries above the diagonal.
     """
     n = len(s)
     s = [[as_scalar(v) for v in row] for row in s]

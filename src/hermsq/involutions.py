@@ -306,10 +306,11 @@ class AlgebraWithInvolution:
         elif ptype == "skew":
             if len(param) != n or any(len(r) != n for r in param):
                 raise ShapeError("skew matrix size must match n")
-            # S^-1 = P B^-1 P^t, B^-1 with the blocks [[0, -1], [1, 0]]
+            # S^-1 = P B^-1 P^t, B^-1 with the blocks [[0, -1], [1, 0]]; S^-1
+            # is skew, so only its entries above the diagonal are reduced
             self.skew_pd = skew_congruence(param)
             num, lcm = linalg.block_congruence(*self.skew_pd, -1, 1)
-            self._skew_inv = linalg.divide(num, [lcm] * n)
+            self._skew_inv = linalg.divide(num, [lcm] * n, -1)
 
     # -- element plumbing ------------------------------------------------
 

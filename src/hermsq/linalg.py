@@ -7,7 +7,10 @@ ZPolynomial (generic and symbolic entries) or QuatElem; they need only
 that create entries take the ring's zero (and one) from the caller.  A
 product over Q(X, Y), every entry a RationalFunction, reduces each output
 entry once: its products are summed over a common denominator
-(`scalars.rf_dot`) instead of reducing after every + and *.
+(`scalars.rf_dot`) instead of reducing after every + and *.  A square
+product that its caller knows to be symmetric or skew-symmetric forms
+only its upper triangle and mirrors the rest (`mat_mul`'s sign), in every
+lane, and `divide` reduces such a quotient the same way.
 
 The eliminations are over Z[X, Y]: `Congruence` is a fraction-free
 (Bareiss) congruence reducer, and `block_congruence` forms P K P^t from
@@ -66,35 +69,58 @@ def _constant(matrix):
     return all(v.is_constant() for row in matrix for v in row)
 
 
-def mat_mul(x, y, zero):
+def mat_mul(x, y, zero, sign=0):
     """x * y, skipping zero factors.  When every entry is a RationalFunction
     and a constant, the product runs on ints between `clear_denominators`
     and `divide`.  When every entry is a RationalFunction and one is not a
     constant, an entry of two or more products is one `rf_dot`, reduced
-    once, and an entry of one product is that product."""
+    once, and an entry of one product is that product.
+
+    A caller that knows the square product is symmetric (sign 1) or
+    skew-symmetric (sign -1) passes that sign: then only the entries on
+    and above the diagonal (strictly above for -1) are formed, in every
+    lane, and the rest are mirrored, negated for -1."""
     if all(type(v) is RationalFunction for m in (x, y) for row in m for v in row):
         if y and _constant(x) and _constant(y):
             (lx, nx), (ly, ny) = _clear_ints(x), _clear_ints(y)
-            return divide(_loop_mul(nx, ny, 0), [lx * ly] * len(y[0]))
+            return divide(_loop_mul(nx, ny, 0, sign), [lx * ly] * len(y[0]), sign)
         cols = list(zip(*y))
-        return [[_rf_entry(row, col, zero) for col in cols] for row in x]
-    return _loop_mul(x, y, zero)
+        return _mirror([[zero] * f + [_rf_entry(row, col, zero) for col in cols[f:]]
+                        for f, row in zip(_firsts(len(x), sign), x)], sign)
+    return _loop_mul(x, y, zero, sign)
 
 
-def _loop_mul(x, y, zero):
-    """x * y by the zero-skipping loop, for entries of any one ring."""
+def _firsts(n, sign):
+    """The first column formed in each of n rows: 0 when sign is 0, else
+    the diagonal, or the column after it for sign -1."""
+    return [i + (sign < 0) if sign else 0 for i in range(n)]
+
+
+def _mirror(m, sign):
+    """m with each entry below the diagonal set from its mirror above it,
+    negated for sign -1; m itself for sign 0."""
+    if sign:
+        for i, row in enumerate(m):
+            for j in range(i):
+                row[j] = m[j][i] if sign > 0 else -m[j][i]
+    return m
+
+
+def _loop_mul(x, y, zero, sign=0):
+    """x * y by the zero-skipping loop, for entries of any one ring; under
+    `sign` as in `mat_mul`."""
     rows, inner, cols = len(x), len(y), len(y[0])
     out = [[zero for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
+    for i, first in enumerate(_firsts(rows, sign)):
         for t in range(inner):
             a = x[i][t]
             if not a:
                 continue
-            for j in range(cols):
+            for j in range(first, cols):
                 b = y[t][j]
                 if b:
                     out[i][j] = out[i][j] + a * b
-    return out
+    return _mirror(out, sign)
 
 
 def _rf_entry(row, col, zero):
@@ -151,11 +177,15 @@ def _clear_ints(matrix):
                   for v in row] for row in matrix]
 
 
-def divide(num, dens):
+def divide(num, dens, sign=0):
     """The matrix over Q(X, Y) whose entry (i, j) is num[i][j] / dens[j],
     for num over Z[X, Y] and nonzero dens, all ints or all Polynomials;
-    each entry is reduced once."""
-    return [[_quotient(v, d) if v else ZERO for v, d in zip(row, dens)] for row in num]
+    each entry is reduced once.  For a quotient known to be symmetric
+    (sign 1) or skew-symmetric (sign -1) only the entries on and above the
+    diagonal (strictly above for -1) are reduced, and the rest mirrored."""
+    return _mirror([[ZERO] * f + [_quotient(v, d) if v else ZERO
+                                  for v, d in zip(row[f:], dens[f:])]
+                    for f, row in zip(_firsts(len(num), sign), num)], sign)
 
 
 class Congruence:
@@ -259,7 +289,10 @@ def block_congruence(num, dens, upper, lower):
     block diagonal with the 2 x 2 blocks [[0, upper], [lower, 0]], upper
     and lower each 1 or -1.  Returns (N, L) with P K P^t = N / L: L is the
     lcm of the column pairs' denominators dens[t] * dens[t + 1], and N is
-    over Z[X, Y] (ints when num and dens are)."""
+    over Z[X, Y] (ints when num and dens are).  K, and so N, is symmetric
+    when upper == lower and skew-symmetric otherwise, so the product forms
+    only N's upper triangle (`mat_mul` with that sign); a caller reducing
+    N / L can pass the same sign to `divide`."""
     n = len(num)
     pairs = [dens[t] * dens[t + 1] for t in range(0, n, 2)]
     lcm = reduce(_lcm, pairs)
@@ -268,4 +301,5 @@ def block_congruence(num, dens, upper, lower):
     weights = [(lower * f, upper * f) for f in (_divexact(lcm, d) for d in pairs)]
     scaled = [[v for t, (a, b) in zip(range(0, n, 2), weights)
                for v in (a * row[t + 1], b * row[t])] for row in num]
-    return mat_mul(scaled, transpose(num), type(lcm)()), lcm
+    sign = 1 if upper == lower else -1
+    return mat_mul(scaled, transpose(num), type(lcm)(), sign), lcm

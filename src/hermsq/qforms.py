@@ -137,11 +137,15 @@ class Diagonalization:
     transform: list  # T with T^t * G * T = diag(form)
 
     def verify(self, gram):
+        """Whether T^t G T = D in Q(X, Y) arithmetic.  A GramForm is
+        symmetric, so T^t G T is too, and comparing its entries on and above
+        the diagonal, the only ones the second product forms, is a complete
+        check."""
         zero = as_scalar(0)
         T = self.transform
         d = self.form.entries
         want = [[d[i] if i == j else zero for j in range(len(d))] for i in range(len(d))]
-        return equal(mat_mul(transpose(T), mat_mul(gram.matrix, T, zero), zero), want)
+        return equal(mat_mul(transpose(T), mat_mul(gram.matrix, T, zero), zero, 1), want)
 
 
 def diagonalize(gram):

@@ -1,6 +1,7 @@
 """Tests for hermitian-square certificates, compositions and the
 counterexample pipelines."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -325,8 +326,9 @@ class TestSymplectic:
             assert calls[before:] == [4]
 
     def test_perturbed_witness_refused(self):
-        # sigma(W) W = -I fails once W[0][0] moves by 1/X, for a polynomial
-        # and an integer S
+        # sigma(W) W = -I fails once one entry of W, on, above or below the
+        # diagonal, moves by 1/X or by 1/3, for a polynomial and an integer S
+        # (whose S^-1 is reduced from its upper triangle)
         zero, one, two = as_scalar(0), as_scalar(1), as_scalar(2)
         for s in ([[zero, zero, one, X], [zero, zero, Y, one],
                    [-one, -Y, zero, zero], [-X, -one, zero, zero]],
@@ -334,9 +336,11 @@ class TestSymplectic:
                    [-one, -one, zero, one], [one, -two, -one, zero]]):
             cert = symplectic_minus_one(s)
             assert verify_hermsq(cert)
-            w = [list(row) for row in cert.witnesses[0]]
-            w[0][0] = w[0][0] + 1 / X
-            assert not verify_hermsq(HermSqCertificate(cert.algebra, cert.target, [w]))
+            for (i, j), delta in itertools.product(((0, 0), (1, 3), (3, 2)),
+                                                   (1 / X, as_scalar(Fraction(1, 3)))):
+                w = [list(row) for row in cert.witnesses[0]]
+                w[i][j] = w[i][j] + delta
+                assert not verify_hermsq(HermSqCertificate(cert.algebra, cert.target, [w]))
 
     def test_singular_rejected(self):
         zero = as_scalar(0)

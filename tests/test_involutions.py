@@ -323,6 +323,35 @@ class TestIntSkew:
                                -1 if i == j + 1 and j % 2 == 0 else 0)
                    for i in range(n) for j in range(n))
 
+    def test_inverse_reduces_only_the_upper_triangle(self, monkeypatch):
+        # S^-1 is skew: its 15 entries above the diagonal are reduced, one
+        # gcd each, and the rest mirrored, with the canonical zero on the
+        # diagonal; the full quotient N / L agrees entry by entry
+        n = 6
+        s = [[as_scalar(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = (i + 1) * X - (j + 2) * Y * Y + (i * j) % 5 - 2
+                s[i][j], s[j][i] = v, -v
+        quotients = []
+
+        def counted(v, d, quotient=linalg._quotient):
+            quotients.append((v, d))
+            return quotient(v, d)
+        monkeypatch.setattr(linalg, "_quotient", counted)
+        alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
+        assert len(quotients) == n * (n - 1) // 2
+        inv = alg._skew_inv
+        assert all(inv[i][j] for i in range(n) for j in range(i + 1, n))
+        one = alg.identity()
+        assert alg.equal(alg.mul(s, inv), one) and alg.equal(alg.mul(inv, s), one)
+        for i in range(n):
+            assert inv[i][i].num.terms == {} and inv[i][i].den.terms == {0: 1}
+        num, lcm = linalg.block_congruence(*alg.skew_pd, -1, 1)
+        full = linalg.divide(num, [lcm] * n)
+        assert [[(v.num, v.den) for v in row] for row in inv] == \
+            [[(v.num, v.den) for v in row] for row in full]
+
     def test_swap_case_takes_the_swap_branch(self, monkeypatch):
         swaps = []
         swap = linalg.Congruence.swap

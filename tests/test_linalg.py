@@ -349,3 +349,129 @@ class TestIntLane:
         constant = skew(rng, 4)
         assert_same_product(s, constant)
         assert_same_product(constant, s)
+
+
+def lane_entry(rng, lane):
+    """A nonzero entry of the lane: a non-constant or a constant Q(X, Y)
+    scalar, a Polynomial or an int."""
+    if lane == "rational":
+        return random_rf(rng)
+    if lane == "constant":
+        return as_scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12)))
+    if lane == "polynomial":
+        return nonzero_poly(rng)
+    return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+
+LANE_ZERO = {"rational": ZERO, "constant": ZERO, "polynomial": Polynomial(), "int": 0}
+
+
+def half_product_cases(lane, sign):
+    """(x, y) with x y = x M x^t symmetric for sign 1 (M symmetric) and skew
+    for sign -1 (M skew): 1 x 1, 3 x 3, and 4 x 4 with a zero row."""
+    rng = random.Random(f"{lane}/{sign}")
+    zero = LANE_ZERO[lane]
+    cases = []
+    for n, inner, zero_row in ((1, 2, None), (3, 3, None), (4, 3, 2)):
+        x = [[zero if i == zero_row else lane_entry(rng, lane) for _ in range(inner)]
+             for i in range(n)]
+        m = [[zero] * inner for _ in range(inner)]
+        for i in range(inner):
+            for j in range(i if sign > 0 else i + 1, inner):
+                m[i][j] = lane_entry(rng, lane)
+                m[j][i] = m[i][j] if sign > 0 else -m[i][j]
+        cases.append((x, linalg.mat_mul(m, linalg.transpose(x), zero)))
+    return cases
+
+
+def formed(x, y, sign):
+    """The number of factor products in the entries of x y on and above the
+    diagonal (strictly above for sign -1), zero factors skipped."""
+    n = len(x)
+    return sum(1 for i in range(n) for j in range(i + (sign < 0), n)
+               for t in range(len(y)) if x[i][t] and y[t][j])
+
+
+class TestHalfProducts:
+    """mat_mul and divide under a sign form only the upper triangle (on and
+    above the diagonal for 1, above it for -1) and mirror the rest."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("lane", sorted(LANE_ZERO))
+    def test_half_equals_full(self, lane, sign):
+        zero = LANE_ZERO[lane]
+        for x, y in half_product_cases(lane, sign):
+            full = linalg.mat_mul(x, y, zero)
+            half = linalg.mat_mul(x, y, zero, sign)
+            if lane in ("rational", "constant"):
+                assert exact(half) == exact(full)
+            else:
+                assert half == full
+            n = len(x)
+            assert all(full[i][j] == sign * full[j][i] for i in range(n) for j in range(n))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rational_lane_forms_the_triangle(self, sign, monkeypatch):
+        calls = []
+
+        def counted(row, col, zero, entry=linalg._rf_entry):
+            calls.append(1)
+            return entry(row, col, zero)
+        monkeypatch.setattr(linalg, "_rf_entry", counted)
+        for x, y in half_product_cases("rational", sign):
+            n = len(x)
+            del calls[:]
+            linalg.mat_mul(x, y, ZERO, sign)
+            assert len(calls) == (n * (n + 1) // 2 if sign > 0 else n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("lane", ["constant", "polynomial", "int"])
+    def test_loop_lanes_form_the_triangle(self, lane, sign, monkeypatch):
+        # every factor product counted is one of the triangle's entries
+        products = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                products.append(1)
+                return int(self) * other
+        if lane == "constant":
+            clear = linalg._clear_ints
+
+            def counted_ints(matrix):
+                lcm, num = clear(matrix)
+                return lcm, [[Counted(v) for v in row] for row in num]
+            monkeypatch.setattr(linalg, "_clear_ints", counted_ints)
+        elif lane == "polynomial":
+            mul = Polynomial.__mul__
+
+            def counted_mul(f, g):
+                products.append(1)
+                return mul(f, g)
+            monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+        for x, y in half_product_cases(lane, sign):
+            if lane == "int":
+                x = [[Counted(v) for v in row] for row in x]
+            del products[:]
+            linalg.mat_mul(x, y, LANE_ZERO[lane], sign)
+            assert len(products) == formed(x, y, sign)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_divide_reduces_the_triangle(self, sign, monkeypatch):
+        rng = random.Random(114 + sign)
+        n = 4
+        num = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if sign > 0 else i + 1, n):
+                num[i][j] = rng.randint(1, 30)
+                num[j][i] = sign * num[i][j]
+        dens = [-6] * n
+        full = linalg.divide(num, dens)
+        calls = []
+
+        def counted(v, d, quotient=linalg._quotient):
+            calls.append(1)
+            return quotient(v, d)
+        monkeypatch.setattr(linalg, "_quotient", counted)
+        half = linalg.divide(num, dens, sign)
+        assert len(calls) == (n * (n + 1) // 2 if sign > 0 else n * (n - 1) // 2)
+        assert exact(half) == exact(full)

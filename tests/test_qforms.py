@@ -162,25 +162,44 @@ class TestDiagonalize:
             assert result.verify(g)
 
     def test_verify_refuses_wrong_data(self):
-        # T^t G T = D is checked entry by entry: a perturbed T, a changed D
-        # and a T^t G T with a nonzero entry off the diagonal all fail
-        g = gram([["X", "1", "Y"], ["1", "X*Y + 1", "1/X"], ["Y", "1/X", "Y^2 - 1"]])
-        result = diagonalize(g)
-        assert result.verify(g)
-        n = len(g)
-        for i, j in ((0, 0), (1, 2), (2, 1)):
-            t = [list(row) for row in result.transform]
-            t[i][j] = t[i][j] + 1 / X
-            assert not Diagonalization(result.form, t).verify(g)
-        for k in range(n):
-            d = list(result.form.entries)
-            d[k] = d[k] + 1
-            assert not Diagonalization(DiagonalForm(d), result.transform).verify(g)
+        # T^t G T = D is checked on and above the diagonal of the symmetric
+        # T^t G T: a T perturbed on, above or below its diagonal, a changed
+        # D and a T^t G T with a nonzero entry off the diagonal all fail,
+        # over Q(X, Y) and, for a constant G and perturbation, on ints
+        for g, delta in ((gram([["X", "1", "Y"], ["1", "X*Y + 1", "1/X"],
+                                ["Y", "1/X", "Y^2 - 1"]]), 1 / X),
+                         (gram([["2", "1", "3"], ["1", "5", "1/2"], ["3", "1/2", "-1"]]),
+                          as_scalar(Fraction(1, 3)))):
+            result = diagonalize(g)
+            assert result.verify(g)
+            n = len(g)
+            for i, j in ((0, 0), (1, 2), (2, 1), (2, 0)):
+                t = [list(row) for row in result.transform]
+                t[i][j] = t[i][j] + delta
+                assert not Diagonalization(result.form, t).verify(g)
+            for k in range(n):
+                d = list(result.form.entries)
+                d[k] = d[k] + 1
+                assert not Diagonalization(DiagonalForm(d), result.transform).verify(g)
         # T^t diag(X, Y) T = [[X, X], [X, X + Y]]: the diagonal matches D
         one, zero = as_scalar(1), as_scalar(0)
         g = GramForm([[X, zero], [zero, Y]])
         shear = Diagonalization(DiagonalForm([X, X + Y]), [[one, one], [zero, one]])
         assert not shear.verify(g)
+
+    def test_verify_forms_the_upper_triangle(self, monkeypatch):
+        # G T is formed in full, T^t (G T) on and above its diagonal only
+        g = gram([["X", "1", "Y"], ["1", "X*Y + 1", "1/X"], ["Y", "1/X", "Y^2 - 1"]])
+        result = diagonalize(g)
+        calls = []
+
+        def counted(row, col, zero, entry=linalg._rf_entry):
+            calls.append(1)
+            return entry(row, col, zero)
+        monkeypatch.setattr(linalg, "_rf_entry", counted)
+        assert result.verify(g)
+        n = len(g)
+        assert len(calls) == n * n + n * (n + 1) // 2
 
 
 def gram(rows):
