@@ -3,13 +3,18 @@
 A certificate is data whose correctness is re-checked by exact expansion;
 construction and verification are deliberately independent code paths.
 Every function here that returns a certificate verifies it once and raises
-CertificateError if that fails, so callers do not check it again.
+CertificateError if that fails, so callers do not check it again.  Most
+are checked by `verify_hermsq`, which expands sum sigma(x_i) x_i in the
+algebra.  The -1 certificate under Int(S) o transpose is checked as the
+ring identity W S W^t = -S on the witness it returns, over Z[X, Y]: that
+check needs no S^-1 and reads nothing of the congruence that built W.
 """
 
 from dataclasses import dataclass
 
 from .errors import CertificateError, ShapeError
-from .linalg import Congruence, block_congruence, clear_denominators, divide, mat_mul
+from .linalg import (Congruence, block_congruence, clear_denominators, divide, mat_mul,
+                     transpose)
 from .scalars import ORDERINGS, as_scalar, monomial_square_class
 from .qforms import DiagonalForm, GramForm, diagonalize, weakly_represents_one
 # skew_congruence lives with the int_skew involution and is re-exported here
@@ -187,13 +192,13 @@ def symplectic_minus_one(s):
     """Single-witness certificate for -1 in (M_n(F), Int(S) o transpose).
 
     S skew-symmetric and nonsingular, n even.  With P^t S P = B (standard
-    blocks; P comes from the algebra, which inverts S through it), X the
-    blockwise antidiagonal satisfying X^t B X = B^{-1}, and Y = P X P^t,
-    the witness W = S Y satisfies sigma(W) W = -I.  Y and W are formed over
-    Z[X, Y] (on ints for a constant S) from P's fraction-free form (P', d),
-    Y, which is symmetric, from its upper triangle only, and only W's
-    entries are reduced, each once.  sigma(W) = S W^t S^-1 reads the S^-1
-    of the algebra, reduced from its entries above the diagonal.
+    blocks; P comes from the algebra's skew congruence), X the blockwise
+    antidiagonal satisfying X^t B X = B^{-1}, and Y = P X P^t, the witness
+    W = S Y satisfies sigma(W) W = -I.  Y and W are formed over Z[X, Y] (on
+    ints for a constant S) from P's fraction-free form (P', d), Y, which is
+    symmetric, from its upper triangle only, and only W's entries are
+    reduced, each once.  The certificate is checked by `_minus_one_holds`,
+    which needs no S^-1, so the algebra never builds one here.
     """
     n = len(s)
     s = [[as_scalar(v) for v in row] for row in s]
@@ -201,7 +206,28 @@ def symplectic_minus_one(s):
     y_num, y_den = block_congruence(*alg.skew_pd, 1, 1)
     s_den, s_num = clear_denominators(s)
     w = divide(mat_mul(s_num, y_num, type(s_den)()), [s_den * y_den] * n)
-    return _verified(HermSqCertificate(alg, alg.scalar(-1), [w]))
+    if not _minus_one_holds(s_num, w):
+        raise CertificateError("constructed certificate failed verification")
+    return HermSqCertificate(alg, alg.scalar(-1), [w])
+
+
+def _minus_one_holds(s_num, w):
+    """sigma(W) W = -I under Int(S) o transpose, for S = S' / s with S' =
+    s_num skew over Z[X, Y] and W over Q(X, Y).
+
+    sigma(W) W = S W^t S^-1 W = -I holds if and only if W S W^t = -S: either
+    makes W invertible (det(W)^2 = 1, n even), and each follows from the
+    other.  With W = W' / w (`clear_denominators`) that is W' S' W'^t =
+    -w^2 S' over Z[X, Y], two products and no division.  Both sides are
+    skew, so the second product forms only the entries above the diagonal
+    (`mat_mul` with sign -1), and comparing those is a complete check.
+    """
+    w_den, w_num = clear_denominators(w)
+    zero = type(w_den)()
+    lhs = mat_mul(mat_mul(w_num, s_num, zero), transpose(w_num), zero, -1)
+    scale = -w_den * w_den
+    return all(lhs[i][j] == scale * row[j]
+               for i, row in enumerate(s_num) for j in range(i + 1, len(row)))
 
 
 # -- counterexample pipelines ----------------------------------------------
@@ -297,7 +323,7 @@ def psd_symmetric_rational(m):
 def _psd_integral(m):
     """`psd_symmetric_rational` of a symmetric int matrix, which it does not
     check: the pivot signs of its fraction-free congruence."""
-    red = Congruence(m, 1)
+    red = Congruence(m, 1, transform=False)
     for p, row in enumerate(red.m):
         pivot = row[p]
         if pivot < 0 or not pivot and any(row[p + 1:]):

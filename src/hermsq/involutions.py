@@ -12,6 +12,8 @@ the products of basis elements are given on those coordinates, sparsely.
 The involution trace form and `fdalgebra.structure_algebra` both read them.
 """
 
+from functools import cached_property
+
 from . import linalg
 from .errors import DivisionByZeroError, HermsqError, ShapeError, SingularMatrixError
 # perfbench/tracing.py wraps the product under this name
@@ -292,7 +294,8 @@ class AlgebraWithInvolution:
         if kind == "symplectic_standard" and n % 2 != 0:
             raise ShapeError("symplectic involution needs even n")
         # what each parameter implies, derived once: the central factors
-        # d_i d_j^-1 of an adjoint involution, u^-1, S^-1
+        # d_i d_j^-1 of an adjoint involution, u^-1, and the skew congruence
+        # of S, from which S^-1 is built on its first use (`_skew_inv`)
         if ptype == "form":
             d = param.entries
             if len(d) != n:
@@ -306,11 +309,16 @@ class AlgebraWithInvolution:
         elif ptype == "skew":
             if len(param) != n or any(len(r) != n for r in param):
                 raise ShapeError("skew matrix size must match n")
-            # S^-1 = P B^-1 P^t, B^-1 with the blocks [[0, -1], [1, 0]]; S^-1
-            # is skew, so only its entries above the diagonal are reduced
+            # raises here for an S that is not skew, or is singular
             self.skew_pd = skew_congruence(param)
-            num, lcm = linalg.block_congruence(*self.skew_pd, -1, 1)
-            self._skew_inv = linalg.divide(num, [lcm] * n, -1)
+
+    @cached_property
+    def _skew_inv(self):
+        """S^-1 = P B^-1 P^t for Int(S) o transpose, B^-1 with the blocks
+        [[0, -1], [1, 0]], built on first use; S^-1 is skew, so only its
+        entries above the diagonal are reduced."""
+        num, lcm = linalg.block_congruence(*self.skew_pd, -1, 1)
+        return linalg.divide(num, [lcm] * self.n, -1)
 
     # -- element plumbing ------------------------------------------------
 

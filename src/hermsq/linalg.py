@@ -18,8 +18,9 @@ its output as one `mat_mul`, returning the fraction-free pair (N, L) for
 its callers to reduce or not.  `Congruence` has three users:
 `qforms.diagonalize` and `involutions.skew_congruence` read its pivots
 and transform, and `certificates.psd_symmetric_rational` reads only the
-signs of its 1 x 1 pivots.  A matrix over Q(X, Y) enters through `clear_denominators`
-and leaves through `divide`, which reduces each entry once.
+signs of its 1 x 1 pivots, so it builds no transform.  A matrix over
+Q(X, Y) enters through `clear_denominators` and leaves through `divide`,
+which reduces each entry once.
 
 Between those two edges the entries are `Polynomial`s, or Python ints
 when every entry of the matrix is a constant: Z is a subring of
@@ -197,16 +198,17 @@ class Congruence:
     scale s (`scale`, 1 at the start).  `t` starts as the identity; its
     trailing columns are s times those of the transform T, and a finished
     column of T is its column of `t` over the scale `eliminate` returned
-    for it, so that T^t M0 T is the partly reduced matrix.  An entry is its
-    value in elimination over Q(X, Y) times a nonzero scale, so the zero
-    tests of the two agree.
+    for it, so that T^t M0 T is the partly reduced matrix.  A caller that
+    reads only the pivots passes transform=False: `t` is then empty, and
+    no step updates it.  An entry is its value in elimination over
+    Q(X, Y) times a nonzero scale, so the zero tests of the two agree.
     """
 
-    def __init__(self, matrix, sign):
+    def __init__(self, matrix, sign, transform=True):
         self.m = [list(row) for row in matrix]
         # ints or Polynomials, as the entries are
         self.zero = type(matrix[0][0])() if matrix else 0
-        self.t = identity(len(matrix), self.zero, self.zero + 1)
+        self.t = identity(len(matrix), self.zero, self.zero + 1) if transform else []
         self.sign = sign
         self.scale = self.zero + 1
 

@@ -308,7 +308,7 @@ class TestSymplectic:
                 assert cert.witnesses == [_mat_mul(s, y, zero)]
 
     def test_one_congruence_per_certificate(self, monkeypatch):
-        # the algebra inverts S through P^t S P = B, and the certificate
+        # the algebra runs the congruence P^t S P = B, and the certificate
         # reads that P back instead of reducing S a second time
         calls = []
         for module in (involutions, certificates):
@@ -325,22 +325,106 @@ class TestSymplectic:
             assert verify_hermsq(cert)
             assert calls[before:] == [4]
 
+    # the 6 x 6 skew S of the benchmark's rational-forms workload at seeds
+    # 1-3, by the entries above the diagonal, row by row
+    RATIONAL_FORMS_S = {
+        1: [["3*X - 3", "-Y - 3", "2 + 3*X", "3*X - 3", "-Y - 3"],
+            ["-2 - 2*X", "2*X + 2*Y", "-2*Y + 2*X", "-2 + 3*X"],
+            ["-2*Y + 3", "3 - 3*Y", "3*X - 3*Y"], ["X - 1", "Y - 2"], ["-2 + X"]],
+        2: [["3*X + 2", "-3*Y + 2", "3 + X", "-X + 3", "-Y - 1"],
+            ["1 + 3*X", "-2*X + 3*Y", "-Y + 2*X", "1 + 3*X"],
+            ["3*Y - 2", "1 - 3*Y", "3*X + 2*Y"], ["-3*X + 3", "Y - 3"], ["3 + X"]],
+        3: [["-3*X - 2", "2*Y - 1", "3 - 2*X", "-3*X + 2", "Y + 2"],
+            ["-3 - X", "2*X - Y", "-2*Y - 2*X", "-1 + 3*X"],
+            ["-Y - 1", "3 + Y", "X + 3*Y"], ["-X - 2", "-2*Y - 1"], ["2 - 2*X"]],
+    }
+
+    @staticmethod
+    def skew_from_upper(upper):
+        n = len(upper) + 1
+        s = [[as_scalar(0)] * n for _ in range(n)]
+        for i, row in enumerate(upper):
+            for j, text in enumerate(row, start=i + 1):
+                s[i][j] = parse_scalar(text)
+                s[j][i] = -s[i][j]
+        return s
+
+    # a polynomial and an integer S (the int lane of linalg)
+    PERTURBED_S = (
+        [[as_scalar(v) for v in row] for row in
+         ((0, 0, 1, X), (0, 0, Y, 1), (-1, -Y, 0, 0), (-X, -1, 0, 0))],
+        [[as_scalar(v) for v in row] for row in
+         ((0, 2, 1, -1), (-2, 0, 1, 2), (-1, -1, 0, 1), (1, -2, -1, 0))],
+    )
+    # an entry on, above and below the diagonal, moved by 1/X or by 1/3
+    PERTURBATIONS = list(itertools.product(
+        ((0, 0), (1, 3), (3, 2), (0, 2), (3, 1), (2, 2)), (1 / X, as_scalar(Fraction(1, 3)))))
+
     def test_perturbed_witness_refused(self):
-        # sigma(W) W = -I fails once one entry of W, on, above or below the
-        # diagonal, moves by 1/X or by 1/3, for a polynomial and an integer S
-        # (whose S^-1 is reduced from its upper triangle)
-        zero, one, two = as_scalar(0), as_scalar(1), as_scalar(2)
-        for s in ([[zero, zero, one, X], [zero, zero, Y, one],
-                   [-one, -Y, zero, zero], [-X, -one, zero, zero]],
-                  [[zero, two, one, -one], [-two, zero, one, two],
-                   [-one, -one, zero, one], [one, -two, -one, zero]]):
+        # sigma(W) W = -I fails once one entry of W moves
+        for s in self.PERTURBED_S:
             cert = symplectic_minus_one(s)
             assert verify_hermsq(cert)
-            for (i, j), delta in itertools.product(((0, 0), (1, 3), (3, 2)),
-                                                   (1 / X, as_scalar(Fraction(1, 3)))):
+            for (i, j), delta in self.PERTURBATIONS:
                 w = [list(row) for row in cert.witnesses[0]]
                 w[i][j] = w[i][j] + delta
                 assert not verify_hermsq(HermSqCertificate(cert.algebra, cert.target, [w]))
+
+    @pytest.mark.parametrize("s", PERTURBED_S, ids=["polynomial", "integer"])
+    def test_changed_witness_raises(self, monkeypatch, s):
+        # the ring check W S W^t = -S reads the witness that is returned: a
+        # W changed after its reduction raises CertificateError
+        for (i, j), delta in self.PERTURBATIONS:
+            def changed(num, dens, sign=0, reduce=linalg.divide):
+                w = reduce(num, dens, sign)
+                w[i][j] = w[i][j] + delta
+                return w
+            with monkeypatch.context() as m:
+                m.setattr(certificates, "divide", changed)
+                with pytest.raises(CertificateError):
+                    symplectic_minus_one(s)
+
+    def test_corrupted_inverse_changes_nothing(self, monkeypatch):
+        # the check needs no S^-1, so a wrong one changes neither the
+        # witness nor the verdict; the expansion sigma(W) W, which reads it,
+        # would refuse the certificate
+        s = self.skew_from_upper(self.RATIONAL_FORMS_S[1])
+        want = symplectic_minus_one(s)
+        wrong = [[as_scalar(1 if i == j else 0) for j in range(6)] for i in range(6)]
+        monkeypatch.setattr(AlgebraWithInvolution, "_skew_inv", property(lambda alg: wrong))
+        got = symplectic_minus_one(s)
+        assert got.witnesses == want.witnesses and got.target == want.target
+        assert not verify_hermsq(got)
+
+    def test_builds_no_inverse(self, monkeypatch):
+        # one reduction per nonzero entry of W and none for S^-1, which the
+        # algebra has not built
+        s = self.skew_from_upper(self.RATIONAL_FORMS_S[1])
+        quotients = []
+
+        def counted(v, d, quotient=linalg._quotient):
+            quotients.append(v)
+            return quotient(v, d)
+        monkeypatch.setattr(linalg, "_quotient", counted)
+        cert = symplectic_minus_one(s)
+        assert "_skew_inv" not in cert.algebra.__dict__
+        assert len(quotients) == sum(1 for row in cert.witnesses[0] for v in row if v)
+
+    @pytest.mark.parametrize("seed", sorted(RATIONAL_FORMS_S))
+    def test_expansion_agrees_at_the_benchmark_skew(self, seed):
+        cert = symplectic_minus_one(self.skew_from_upper(self.RATIONAL_FORMS_S[seed]))
+        assert verify_hermsq(cert)
+
+    @pytest.mark.parametrize("n", [6, 8, 24])
+    def test_expansion_agrees_at_the_scenario(self, monkeypatch, n):
+        certs = []
+
+        def recorded(s, build=symplectic_minus_one):
+            certs.append(build(s))
+            return certs[-1]
+        monkeypatch.setattr(scenarios, "symplectic_minus_one", recorded)
+        assert scenarios.run_scenario("thm4.7", n=n, seed=1)["confirmed"] is True
+        assert len(certs) == 1 and verify_hermsq(certs[0])
 
     def test_singular_rejected(self):
         zero = as_scalar(0)
@@ -399,34 +483,42 @@ class TestScenarioChecks:
     """Each certificate a scenario reports is verified once, inside the
     function that builds it; the scenario does not check it again."""
 
-    # scenario: (options, verify_hermsq calls, positivity witness checks)
+    # scenario: (options, verify_hermsq calls, ring checks of a -1
+    # certificate, positivity witness checks)
     CHECKS = {
-        "thm4.7": ({"n": 8, "seed": 1}, 1, 0),
+        # W S W^t = -S, and no expansion of sigma(W) W
+        "thm4.7": ({"n": 8, "seed": 1}, 0, 1, 0),
         # three quaternion cases, four entry certificates each
-        "prop4.1": ({}, 12, 0),
+        "prop4.1": ({}, 12, 0, 0),
         # the factor's four entry certificates, then one per composition
-        "cor4.3": ({}, 6, 0),
-        "thm3.2": ({}, 0, 1),
-        "thm3.3": ({}, 0, 1),
+        "cor4.3": ({}, 6, 0, 0),
+        "thm3.2": ({}, 0, 0, 1),
+        "thm3.3": ({}, 0, 0, 1),
     }
 
     @pytest.mark.parametrize("name", CHECKS)
     def test_checks_per_run(self, monkeypatch, name):
-        options, hermsq_checks, positivity_checks = self.CHECKS[name]
+        options, hermsq_checks, ring_checks, positivity_checks = self.CHECKS[name]
         calls = []
 
         def counted(cert, verify=certificates.verify_hermsq):
             calls.append("hermsq")
             return verify(cert)
 
+        def counted_ring(s_num, w, check=certificates._minus_one_holds):
+            calls.append("ring")
+            return check(s_num, w)
+
         def counted_positivity(witness, verify=TotalPositivityWitness.verify):
             calls.append("positivity")
             return verify(witness)
         monkeypatch.setattr(certificates, "verify_hermsq", counted)
+        monkeypatch.setattr(certificates, "_minus_one_holds", counted_ring)
         monkeypatch.setattr(TotalPositivityWitness, "verify", counted_positivity)
         result = scenarios.run_scenario(name, **options)
         assert result["confirmed"] is True
         assert calls.count("hermsq") == hermsq_checks
+        assert calls.count("ring") == ring_checks
         assert calls.count("positivity") == positivity_checks
         assert not hasattr(scenarios, "verify_hermsq")
 
@@ -478,6 +570,37 @@ class TestPsdRational:
                 bad = [[g[i][j] - (sum(g[t][t] for t in range(n)) + 1)
                         * (i == j) for j in range(n)] for i in range(n)]
                 assert not psd_symmetric_rational(bad)
+
+    def test_integral_builds_no_transform(self, monkeypatch):
+        # the test reads only pivot signs, so its congruence keeps no
+        # transform, and its answers are those of a congruence that keeps
+        # one, on 400 seeded int matrices of sizes 1 to 5, half of them
+        # Gram matrices (PSD, often singular)
+        rng = random.Random(113)
+        cases = []
+        for k in range(400):
+            n = rng.randint(1, 5)
+            if k % 2:
+                a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+                m = [[sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
+            else:
+                m = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        m[i][j] = m[j][i] = rng.randint(-2, 6) if i == j else rng.randint(-3, 3)
+            cases.append(m)
+        built = []
+
+        def recorded(matrix, sign, transform=True, build=linalg.Congruence):
+            built.append(build(matrix, sign, transform))
+            return built[-1]
+        monkeypatch.setattr(certificates, "Congruence", recorded)
+        got = [certificates._psd_integral(m) for m in cases]
+        assert len(built) == 400 and all(red.t == [] for red in built)
+        monkeypatch.setattr(certificates, "Congruence",
+                            lambda matrix, sign, transform=True: linalg.Congruence(matrix, sign))
+        assert got == [certificates._psd_integral(m) for m in cases]
+        assert 100 < sum(got) < 300
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):

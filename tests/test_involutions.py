@@ -324,9 +324,10 @@ class TestIntSkew:
                    for i in range(n) for j in range(n))
 
     def test_inverse_reduces_only_the_upper_triangle(self, monkeypatch):
-        # S^-1 is skew: its 15 entries above the diagonal are reduced, one
-        # gcd each, and the rest mirrored, with the canonical zero on the
-        # diagonal; the full quotient N / L agrees entry by entry
+        # S^-1 is built on first use, not by __init__; it is skew: its 15
+        # entries above the diagonal are reduced, one gcd each, and the rest
+        # mirrored, with the canonical zero on the diagonal; a second use
+        # reduces nothing; the full quotient N / L agrees entry by entry
         n = 6
         s = [[as_scalar(0)] * n for _ in range(n)]
         for i in range(n):
@@ -340,10 +341,13 @@ class TestIntSkew:
             return quotient(v, d)
         monkeypatch.setattr(linalg, "_quotient", counted)
         alg = AlgebraWithInvolution("F", n, InvolutionSpec.int_skew(s))
-        assert len(quotients) == n * (n - 1) // 2
+        assert quotients == []
         inv = alg._skew_inv
-        assert all(inv[i][j] for i in range(n) for j in range(i + 1, n))
+        assert len(quotients) == n * (n - 1) // 2
         one = alg.identity()
+        assert alg.equal(alg.involution(one), one) and alg._skew_inv is inv
+        assert len(quotients) == n * (n - 1) // 2
+        assert all(inv[i][j] for i in range(n) for j in range(i + 1, n))
         assert alg.equal(alg.mul(s, inv), one) and alg.equal(alg.mul(inv, s), one)
         for i in range(n):
             assert inv[i][i].num.terms == {} and inv[i][i].den.terms == {0: 1}
