@@ -13,8 +13,8 @@ from .qforms import (DiagonalForm, diagonalize, is_isotropic_Q,
                      is_weakly_isotropic_Q, weakly_represents_one)
 from .jsonio import (dumps, form_from_json, gram_from_json, loads,
                      matrices_from_json, psatz_cert_from_json)
-from .ncpoly import (degree_cap, is_central_nonvanishing, is_identity_mod_a, nc_eval,
-                     parse_nc, psd_falsify, positivstellensatz_conditions)
+from .ncpoly import (is_central_nonvanishing, is_identity_mod_a, nc_eval, parse_nc,
+                     psd_falsify, positivstellensatz_conditions)
 from .scenarios import SCENARIOS, run_scenario
 
 
@@ -118,7 +118,7 @@ def _cmd_qf_signature(args):
 
 
 def _cmd_nc_eval(args):
-    poly = parse_nc(args.poly, degree_cap())
+    poly = parse_nc(args.poly)
     mats = matrices_from_json(loads(args.matrices))
     value = nc_eval(poly, mats)
     try:
@@ -131,21 +131,20 @@ def _cmd_nc_eval(args):
 
 
 def _cmd_nc_identity(args):
-    result = is_identity_mod_a(parse_nc(args.poly, degree_cap()), args.n, args.type)
+    result = is_identity_mod_a(parse_nc(args.poly), args.n, args.type)
     _emit(args, {"identity": result}, [f"identity mod a: {result}"])
     return 0 if result else 1
 
 
 def _cmd_nc_central(args):
-    result = is_central_nonvanishing(parse_nc(args.poly, degree_cap()), args.n, args.type)
+    result = is_central_nonvanishing(parse_nc(args.poly), args.n, args.type)
     _emit(args, {"central_nonvanishing": result},
           [f"central nonvanishing: {result}"])
     return 0 if result else 1
 
 
 def _cmd_nc_falsify(args):
-    found = psd_falsify(parse_nc(args.poly, degree_cap()), args.n, args.trials, args.seed,
-                        args.bound)
+    found = psd_falsify(parse_nc(args.poly), args.n, args.trials, args.seed, args.bound)
     if found is None:
         _emit(args, {"counterexample": None},
               ["no counterexample found"])
@@ -159,7 +158,7 @@ def _cmd_nc_falsify(args):
 
 
 def _cmd_nc_verify_cert(args):
-    cert = psatz_cert_from_json(_read_json(args.file), degree_cap())
+    cert = psatz_cert_from_json(_read_json(args.file))
     conditions = positivstellensatz_conditions(cert)
     ok = all(conditions.values())
     _emit(args, {"conditions": conditions, "verified": ok},

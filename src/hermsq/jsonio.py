@@ -205,19 +205,18 @@ def psatz_cert_to_json(cert):
                       for eps, ps in cert.terms.items()}}
 
 
-def psatz_cert_from_json(doc, max_degree=None):
-    """The certificate; with max_degree, h and the weights, whose own
-    degrees the verification caps, are refused at their first word longer
-    than it (g and the squares are capped after h* g h - sum cancels)."""
+def psatz_cert_from_json(doc):
+    """The certificate as it is read; the verification caps the degrees of
+    h and the weights first, and of g and the squares after cancellation."""
     what = "certificate"
     g = parse_nc(_field(doc, "g", str, what))
-    h = parse_nc(_field(doc, "h", str, what), max_degree)
+    h = parse_nc(_field(doc, "h", str, what))
     n = _field(doc, "n", int, what)
     if n < 1:
         raise ShapeError(f"certificate key 'n' must be positive, got {n}")
     return PositivstellensatzCertificate(
         g, h, n, _field(doc, "J", str, what),
-        [parse_nc(a, max_degree) for a in _field(doc, "weights", list, what, str)],
+        [parse_nc(a) for a in _field(doc, "weights", list, what, str)],
         {key: [parse_nc(p) for p in _typed(ps, list, f"certificate term {key!r}", str)]
          for key, ps in _field(doc, "terms", dict, what).items()})
 

@@ -103,6 +103,9 @@ DEFAULT_MAX_N = 3
 # 126 words above at b = 2 take 0.25 s.  Matrices stay at most
 # 8 x 8 in nc_eval too: the denominators of a product grow with n^2, so
 # six letters on 16 x 16 fractions up to 10^6 (24576 units) take 1.7 s.
+# The model holds for words within the degree cap, which is checked first:
+# with it raised, one word of 1600 or 3200 letters x1 on a 2 x 2 matrix of
+# 4-bit fractions (4.6% and 9.1% of the cap) took 0.62 s and 3.4 s.
 MAX_FALSIFY_N = 8
 MAX_FALSIFY_TRIALS = 1000
 MAX_FALSIFY_BOUND = 10 ** 6
@@ -133,24 +136,21 @@ MAX_EXPANSION_WORK = 150_000
 MAX_KERNEL_WORK = 6_000_000
 
 
-def degree_cap(max_degree=None):
-    """The degree cap of symbolic expansion: max_degree if given, else
-    HERMSQ_MAX_DEGREE if set, else DEFAULT_MAX_DEGREE."""
-    if max_degree is not None:
-        return max_degree
+def _check_degree(f):
+    """f's degree, refused over the cap HERMSQ_MAX_DEGREE (if set) or
+    DEFAULT_MAX_DEGREE, before any other cap and any product."""
     value = os.environ.get("HERMSQ_MAX_DEGREE")
-    return int(value) if value else DEFAULT_MAX_DEGREE
-
-
-def _check_limits(degree, n, max_degree=None):
-    """The degree cap, which HERMSQ_MAX_DEGREE and max_degree override, and
-    the matrix-size cap, which nothing overrides."""
-    cap = degree_cap(max_degree)
+    try:
+        cap = int(value) if value else DEFAULT_MAX_DEGREE
+    except ValueError:
+        cap = -1   # refused below, with the negative values
+    if cap < 0:
+        raise HermsqError(f"HERMSQ_MAX_DEGREE must be a nonnegative integer, got {value!r}")
+    degree = f.degree()
     if degree > cap:
         raise ResourceLimitError(
             f"degree {degree} exceeds the cap {cap} (set HERMSQ_MAX_DEGREE to raise it)")
-    if n > DEFAULT_MAX_N:
-        raise ResourceLimitError(f"matrix size {n} exceeds the cap {DEFAULT_MAX_N}")
+    return degree
 
 
 def _as_nc(x):
@@ -259,13 +259,10 @@ def commutator(f, g):
 _NC_TOKEN = re.compile(r"\s*(x\d+\*?|\d+/\d+|\d+|[-+])")
 
 
-def parse_nc(text, max_degree=None):
+def parse_nc(text):
     """Sums of terms; a term is an optional rational followed by letters.
     The terms are summed into one dict.  An integer literal over Python's
-    int/str conversion limit is refused as in the scalar grammar.  With
-    max_degree, the first word longer than it raises ResourceLimitError as
-    it is read, before any later term (and even if a later term would
-    cancel it)."""
+    int/str conversion limit is refused as in the scalar grammar."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -302,10 +299,6 @@ def parse_nc(text, max_degree=None):
             if idx < 1:
                 raise ParseError("variable index must be positive", at)
             word.append(-idx if star else idx)
-            if max_degree is not None and len(word) > max_degree:
-                raise ResourceLimitError(
-                    f"word of degree {len(word)} at position {at} exceeds the cap "
-                    f"{max_degree} (set HERMSQ_MAX_DEGREE to raise it)")
             pending = True
         else:
             if coeff is not None or word:
@@ -335,9 +328,10 @@ def nc_star(f):
 
 def nc_eval(f, mats):
     """Evaluate on a tuple of rational matrices of size at most
-    MAX_FALSIFY_N, star acting as transpose; an evaluation over
-    MAX_EVAL_WORK, its entries' size included, is refused before any
-    product."""
+    MAX_FALSIFY_N, star acting as transpose; f over the degree cap, or an
+    evaluation over MAX_EVAL_WORK, its entries' size included, is refused
+    before any product."""
+    _check_degree(f)
     if not mats or not mats[0]:
         raise ShapeError("empty matrix tuple or empty matrix")
     n = len(mats[0])
@@ -726,15 +720,16 @@ def _integral(f):
     return NCPolynomial({w: c.numerator * (d // c.denominator) for w, c in f.terms.items()})
 
 
-def _integral_image(f, n, J, max_degree, refutes):
+def _integral_image(f, n, J, refutes):
     """The packed generic-matrix image of d*f, d the lcm of f's coefficient
     denominators, or None when the screen refutes it: refutes(u, v) for
     u = d*f(M) v at the screen's point (`_letter_matrices`).  d*f vanishes (or
     is a nonzero scalar) exactly when f does, and its image has int
     coefficients.  The kernel's work is checked against its cap only when
     the screen does not refute."""
-    degree = f.degree()
-    _check_limits(degree, n, max_degree)
+    degree = _check_degree(f)
+    if n > DEFAULT_MAX_N:
+        raise ResourceLimitError(f"matrix size {n} exceeds the cap {DEFAULT_MAX_N}")
     f = _integral(f)
     slots, point, v = _generic_letters(f, n, J)
     planned = _packed_plan(f, point, v, refutes)
@@ -743,17 +738,17 @@ def _integral_image(f, n, J, max_degree, refutes):
     return _packed_eval(*planned, slots, max(degree.bit_length(), 1), n)
 
 
-def is_identity_mod_a(f, n, J="orthogonal", max_degree=None):
+def is_identity_mod_a(f, n, J="orthogonal"):
     """Exact membership of f in the *-identity ideal for degree-n algebras:
     False as soon as f(M) v is nonzero at the screen's point."""
-    value = _integral_image(f, n, J, max_degree, lambda u, v: any(u))
+    value = _integral_image(f, n, J, lambda u, v: any(u))
     return value is not None and not any(entry for row in value for entry in row)
 
 
-def is_central_nonvanishing(h, n, J="orthogonal", max_degree=None):
+def is_central_nonvanishing(h, n, J="orthogonal"):
     """True iff the generic-matrix image of h is a nonzero scalar matrix:
     False as soon as h(M) v is not a multiple of v at the screen's point."""
-    value = _integral_image(h, n, J, max_degree, _not_parallel)
+    value = _integral_image(h, n, J, _not_parallel)
     if value is None:
         return False
     c = value[0][0]
@@ -775,6 +770,7 @@ def psd_falsify(g, n, trials, seed, bound=5):
     coefficient denominators, is symmetric because g = g*, and PSD exactly
     when g's value is.
     """
+    _check_degree(g)
     if not g.is_symmetric():
         raise ShapeError("falsification target must be symmetric (g = g*)")
     if n < 1 or trials < 0 or bound < 0:
@@ -834,20 +830,20 @@ def _check_expansion(cert, terms):
             f"expansion work {work} (word products) exceeds the cap {MAX_EXPANSION_WORK}")
 
 
-def positivstellensatz_conditions(cert, max_degree=None):
+def positivstellensatz_conditions(cert):
     """Per-condition report; keys are condition names, values booleans.
-    The expansion's bound on word products is checked first, before any
-    product (`_check_expansion`)."""
+    The degrees of h and the weights, then the expansion's bound on word
+    products (`_check_expansion`), are checked before any product."""
+    for a in (cert.h, *cert.weights):
+        _check_degree(a)
     m = len(cert.weights)
     terms = [(parse_selector(eps, m), ps) for eps, ps in cert.terms.items()]
     _check_expansion(cert, terms)
     report = {}
-    report["h_central_nonvanishing"] = is_central_nonvanishing(
-        cert.h, cert.n, cert.J, max_degree)
+    report["h_central_nonvanishing"] = is_central_nonvanishing(cert.h, cert.n, cert.J)
     report["weights_symmetric"] = all(a.is_symmetric() for a in cert.weights)
     report["weights_central_nonvanishing"] = all(
-        is_central_nonvanishing(a, cert.n, cert.J, max_degree)
-        for a in cert.weights)
+        is_central_nonvanishing(a, cert.n, cert.J) for a in cert.weights)
     rhs = NCPolynomial.zero()
     for bits, ps in terms:
         coeff = None
@@ -859,9 +855,9 @@ def positivstellensatz_conditions(cert, max_degree=None):
             part = part + p.star() * p
         rhs = rhs + (part if coeff is None else coeff * part)
     delta = cert.h.star() * cert.g * cert.h - rhs
-    report["congruence"] = is_identity_mod_a(delta, cert.n, cert.J, max_degree)
+    report["congruence"] = is_identity_mod_a(delta, cert.n, cert.J)
     return report
 
 
-def verify_positivstellensatz(cert, max_degree=None):
-    return all(positivstellensatz_conditions(cert, max_degree).values())
+def verify_positivstellensatz(cert):
+    return all(positivstellensatz_conditions(cert).values())

@@ -433,8 +433,13 @@ class WeakRepresentation:
         return self.represents
 
     def verify(self):
+        """A witness sums to 1; a refusal holds when no parity class
+        (i mod 2, j mod 2) of the entries c X^i Y^j has coefficients of both
+        signs and the class (0, 0) no positive one (double Springer reduction)."""
         if not self.represents:
-            return True
+            signs = {(i % 2, j % 2, c > 0) for c, i, j in map(_monomial_data, self.form.entries)}
+            mixed = any((i, j, not p) in signs for i, j, p in signs)
+            return not mixed and (0, 0, True) not in signs
         total = as_scalar(0)
         for row in self.vectors:
             for e, v in zip(self.form.entries, row):

@@ -351,19 +351,37 @@ class TestNcCommands:
         assert code == 2
         assert "cap" in err
 
+    def test_degree_cap_env_override(self, capsys, monkeypatch):
+        # HERMSQ_MAX_DEGREE is the one way to raise the cap: at 7, x1^7 is
+        # decided, and it is not an identity
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", "7")
+        code, out, err = run(capsys, "nc", "identity",
+                             "--poly", "x1 x1 x1 x1 x1 x1 x1", "--n", "2")
+        assert code == 1 and err == "" and "identity mod a: False" in out
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_malformed_degree_cap_env(self, capsys, monkeypatch, value):
+        # a ValueError traceback and exit 1 for abc, and -1 was taken as a cap
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", value)
+        code, out, err = run(capsys, "nc", "identity", "--poly", "x1 x2 - x2 x1", "--n", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: HERMSQ_MAX_DEGREE must be a nonnegative integer, got '{value}'\n"
+        proc = run_process("nc", "identity", "--poly", "x1 x2 - x2 x1", "--n", "2")
+        assert proc.returncode == 2 and proc.stdout == "" and proc.stderr == err
+
     @pytest.mark.parametrize("command, decision", [
         ("identity", "is_identity_mod_a"), ("central", "is_central_nonvanishing")])
     def test_degree_cap_before_expansion(self, capsys, monkeypatch, command, decision):
-        # s7 has 5040 words of degree 7, over the cap 6: the command stops
-        # at its first word, before any term is summed or expanded
+        # s7 has 5040 words of degree 7, over the cap 6: the decision
+        # refuses it before its trie is built
         def expand(*args):
             raise AssertionError("expanded over the cap")
 
-        monkeypatch.setattr(f"hermsq.cli.{decision}", expand)
+        monkeypatch.setattr("hermsq.ncpoly._word_trie", expand)
         code, out, err = run(capsys, "nc", command, "--poly", standard_poly_text(7),
                              "--n", "3")
         assert code == 2 and out == ""
-        assert "word of degree 7 at position 18 exceeds the cap 6" in err
+        assert "degree 7 exceeds the cap 6" in err
 
     def test_verify_cert_degree_cap(self, capsys, tmp_path, monkeypatch):
         # h over the cap exits 2 before anything is expanded; g may pass the
@@ -375,15 +393,17 @@ class TestNcCommands:
         code, out, _ = run(capsys, "nc", "verify-cert", str(path))
         assert code == 0 and "verified: True" in out
 
-        def conditions(*args):
-            raise AssertionError("verified over the cap")
+        def expand(*args):
+            raise AssertionError("expanded over the cap")
 
-        monkeypatch.setattr("hermsq.cli.positivstellensatz_conditions", conditions)
+        for name in ("_check_expansion", "_word_trie"):
+            monkeypatch.setattr(f"hermsq.ncpoly.{name}", expand)
+        monkeypatch.setattr(ncpoly.NCPolynomial, "__mul__", expand)
         doc["h"] = "x1 x2 x1 x2 x1 x2 x1"
         path.write_text(dumps(doc))
         code, out, err = run(capsys, "nc", "verify-cert", str(path))
         assert code == 2 and out == ""
-        assert "word of degree 7" in err
+        assert "degree 7 exceeds the cap 6" in err
 
     def test_verify_cert_expansion_cap(self, capsys, tmp_path, monkeypatch):
         # p* p for p the first 1500 words of lengths 1 to 4 over x1, x1*,
@@ -478,21 +498,23 @@ class TestNcCommands:
         assert "cap" in err and all(size in err for size in sizes)
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, work", [
+    @pytest.mark.parametrize("argv, degree", [
         (["eval", "--poly", "x1 x2 x3 x4 x5 x6 x7 x8",
-          "--matrices", json.dumps([[[1, 2], [3, 4]]] * 8)], "nc_eval"),
+          "--matrices", json.dumps([[[1, 2], [3, 4]]] * 8)], 8),
         (["falsify", "--poly", "x1* x1 x1* x1 x1* x1 x1* x1 x1* x1", "--n", "8",
-          "--trials", "1000"], "psd_falsify"),
-    ])
-    def test_degree_cap_before_evaluation(self, capsys, monkeypatch, argv, work):
-        # eval and falsify refuse the first word over the cap 6 as it is read
+          "--trials", "1000"], 10),
+    ], ids=["argv0-nc_eval", "argv1-psd_falsify"])
+    def test_degree_cap_before_evaluation(self, capsys, monkeypatch, argv, degree):
+        # eval and falsify refuse a polynomial over the cap 6 before any
+        # other cap: falsify's is over the work cap too
         def evaluate(*args, **kwargs):
             raise AssertionError("evaluated over the cap")
 
-        monkeypatch.setattr(f"hermsq.cli.{work}", evaluate)
+        for name in ("_check_work", "_eval_words"):
+            monkeypatch.setattr(f"hermsq.ncpoly.{name}", evaluate)
         code, out, err = run(capsys, "nc", *argv)
         assert code == 2 and out == ""
-        assert "word of degree 7" in err and "cap 6" in err
+        assert f"degree {degree} exceeds the cap 6" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, work", [

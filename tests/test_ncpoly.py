@@ -2,7 +2,6 @@
 positivity."""
 
 import itertools
-import os
 import random
 import sys
 from fractions import Fraction
@@ -177,24 +176,25 @@ class TestGrammar:
         assert made == [120]
         assert parse_nc("x1 x2 - x2 x1 + 2 x2 x1 + x1 x2") == 2 * x(1) * x(2) + x(2) * x(1)
 
-    def test_degree_cap_as_words_are_read(self, monkeypatch):
-        # s7 has 5040 words of degree 7: with the cap 6 the parse stops in
-        # its first word, at the seventh letter, before any term is summed
+    def test_degree_cap_after_the_parse(self, monkeypatch):
+        # the grammar reads words of any length: s7's 5040 words of degree
+        # 7 parse, and the decision refuses them before its trie is built
         text = format_nc(standard_polynomial(7))
-        sums = []
-        monkeypatch.setattr(NCPolynomial, "__init__",
-                            lambda self, terms: sums.append(terms))
-        with pytest.raises(ResourceLimitError) as exc:
-            parse_nc(text, max_degree=6)
-        seventh = [m.start(1) for m in ncpoly._NC_TOKEN.finditer(text)][6]
-        assert f"word of degree 7 at position {seventh} exceeds the cap 6" in str(exc.value)
-        assert not sums
+        s7 = parse_nc(text)
+        assert len(s7.terms) == 5040 and s7.degree() == 7
+
+        def build(*args):
+            raise AssertionError("expanded over the cap")
+
+        monkeypatch.setattr(ncpoly, "_word_trie", build)
+        with pytest.raises(ResourceLimitError, match="degree 7 exceeds the cap 6"):
+            is_identity_mod_a(s7, 3)
         monkeypatch.undo()
-        assert parse_nc("x1 x1* x1", max_degree=3) == x(1) * xs(1) * x(1)
-        # the cap is on words as read, even if a later term cancels one
-        with pytest.raises(ResourceLimitError):
-            parse_nc("x1 x1 x1 - x1 x1 x1", max_degree=2)
-        assert parse_nc("x1 x1 x1 - x1 x1 x1").is_zero()
+        # the cap is on the summed polynomial, so a word a later term
+        # cancels is not refused
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", "2")
+        zero = parse_nc("x1 x1 x1 - x1 x1 x1")
+        assert zero.is_zero() and is_identity_mod_a(zero, 2)
 
 
 class TestEval:
@@ -407,7 +407,7 @@ class TestPackedKernel:
     `generic_eval` and the word-by-word reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_field_width_edges(self, n):
+    def test_field_width_edges(self, n, monkeypatch):
         # deg f from 1 to 10: fields of 1 to 4 bits, widths 1 to 3 also at
         # their top values 1, 3 and 7 (a 1x1 image is one variable to the
         # power deg f, which fills its field)
@@ -417,9 +417,9 @@ class TestPackedKernel:
             for f in (x(1) ** k, (x(1) * xs(1)) ** ((k + 1) // 2)):
                 want = naive_eval(f, images, n, as_scalar(0), as_scalar(1))
                 assert unpack(*packed_image(f, n), f, n) == want
-                d = f.degree()
-                assert not is_identity_mod_a(f, n, max_degree=d)
-                assert is_central_nonvanishing(f, n, max_degree=d) is (n == 1)
+                monkeypatch.setenv("HERMSQ_MAX_DEGREE", str(f.degree()))
+                assert not is_identity_mod_a(f, n)
+                assert is_central_nonvanishing(f, n) is (n == 1)
 
     def test_decisions_match_unpacked_image(self):
         rng = random.Random(229)
@@ -625,24 +625,81 @@ class TestIdentities:
         deep = x(1) ** 7
         with pytest.raises(ResourceLimitError):
             is_identity_mod_a(deep, 2)
-        assert not is_identity_mod_a(deep, 2, max_degree=8)
         with pytest.raises(ResourceLimitError):
             is_identity_mod_a(x(1), 4)
-        with pytest.raises(ResourceLimitError):
-            is_identity_mod_a(x(1), 4, max_degree=6)
 
-    def test_env_override(self):
-        old = os.environ.get("HERMSQ_MAX_DEGREE")
-        os.environ["HERMSQ_MAX_DEGREE"] = "8"
-        try:
-            assert not is_identity_mod_a(x(1) ** 7, 2)
-            with pytest.raises(ResourceLimitError):
-                is_identity_mod_a(x(1), 4)
-        finally:
-            if old is None:
-                del os.environ["HERMSQ_MAX_DEGREE"]
-            else:
-                os.environ["HERMSQ_MAX_DEGREE"] = old
+    def test_env_override(self, monkeypatch):
+        # HERMSQ_MAX_DEGREE raises the degree cap; nothing raises the size cap
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", "8")
+        assert not is_identity_mod_a(x(1) ** 7, 2)
+        with pytest.raises(ResourceLimitError):
+            is_identity_mod_a(x(1), 4)
+
+
+class TestDegreeCap:
+    """The one degree cap, DEFAULT_MAX_DEGREE or HERMSQ_MAX_DEGREE, checked
+    by every entry point that evaluates or expands before any other cap."""
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def work(*args):
+            raise AssertionError("worked over the degree cap")
+
+        for name in ("_word_trie", "_eval_words", "_check_work", "_check_expansion"):
+            monkeypatch.setattr(ncpoly, name, work)
+
+    @pytest.mark.parametrize("call", [
+        lambda f: nc_eval(f, [[[1, 2], [3, 4]]]),
+        lambda f: psd_falsify(f.star() * f, 2, 1000, 0),
+        lambda f: is_identity_mod_a(f, 2),
+        lambda f: is_central_nonvanishing(f, 2),
+        lambda f: positivstellensatz_conditions(
+            PositivstellensatzCertificate(NCPolynomial.one(), f, 2, "orthogonal", [], {})),
+        lambda f: positivstellensatz_conditions(
+            PositivstellensatzCertificate(NCPolynomial.one(), NCPolynomial.one(), 2,
+                                          "orthogonal", [f.star() * f], {})),
+    ], ids=["nc_eval", "psd_falsify", "is_identity_mod_a", "is_central_nonvanishing",
+            "psatz_h", "psatz_weight"])
+    def test_refused_before_any_work(self, monkeypatch, call):
+        # x1^7, or x1*^7 x1^7 where a symmetric input is needed
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="degree (7|14) exceeds the cap 6"):
+            call(x(1) ** 7)
+
+    def test_long_words_in_the_library(self, monkeypatch):
+        # nc_eval took about 3 s on 3200 letters x1 at a 2 x 2 matrix, 9%
+        # of its work cap, and psd_falsify never checked the degree
+        self.forbid_work(monkeypatch)
+        m = [[Fraction(1, 2), Fraction(3, 4)], [Fraction(5, 7), Fraction(11, 13)]]
+        with pytest.raises(ResourceLimitError, match="degree 3200 exceeds the cap 6"):
+            nc_eval(x(1) ** 3200, [m])
+        g = (xs(1) * x(1)) ** 4
+        with pytest.raises(ResourceLimitError, match="degree 8 exceeds the cap 6"):
+            psd_falsify(g, 2, 5, 0)
+        monkeypatch.undo()
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", "8")
+        assert psd_falsify(g, 2, 5, 0) is None
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "6 7", "1" * 5000],
+                             ids=["abc", "-1", "1.5", "6 7", "5000 digits"])
+    def test_malformed_env_value(self, monkeypatch, value):
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", value)
+        with pytest.raises(HermsqError) as exc:
+            is_identity_mod_a(x(1), 2)
+        assert not isinstance(exc.value, ResourceLimitError)
+        assert str(exc.value).startswith(
+            "HERMSQ_MAX_DEGREE must be a nonnegative integer, got " + repr(value)[:20])
+
+    def test_env_edges(self, monkeypatch):
+        # an empty value means the default; 0 admits the constants only
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", "")
+        assert not is_identity_mod_a(x(1) ** 6, 2)
+        with pytest.raises(ResourceLimitError, match="cap 6"):
+            is_identity_mod_a(x(1) ** 7, 2)
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", "0")
+        assert not is_identity_mod_a(NCPolynomial.const(3), 2)
+        with pytest.raises(ResourceLimitError, match="degree 1 exceeds the cap 0"):
+            nc_eval(x(1), [[[1]]])
 
 
 class TestScreen:

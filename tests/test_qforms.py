@@ -586,6 +586,31 @@ class TestWeakRepresentation:
                 assert all(len(vec) == dim for vec in rep.vectors)
         assert found > 20
 
+    def test_refusal_verify(self):
+        # verify() returned True for every refusal, though <1> represents 1
+        # and X, -X share a parity class with both signs
+        assert not WeakRepresentation(False, form("1")).verify()
+        assert not WeakRepresentation(False, form("X", "-X")).verify()
+        assert not WeakRepresentation(False, form("-1", "4*X^2")).verify()
+        # Lemma 3.1's form and <-1, X> are refused rightly
+        assert WeakRepresentation(False, form("X", "Y", "X*Y")).verify()
+        assert WeakRepresentation(False, form("-1", "X")).verify()
+        assert weakly_represents_one(form("-1", "X")).verify()
+
+    def test_refusals_verify_random(self):
+        rng = random.Random(83)
+        monos = ["1", "2", "-3", "X", "-X", "Y", "X*Y", "-X*Y",
+                 "X^2", "-Y^3", "5*X*Y^2", "-X^3*Y"]
+        refused = 0
+        for _ in range(200):
+            q = form(*(rng.choice(monos) for _ in range(rng.randint(1, 4))))
+            rep = weakly_represents_one(q)
+            assert rep.verify()
+            # a refusal of a form that represents 1 fails
+            assert WeakRepresentation(False, q).verify() is not rep.represents
+            refused += not rep.represents
+        assert refused > 20
+
     def test_non_monomial_rejected(self):
         with pytest.raises(NotMonomialError):
             weakly_represents_one(DiagonalForm([X + 1]))
