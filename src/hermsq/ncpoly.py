@@ -145,7 +145,9 @@ def _check_degree(f):
     except ValueError:
         cap = -1   # refused below, with the negative values
     if cap < 0:
-        raise HermsqError(f"HERMSQ_MAX_DEGREE must be a nonnegative integer, got {value!r}")
+        # a long value is shown by its start and its length
+        shown = repr(value) if len(value) <= 20 else f"{value[:20]!r}... ({len(value)} characters)"
+        raise HermsqError(f"HERMSQ_MAX_DEGREE must be a nonnegative integer, got {shown}")
     degree = f.degree()
     if degree > cap:
         raise ResourceLimitError(
@@ -703,7 +705,9 @@ def _packed_eval(coeffs, plan, slots, w, n):
 def generic_eval(f, ctx):
     """Image of f in the generic matrix algebra of ctx, with `ZPolynomial`
     entries: over Z[z] when f's coefficients are integers, over Q[z]
-    otherwise.  The matrices of ctx and their stars are used as they are."""
+    otherwise.  The matrices of ctx and their stars are used as they are;
+    f over the degree cap is refused before any product."""
+    _check_degree(f)
     images = {}
     for l in f.variables():
         if l not in ctx.matrices:

@@ -21,7 +21,9 @@ over q, zero is 0 over 1).  When both operands of `+` or `*` are
 constants p/q, the operation runs on the int pairs and builds the
 canonical pair with one gcd.  `TermMap` is the sparse term map that
 `Polynomial`, `zpoly.ZPolynomial` and `ncpoly.NCPolynomial` share: their
-sum, difference and equality are written there once.
+sum, difference and equality are written there once.  A `Polynomial` or
+`ZPolynomial` constructor takes ownership of the dict it is given, and no
+term map is changed after it is built, so results may share one.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ class TermMap:
     constructor that takes a term dict; each result here is built as
     type(self)(terms).  A constant's monomial is falsy in every subclass (0
     or the empty tuple), and a constant hashes as its coefficient, so it
-    hashes as the equal int or Fraction."""
+    hashes as the equal int or Fraction.  A constructor may keep the dict
+    it is given rather than copy it, and no term map is changed once it is
+    built: every operation builds a new dict for its result."""
 
     __slots__ = ("terms",)
 
@@ -172,7 +176,8 @@ class Polynomial(TermMap):
     _coerce = staticmethod(_as_poly)
 
     def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+        # the dict is kept as it is, not copied (see `TermMap`)
+        self.terms = terms if terms is not None else {}
 
     # -- constructors -------------------------------------------------
 
@@ -259,7 +264,9 @@ class Polynomial(TermMap):
             for m2, c2 in terms:
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
-        return Polynomial({m: c for m, c in out.items() if c})
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -268,6 +275,10 @@ class Polynomial(TermMap):
             raise HermsqError("polynomial powers must be nonnegative integers")
         if n and self.terms:
             _check_degree((max(self.terms) >> _DEG) * n)
+            if len(self.terms) == 1:
+                # no field carries below the degree limit
+                (m, c), = self.terms.items()
+                return Polynomial({m * n: c ** n})
         result = Polynomial.one()
         base = self
         while n:
@@ -1263,8 +1274,14 @@ def parse_scalar(text):
 
 
 def _format_mono(mono, coeff):
-    body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in _unpack(mono))
-    if not body:
+    a, b = mono & _MASK, mono >> _W & _MASK
+    if b:
+        body = "Y" if b == 1 else f"Y^{b}"
+        if a:
+            body = ("X*" if a == 1 else f"X^{a}*") + body
+    elif a:
+        body = "X" if a == 1 else f"X^{a}"
+    else:
         return str(coeff)
     if coeff == 1:
         return body

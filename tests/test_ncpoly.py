@@ -680,6 +680,19 @@ class TestDegreeCap:
         monkeypatch.setenv("HERMSQ_MAX_DEGREE", "8")
         assert psd_falsify(g, 2, 5, 0) is None
 
+    def test_generic_eval(self, monkeypatch):
+        # x1^10 on one generic 3 x 3 matrix took 0.15 s before the cap, and
+        # the time grew about 4x per two letters
+        ctx = GenericMatrixContext(2, 1)
+        f = x(1) ** 7
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="degree 7 exceeds the cap 6"):
+            generic_eval(f, ctx)
+        monkeypatch.undo()
+        monkeypatch.setenv("HERMSQ_MAX_DEGREE", "7")
+        images = {1: ctx.matrices[1], -1: ctx.star(ctx.matrices[1])}
+        assert generic_eval(f, ctx) == naive_eval(f, images, 2, as_scalar(0), as_scalar(1))
+
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "6 7", "1" * 5000],
                              ids=["abc", "-1", "1.5", "6 7", "5000 digits"])
     def test_malformed_env_value(self, monkeypatch, value):
@@ -689,6 +702,10 @@ class TestDegreeCap:
         assert not isinstance(exc.value, ResourceLimitError)
         assert str(exc.value).startswith(
             "HERMSQ_MAX_DEGREE must be a nonnegative integer, got " + repr(value)[:20])
+        # a long value is cut short, its length given
+        assert len(str(exc.value)) < 120
+        if len(value) > 20:
+            assert str(exc.value).endswith(f"... ({len(value)} characters)")
 
     def test_env_edges(self, monkeypatch):
         # an empty value means the default; 0 admits the constants only

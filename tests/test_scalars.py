@@ -166,6 +166,130 @@ class TestPackedMonomials:
             Polynomial.variable("X", -1)
 
 
+def reference_product(p, q):
+    """The term map of p * q by the plain dict loop, cancelled terms
+    removed."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_mono_text(mono, coeff):
+    """The text of coeff times a monomial in its earlier form: the joined
+    (variable, exponent) pairs of `_unpack`."""
+    body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in scalars._unpack(mono))
+    if not body:
+        return str(coeff)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return f"-{body}"
+    return f"{coeff}*{body}"
+
+
+def snapshot(*values):
+    """The term maps of polynomials and rational functions, copied in order."""
+    polys = []
+    for v in values:
+        polys.extend((v.num, v.den) if isinstance(v, RationalFunction) else (v,))
+    return [(p.terms, list(p.terms.items())) for p in polys]
+
+
+def assert_unchanged(before):
+    for terms, items in before:
+        assert list(terms.items()) == items
+
+
+class TestSmallOperations:
+    """The fixed work of small Z[X, Y] operations: a polynomial keeps the dict
+    it is built from, a product filters only cancelled terms, a one-term
+    power is one term, and monomial text comes from the packed fields."""
+
+    def test_products_with_cancellation(self):
+        x, y, one = Polynomial.variable("X"), Polynomial.variable("Y"), Polynomial.one()
+        for p, q, want in (((x + 1), (x - 1), x * x - 1),
+                           ((x + y), (x - y), x * x - y * y),
+                           ((x * x + x * y + y * y), (x - y), x ** 3 - y ** 3),
+                           ((x + 1), (1 - x) * (x * x + 1), one - x ** 4)):
+            assert p * q == want and q * p == want
+        # one to four terms +-X^a Y^b, a, b <= 2, so that terms often cancel
+        monos = [(("X", a), ("Y", b)) for a in range(3) for b in range(3)]
+
+        def small(rng):
+            return sum((Polynomial.monomial(m, rng.choice((-1, 1)))
+                        for m in rng.sample(monos, rng.randint(1, 4))), Polynomial())
+
+        rng = random.Random(41)
+        cancelled = 0
+        for _ in range(400):
+            p, q = small(rng), small(rng)
+            want = reference_product(p, q)
+            got = p * q
+            assert 0 not in got.terms.values()
+            assert list(got.terms.items()) == list(want.items())
+            cancelled += len(want) < len({m1 + m2 for m1 in p.terms for m2 in q.terms})
+        assert cancelled > 50
+
+    def test_one_term_powers(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            p = Polynomial.monomial((("X", rng.randint(0, 4)), ("Y", rng.randint(0, 4))),
+                                    rng.choice((-1, 1)) * rng.randint(1, 7))
+            n = rng.randint(0, 9)
+            want = Polynomial.one()
+            for _ in range(n):
+                want = want * p
+            assert list((p ** n).terms.items()) == list(want.terms.items())
+        assert (Polynomial.const(-3) ** 3).terms == {0: -27}
+        assert (Polynomial.zero() ** 0).terms == {0: 1} and not Polynomial.zero() ** 2
+        # at the degree limit every field holds its value without a carry
+        top = 2 ** scalars._W - 1
+        assert (-Polynomial.variable("X")) ** top == -Polynomial.variable("X", top)
+        xy = Polynomial.variable("X") * Polynomial.variable("Y")
+        half = 2 ** (scalars._W - 1) - 1
+        assert (xy ** half).leading() == ((("X", half), ("Y", half)), 1)
+        for over in (lambda: xy ** (half + 1),
+                     lambda: Polynomial.monomial((("X", 3),), -2) ** 2 ** 31,
+                     lambda: RationalFunction.variable("Y", -5) ** 2 ** 30):
+            with pytest.raises(ResourceLimitError, match="reaches the limit"):
+                over()
+
+    def test_monomial_text(self):
+        top = 2 ** (scalars._W - 1) - 1
+        exps = [*range(13), top]
+        for a, b in itertools.product(exps, repeat=2):
+            mono = packed(a, b)
+            for coeff in (1, -1, 2, -5, Fraction(3, 4), Fraction(-1, 2)):
+                assert scalars._format_mono(mono, coeff) == reference_mono_text(mono, coeff)
+        p = (Polynomial.monomial((("X", top), ("Y", 1)), -6)
+             + Polynomial.variable("Y", top) - Polynomial.variable("X", 2))
+        assert format_scalar(RationalFunction(p, 2)) == f"-3*X^{top}*Y + 1/2*Y^{top} - 1/2*X^2"
+
+    def test_operands_unchanged(self):
+        rng = random.Random(47)
+        x = Polynomial.variable("X")
+        for _ in range(150):
+            p = random_poly(rng, nterms=4, maxdeg=3)
+            q = random_poly(rng, nterms=4, maxdeg=3)
+            one_term = Polynomial.monomial((("Y", rng.randint(0, 3)),), rng.randint(1, 4))
+            before = snapshot(p, q, one_term, x)
+            for f in (p, one_term):
+                f + q, f - q, -f, f * q, q * f, f * 3, f ** 3, f ** 0
+                poly_gcd(f, q)
+                if f:
+                    poly_divexact(f * q, f)
+                    poly_divexact(f * x, x)
+            if q:
+                a, b = RationalFunction(p, q), RationalFunction(one_term + x, q)
+                rf_before = snapshot(a, b)
+                a + b, a - b, a * b, -a, a ** 2, a ** -1 if a else a, b / (b + 1)
+                a + 2, 3 * a, a * Fraction(1, 2), RationalFunction(q, one_term)
+                assert_unchanged(rf_before)
+            assert_unchanged(before)
+
+
 class TestGcd:
     def test_divexact(self):
         x = Polynomial.variable("X")
